@@ -18,13 +18,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ValidationError
+from .exponent import _RATIONAL_ALPHA
 from .models import TandemModel
-
-_RATIONAL_ALPHA = {
-    Fraction(1, 4): Fraction(-4),
-    Fraction(1, 2): Fraction(-5),
-    Fraction(3, 4): Fraction(-7),
-}
 
 
 @dataclass(frozen=True)

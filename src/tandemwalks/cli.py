@@ -2,7 +2,8 @@
 
 Every subcommand is a thin adapter over the library and writes CSV or JSON
 to stdout (or a file); identical inputs produce byte-identical output.
-Exit codes: 0 success, 1 validation or usage error, 2 resource-budget abort.
+Exit codes: 0 success, 1 validation or usage error, 2 resource-budget abort,
+3 internal error (an unexpected exception, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -480,6 +481,9 @@ def run(argv=None) -> int:
         return 2
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    except Exception as exc:  # a bug, not a bad input: report it without a traceback
+        print(f"tandemwalks: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

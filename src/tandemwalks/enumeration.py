@@ -1,11 +1,15 @@
 """Exact and floating-point enumeration of quarter-plane and cone walks.
 
 The workhorse is a dense level-by-level dynamic program over the rectangle
-reachable in n steps.  Each transition is a shifted slice-add on a numpy
-array; with object dtype the arithmetic is exact big-integer arithmetic, and
-with float64 the grid is rescaled to unit maximum after every level while a
-running log-offset keeps track of the true magnitude (never raw floats,
-which would overflow beyond a few hundred steps).
+reachable in n steps.  Sweeps with a pinned endpoint (excursions, endpoint
+counts) keep only the drain window of that rectangle: the cells from which
+the target is still reachable in the remaining steps.  Free-endpoint totals
+sweep the whole rectangle.  Each transition is a shifted slice-add on a numpy
+array held in one of two buffers reused across levels.  With object dtype
+the arithmetic is exact big-integer arithmetic; with float64 the grid is
+rescaled to unit maximum after every level while a running log-offset keeps
+track of the true magnitude (never raw floats, which would overflow beyond a
+few hundred steps).
 
 Coordinates are compressed by the lattice the steps actually span: every
 reachable x is a multiple of gcd of the horizontal displacements and likewise
@@ -61,7 +65,9 @@ class QuadrantState:
     """Occupancy grid after ``level`` steps, in lattice-compressed indices.
 
     ``grid[i, j]`` counts walks ending at (i * gx, j * gy); ``log_scale`` is
-    the accumulated rescaling offset (always 0.0 in exact mode).
+    the accumulated rescaling offset (always 0.0 in exact mode).  A sweep
+    with a pinned endpoint holds only its drain window, and ``grid`` is a view
+    into a buffer that the sweep reuses, valid only until the next level.
     """
 
     level: int
@@ -90,15 +96,32 @@ def _lattice(values: list[int]) -> int:
     return g or 1
 
 
+def _step_lattice(s: StepSet) -> tuple[int, int]:
+    """Spacings (gx, gy) of the lattice the steps span."""
+    return _lattice([i for i, _ in s.steps]), _lattice([j for _, j in s.steps])
+
+
 def _iter_levels(
     s: StepSet,
     n_max: int,
     mode: str,
     cell_budget: int,
+    target: tuple[int, int] | None = None,
 ) -> Iterator[QuadrantState]:
-    """Yield quadrant occupancy levels 0..n_max for walks started at the origin."""
-    gx = _lattice([i for i, _ in s.steps])
-    gy = _lattice([j for _, j in s.steps])
+    """Yield quadrant occupancy levels 0..n_max for walks started at the origin.
+
+    ``target`` is an endpoint (qi, qj) in lattice-compressed indices.  With a
+    target, level n keeps only the drain window i <= qi + r*nxm,
+    j <= qj + r*nym, where r = n_max - n and nxm, nym are the largest
+    negative step components: a cell outside it cannot reach the target in
+    the remaining r steps and never feeds a cell inside it, so every kept
+    value equals the full sweep's.  Without a target the whole reachable
+    rectangle is swept.  The budget always meters the full rectangle.
+
+    Levels share two reused buffers, so a yielded ``grid`` is valid only
+    until the next level is requested; copy it to keep it.
+    """
+    gx, gy = _step_lattice(s)
     scaled = [(i // gx, j // gy) for i, j in s.steps]
     dxm = max((i for i, _ in scaled if i > 0), default=0)
     dym = max((j for _, j in scaled if j > 0), default=0)
@@ -109,23 +132,47 @@ def _iter_levels(
             f"level sweep needs {swept} cells, budget is {cell_budget}"
         )
 
+    if target is None:
+        def shape(n: int) -> tuple[int, int]:
+            return n * dxm + 1, n * dym + 1
+    else:
+        qi, qj = target
+        nxm = max((-i for i, _ in scaled if i < 0), default=0)
+        nym = max((-j for _, j in scaled if j < 0), default=0)
+
+        def shape(n: int) -> tuple[int, int]:
+            r = n_max - n
+            return min(n * dxm, qi + r * nxm) + 1, min(n * dym, qj + r * nym) + 1
+
+    size = max(w * h for w, h in map(shape, range(n_max + 1)))
     dtype = object if mode == "exact" else np.float64
-    cur = np.zeros((1, 1), dtype=dtype)
+    bufs = (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
+
+    def level_view(n: int) -> np.ndarray:
+        w, h = shape(n)
+        view = bufs[n % 2][: w * h].reshape(w, h)
+        view.fill(0)
+        return view
+
+    cur = level_view(0)
     cur[0, 0] = 1 if mode == "exact" else 1.0
     offset = 0.0
     yield QuadrantState(0, cur, gx, gy, offset)
 
     for n in range(1, n_max + 1):
         w0, h0 = cur.shape
-        nxt = np.zeros((n * dxm + 1, n * dym + 1), dtype=dtype)
+        nxt = level_view(n)
+        w1, h1 = nxt.shape
         for si, sj in scaled:
             ox = max(0, -si)  # source offset for negative displacement
             oy = max(0, -sj)
-            if ox >= w0 or oy >= h0:
-                continue
             dx = max(0, si)
             dy = max(0, sj)
-            nxt[dx:dx + w0 - ox, dy:dy + h0 - oy] += cur[ox:w0, oy:h0]
+            lx = min(w0 - ox, w1 - dx)  # clipped to the smaller destination
+            ly = min(h0 - oy, h1 - dy)
+            if lx <= 0 or ly <= 0:
+                continue
+            nxt[dx:dx + lx, dy:dy + ly] += cur[ox:ox + lx, oy:oy + ly]
         if mode == "logfloat":
             peak = nxt.max()
             if peak > 0.0:
@@ -165,10 +212,11 @@ def count_endpoint(
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (ti, tj)) or ti < 0 or tj < 0:
         raise ValidationError(f"target must be a quadrant point, got {target!r}")
     zero = 0 if mode == "exact" else float("-inf")
+    gx, gy = _step_lattice(s)
+    qi, ri = divmod(ti, gx)
+    qj, rj = divmod(tj, gy)
     terms = []
-    for state in _iter_levels(s, n_max, mode, cell_budget):
-        qi, ri = divmod(ti, state.gx)
-        qj, rj = divmod(tj, state.gy)
+    for state in _iter_levels(s, n_max, mode, cell_budget, (qi, qj)):
         if ri or rj or qi >= state.grid.shape[0] or qj >= state.grid.shape[1]:
             terms.append(zero)
         else:

@@ -61,17 +61,20 @@ class ExponentReport:
 
 
 def closed_form_critical_point(m: TandemModel) -> tuple[float, float]:
+    # E-weighted sums of logs: the integer powers overflow a float for large triples
     A, B, C = m.A, m.B, m.C
     E = A * B + A * C + B * C
-    X = (B**C * C**B / A ** (B + C)) ** (1.0 / E)
-    Y = (C ** (A + B) / (A**B * B**A)) ** (1.0 / E)
+    la, lb, lc = log(A), log(B), log(C)
+    X = exp((C * lb + B * lc - (B + C) * la) / E)
+    Y = exp(((A + B) * lc - B * la - A * lb) / E)
     return X, Y
 
 
 def growth_constant(m: TandemModel) -> float:
     A, B, C = m.A, m.B, m.C
     E = A * B + A * C + B * C
-    return C * (A**B * B**A / C ** (A + B)) ** (C / E) * (1 / A + 1 / B + 1 / C)
+    la, lb, lc = log(A), log(B), log(C)
+    return C * exp(C * (B * la + A * lb - (A + B) * lc) / E) * (1 / A + 1 / B + 1 / C)
 
 
 def step_polynomial(s: StepSet, x: float, y: float) -> float:

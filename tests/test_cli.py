@@ -4,6 +4,7 @@ from math import isclose, log
 import pytest
 
 from tandemwalks import TandemModel, count_excursions, exponent_report, tandem_step_set
+from tandemwalks import cli as cli_module
 from tandemwalks.cli import TABLE1_BALLOT_TRIPLES, run
 
 from conftest import TABLE2_QUINTUPLES
@@ -286,3 +287,24 @@ def test_subcommand_help_lists_flags(capsys):
     assert code == 0
     for flag in ("--m-max", "--richardson", "--plot"):
         assert flag in out
+
+
+def test_large_triples_exit_zero(capsys):
+    # (9,153,136) is the first table2 model whose closed forms overflow integer powers
+    code, out, _ = cli(capsys, "exponent", "--model", "9,153,136")
+    assert code == 0
+    assert "alpha = -5" in out
+    code, out, _ = cli(capsys, "table2", "--bound", "160")
+    assert code == 0
+    assert "1/2,9,153,136,-5" in out.splitlines()
+
+
+def test_exit_code_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli_module._COMMANDS, "table1", broken)
+    code, out, err = cli(capsys, "table1")
+    assert code == 3
+    assert out == ""
+    assert err == "tandemwalks: internal error: RuntimeError: boom\n"

@@ -1,0 +1,102 @@
+"""The drain window of pinned-endpoint sweeps against an unpruned reference.
+
+Pinned-endpoint counts sweep only the cells that can still reach the target,
+so they are checked here against a plain dictionary dynamic program over the
+whole quadrant, on random step sets (tandem and generic, with and without
+negative components) and random targets (on and off the step lattice).
+"""
+
+from math import gcd, log
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tandemwalks import (
+    BudgetExceededError,
+    StepSet,
+    TandemModel,
+    count_endpoint,
+    count_excursions,
+    count_walks_total,
+    tandem_step_set,
+)
+from tandemwalks.enumeration import _iter_levels
+
+
+def reference_levels(steps, n_max):
+    """Quadrant occupancy dicts of levels 0..n_max, with no pruning at all."""
+    cur = {(0, 0): 1}
+    levels = [cur]
+    for _ in range(n_max):
+        nxt = {}
+        for (x, y), v in cur.items():
+            for i, j in steps:
+                p = (x + i, y + j)
+                if p[0] >= 0 and p[1] >= 0:
+                    nxt[p] = nxt.get(p, 0) + v
+        cur = nxt
+        levels.append(cur)
+    return levels
+
+
+_component = st.integers(-3, 3)
+
+tandem_steps = st.tuples(
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)
+).filter(lambda t: gcd(*t) == 1).map(lambda t: tandem_step_set(TandemModel(*t)).steps)
+
+generic_steps = st.lists(st.tuples(_component, _component), min_size=1, max_size=5, unique=True)
+
+# no step moves left (or down): the drain window then spans no extra rows (columns)
+no_negative_x = st.lists(
+    st.tuples(st.integers(0, 3), _component), min_size=1, max_size=5, unique=True
+)
+no_negative_y = st.lists(
+    st.tuples(_component, st.integers(0, 3)), min_size=1, max_size=5, unique=True
+)
+
+step_sets = st.one_of(tandem_steps, generic_steps, no_negative_x, no_negative_y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_sets, st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(0, 12))
+def test_pinned_counts_match_unpruned_reference(steps, target, n_max):
+    s = StepSet(tuple(steps))
+    expected = [level.get(target, 0) for level in reference_levels(s.steps, n_max)]
+    assert list(count_endpoint(s, n_max, target).values) == expected
+
+    logs = count_endpoint(s, n_max, target, "logfloat").values
+    for exact, lf in zip(expected, logs):
+        if exact == 0:
+            assert lf == float("-inf")
+        else:
+            assert abs(lf - log(exact)) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(step_sets, st.integers(0, 10))
+def test_excursions_and_totals_match_unpruned_reference(steps, n_max):
+    s = StepSet(tuple(steps))
+    levels = reference_levels(s.steps, n_max)
+    assert list(count_excursions(s, n_max).values) == [lv.get((0, 0), 0) for lv in levels]
+    assert list(count_walks_total(s, n_max).values) == [sum(lv.values()) for lv in levels]
+
+
+def test_window_shapes_unit_model():
+    # (1,1,1): level n of a 20-step excursion sweep keeps min(n, 20 - n) + 1 rows
+    s = tandem_step_set(TandemModel(1, 1, 1))
+    shapes = [state.grid.shape for state in _iter_levels(s, 20, "exact", 10**6, (0, 0))]
+    assert shapes == [(min(n, 20 - n) + 1,) * 2 for n in range(21)]
+    full = [state.grid.shape for state in _iter_levels(s, 20, "exact", 10**6)]
+    assert full == [(n + 1, n + 1) for n in range(21)]
+
+
+def test_budget_meters_full_rectangle():
+    # the pinned sweep touches fewer cells, but the budget still counts the
+    # whole reachable rectangle, so the same inputs pass and abort as before
+    s = tandem_step_set(TandemModel(1, 1, 1))
+    dense = sum((n + 1) ** 2 for n in range(1, 31)) + 1
+    count_excursions(s, 30, cell_budget=dense)
+    with pytest.raises(BudgetExceededError):
+        count_excursions(s, 30, cell_budget=dense - 1)

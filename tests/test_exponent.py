@@ -12,6 +12,7 @@ from tandemwalks import (
     classify_rationality,
     closed_form_critical_point,
     exponent_report,
+    family,
     gamma_exact_sq,
     gamma_general,
     growth_constant,
@@ -213,3 +214,20 @@ def test_exponent_table_rows():
             assert rep.alpha == alpha
         else:
             assert abs(rep.alpha - alpha) <= tol
+
+
+@pytest.mark.parametrize(
+    "model",
+    [TandemModel(9, 153, 136), family("half", 15), family("quarter", 1001), family("half", 1001)],
+)
+def test_closed_forms_large_triples(model):
+    # the integer powers B^C * C^B / A^(B+C) of these triples overflow a float
+    s = tandem_step_set(model)
+    X, Y = closed_form_critical_point(model)
+    assert isclose(step_polynomial(s, X, Y), growth_constant(model), rel_tol=1e-12)
+    # x*S_x = y*S_y = 0 as balances of powers; an exponent near 1e6 turns one
+    # ulp in X or Y into a relative error near 1e-10
+    A, B, C = model.A, model.B, model.C
+    assert isclose(A * X**A, B * Y**B / X**B, rel_tol=1e-9)
+    assert isclose(C / Y**C, B * Y**B / X**B, rel_tol=1e-9)
+    assert exponent_report(model).mu == growth_constant(model)
