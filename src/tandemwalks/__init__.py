@@ -50,7 +50,6 @@ from .models import (
     TandemModel,
     ballot_to_tandem,
     parse_model,
-    period,
     tandem_step_set,
     tandem_to_ballot,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "map_walk_2to3",
     "map_walk_3to2",
     "parse_model",
-    "period",
     "phi",
     "reachable_from_infinity",
     "reverse_reflect",

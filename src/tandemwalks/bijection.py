@@ -19,23 +19,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ValidationError
-from .models import BallotModel, TandemModel, ballot_to_tandem, tandem_to_ballot
+from .models import (
+    BALLOT_STEPS, BallotModel, TandemModel, ballot_to_tandem, tandem_step_set, tandem_to_ballot,
+)
 
 _LETTERS3 = "XYZ"
 _LETTERS2 = "RDU"
 _3TO2 = str.maketrans(_LETTERS3, _LETTERS2)
 _2TO3 = str.maketrans(_LETTERS2, _LETTERS3)
 _REVERSE_SWAP = str.maketrans("RU", "UR")
+_UNIT_STEPS = dict(zip(_LETTERS3, BALLOT_STEPS))
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
-def _unit_steps(letter: str) -> tuple[int, int, int]:
-    return {"X": (1, 0, 0), "Y": (0, 1, 0), "Z": (0, 0, 1)}[letter]
-
-
-def _tandem_displacement(m: TandemModel, letter: str) -> tuple[int, int]:
-    return {"R": (m.A, 0), "D": (-m.B, m.B), "U": (0, -m.C)}[letter]
+def _tandem_displacements(m: TandemModel) -> dict[str, tuple[int, int]]:
+    """The letters R, D, U mapped to the model's steps (tandem_step_set order)."""
+    return dict(zip(_LETTERS2, tandem_step_set(m).steps))
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class Walk3:
         for k, letter in enumerate(self.steps):
             if letter not in _LETTERS3:
                 raise ValidationError(f"step {k} is {letter!r}, expected one of X, Y, Z")
-            dx, dy, dz = _unit_steps(letter)
+            dx, dy, dz = _UNIT_STEPS[letter]
             x, y, z = x + dx, y + dy, z + dz
             if not (T.A * x >= T.B * y >= T.C * z >= 0):
                 raise ValidationError(
@@ -70,11 +70,12 @@ class Walk2:
     steps: str
 
     def __post_init__(self) -> None:
+        displacements = _tandem_displacements(self.model)
         x = y = 0
         for k, letter in enumerate(self.steps):
             if letter not in _LETTERS2:
                 raise ValidationError(f"step {k} is {letter!r}, expected one of R, D, U")
-            dx, dy = _tandem_displacement(self.model, letter)
+            dx, dy = displacements[letter]
             x, y = x + dx, y + dy
             if x < 0 or y < 0:
                 raise ValidationError(
@@ -82,10 +83,10 @@ class Walk2:
                 )
 
     def endpoint(self) -> tuple[int, int]:
-        m = self.model
+        displacements = _tandem_displacements(self.model)
         x = y = 0
         for letter in self.steps:
-            dx, dy = _tandem_displacement(m, letter)
+            dx, dy = displacements[letter]
             x, y = x + dx, y + dy
         return (x, y)
 
@@ -140,7 +141,7 @@ def generate_ballot_walks(
         if x == tx and y == ty and z == tz:
             out.append(Walk3(m, "".join(word)))
             return
-        for letter, (dx, dy, dz) in zip(_LETTERS3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        for letter, (dx, dy, dz) in _UNIT_STEPS.items():
             nx, ny, nz = x + dx, y + dy, z + dz
             if nx > tx or ny > ty or nz > tz:
                 continue
@@ -182,7 +183,7 @@ def _generate_walks2(
         raise ValidationError(f"length must be a nonnegative integer, got {length!r}")
     out: list[Walk2] = []
     nodes = 0
-    displacements = [(letter, _tandem_displacement(m, letter)) for letter in _LETTERS2]
+    displacements = list(_tandem_displacements(m).items())
 
     def rec(x: int, y: int, remaining: int, word: list[str]) -> None:
         nonlocal nodes

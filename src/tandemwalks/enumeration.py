@@ -29,12 +29,9 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .models import BallotModel, StepSet, TandemModel, ballot_to_tandem
+from .models import BALLOT_STEPS, BallotModel, StepSet, TandemModel, ballot_to_tandem
 
 DEFAULT_CELL_BUDGET = 200_000_000
-
-# unit steps of the 3D ballot walk, in fixed order
-_BALLOT_STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -101,6 +98,19 @@ def _step_lattice(s: StepSet) -> tuple[int, int]:
     return _lattice([i for i, _ in s.steps]), _lattice([j for _, j in s.steps])
 
 
+def _check_budget(scaled: list[tuple[int, int]], n_max: int, cell_budget: int) -> tuple[int, int]:
+    """Meter the dense rectangles of levels 0..n_max of the lattice-compressed
+    steps against the budget; return their per-level growth (dxm, dym)."""
+    dxm = max((i for i, _ in scaled if i > 0), default=0)
+    dym = max((j for _, j in scaled if j > 0), default=0)
+    swept = sum((n * dxm + 1) * (n * dym + 1) for n in range(1, n_max + 1)) + 1
+    if swept > cell_budget:
+        raise BudgetExceededError(
+            f"level sweep needs {swept} cells, budget is {cell_budget}"
+        )
+    return dxm, dym
+
+
 def _iter_levels(
     s: StepSet,
     n_max: int,
@@ -123,14 +133,7 @@ def _iter_levels(
     """
     gx, gy = _step_lattice(s)
     scaled = [(i // gx, j // gy) for i, j in s.steps]
-    dxm = max((i for i, _ in scaled if i > 0), default=0)
-    dym = max((j for _, j in scaled if j > 0), default=0)
-
-    swept = sum((n * dxm + 1) * (n * dym + 1) for n in range(1, n_max + 1)) + 1
-    if swept > cell_budget:
-        raise BudgetExceededError(
-            f"level sweep needs {swept} cells, budget is {cell_budget}"
-        )
+    dxm, dym = _check_budget(scaled, n_max, cell_budget)
 
     if target is None:
         def shape(n: int) -> tuple[int, int]:
@@ -212,16 +215,20 @@ def count_endpoint(
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (ti, tj)) or ti < 0 or tj < 0:
         raise ValidationError(f"target must be a quadrant point, got {target!r}")
     zero = 0 if mode == "exact" else float("-inf")
+    what = "excursions" if target == (0, 0) else f"endpoint:{ti},{tj}"
     gx, gy = _step_lattice(s)
     qi, ri = divmod(ti, gx)
     qj, rj = divmod(tj, gy)
+    if ri or rj:
+        # off the step lattice: no walk gets there, but the same inputs still abort
+        _check_budget([(i // gx, j // gy) for i, j in s.steps], n_max, cell_budget)
+        return CountSequence(None, what, mode, (zero,) * (n_max + 1))
     terms = []
     for state in _iter_levels(s, n_max, mode, cell_budget, (qi, qj)):
-        if ri or rj or qi >= state.grid.shape[0] or qj >= state.grid.shape[1]:
+        if qi >= state.grid.shape[0] or qj >= state.grid.shape[1]:
             terms.append(zero)
         else:
             terms.append(_term(state.grid[qi, qj], mode, state.log_scale))
-    what = "excursions" if target == (0, 0) else f"endpoint:{ti},{tj}"
     return CountSequence(None, what, mode, tuple(terms))
 
 
@@ -289,7 +296,7 @@ def count_ballot_3d(
     for t in range(1, m.period * rounds_max + 1):
         nxt: dict[tuple[int, int, int], int] = {}
         for (x, y, z), v in cur.items():
-            for dx, dy, dz in _BALLOT_STEPS:
+            for dx, dy, dz in BALLOT_STEPS:
                 nx, ny, nz = x + dx, y + dy, z + dz
                 if nx > xm or ny > ym or nz > zm:
                     continue

@@ -6,11 +6,12 @@ window; the last 10 input terms are held out of the window and every
 candidate must annihilate the complete input before being returned, so a
 returned recurrence is never an artifact of an underdetermined system.
 
-Linear algebra is exact: rows are cleared to integers, a fast full-rank
-test modulo two large primes discards hopeless (r, d) cells (full column
-rank mod p implies full rank over the rationals, so the shortcut can never
-miss a kernel), and surviving cells go through fraction-free Bareiss
-elimination.  No floating point anywhere.
+The series is cleared to integers once, by the lcm of its denominators; the
+system is homogeneous, so this changes no kernel and no residual.  A full-rank
+test modulo one large prime discards hopeless (r, d) cells (full column rank
+mod p implies full rank over the rationals, so it can never miss a kernel),
+and the other cells go through fraction-free Bareiss elimination with integer
+back-substitution.  No floating point anywhere.
 
 Cells are searched by increasing r + d with ties to smaller r, so the
 structurally simplest verified recurrence wins.
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import ValidationError
 
 HELD_OUT = 10
-_FILTER_PRIMES = (2147483647, 2147483629)
+_FILTER_PRIME = 2147483647
 
 
 @dataclass(frozen=True)
@@ -58,16 +59,20 @@ def _poly_eval(coeffs: tuple[int, ...], n: int) -> int:
     return acc
 
 
+def _cleared(terms) -> list[int]:
+    """The series times the lcm of its denominators, as integers."""
+    seq = [Fraction(t) for t in terms]
+    den = lcm(*(t.denominator for t in seq))
+    return [t.numerator * (den // t.denominator) for t in seq]
+
+
 def verify_recurrence(rec: Recurrence, terms) -> bool:
     """Exact check of the recurrence against every admissible window of terms."""
-    seq = [Fraction(t) for t in terms]
+    seq = _cleared(terms)
     if len(seq) <= rec.order:
         raise ValidationError(f"need more than {rec.order} terms to verify, got {len(seq)}")
     for n in range(len(seq) - rec.order):
-        total = Fraction(0)
-        for k, poly in enumerate(rec.coefficients):
-            total += _poly_eval(poly, n) * seq[n + k]
-        if total:
+        if sum(_poly_eval(poly, n) * seq[n + k] for k, poly in enumerate(rec.coefficients)):
             return False
     return True
 
@@ -87,7 +92,7 @@ def guess_recurrence(terms, max_order: int, max_degree: int) -> Recurrence | Non
             raise ValidationError(f"grid limits must be nonnegative integers, got {v!r}")
     if max_order < 1:
         raise ValidationError("max_order must be at least 1")
-    seq = [Fraction(t) for t in terms]
+    seq = _cleared(terms)
     needed = (max_order + 1) * (max_degree + 1) + HELD_OUT
     if len(seq) < needed:
         raise ValidationError(
@@ -95,9 +100,6 @@ def guess_recurrence(terms, max_order: int, max_degree: int) -> Recurrence | Non
         )
     window = len(seq) - HELD_OUT
     for r, d in searched_grid(max_order, max_degree):
-        n_rows = window - r
-        if n_rows < 1:
-            continue
         rows = _integer_rows(seq, window, r, d)
         if not _maybe_singular(rows):
             continue
@@ -110,29 +112,22 @@ def guess_recurrence(terms, max_order: int, max_degree: int) -> Recurrence | Non
     return None
 
 
-def _integer_rows(seq: list[Fraction], window: int, r: int, d: int) -> list[list[int]]:
-    """One row per n: entries n^i * t_{n+k}, cleared to integers rowwise."""
-    rows = []
-    for n in range(window - r):
-        powers = [n**i for i in range(d + 1)]
-        entries = [powers[i] * seq[n + k] for k in range(r + 1) for i in range(d + 1)]
-        den = 1
-        for e in entries:
-            den = lcm(den, e.denominator)
-        rows.append([int(e * den) for e in entries])
-    return rows
+def _integer_rows(seq: list[int], window: int, r: int, d: int) -> list[list[int]]:
+    """One row per n: entries n^i * t_{n+k}."""
+    return [
+        [n**i * seq[n + k] for k in range(r + 1) for i in range(d + 1)]
+        for n in range(window - r)
+    ]
 
 
 def _maybe_singular(rows: list[list[int]]) -> bool:
-    """False only when full column rank is certain (full rank mod a prime)."""
+    """False only when full column rank is certain (full rank mod the prime)."""
     ncols = len(rows[0])
     if len(rows) < ncols:
         return True
-    for p in _FILTER_PRIMES:
-        mat = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-        if _rank_mod_p(mat, p) == ncols:
-            return False
-    return True
+    p = _FILTER_PRIME
+    mat = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
+    return _rank_mod_p(mat, p) < ncols
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
@@ -160,8 +155,8 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
     return rank
 
 
-def _kernel_vector(rows: list[list[int]]) -> list[Fraction] | None:
-    """A nontrivial rational kernel vector by fraction-free elimination, or None."""
+def _kernel_vector(rows: list[list[int]]) -> list[int] | None:
+    """A nontrivial integer kernel vector by fraction-free elimination, or None."""
     m = [row[:] for row in rows]
     nrows, ncols = len(m), len(m[0])
     pivots: list[tuple[int, int]] = []
@@ -186,29 +181,23 @@ def _kernel_vector(rows: list[list[int]]) -> list[Fraction] | None:
     free = next((c for c in range(ncols) if c not in pivot_cols), None)
     if free is None:
         return None
-    x = [Fraction(0)] * ncols
-    x[free] = Fraction(1)
+    x = [0] * ncols
+    x[free] = 1
     for ri, ci in reversed(pivots):
-        acc = Fraction(0)
-        for j in range(ci + 1, ncols):
-            if x[j]:
-                acc += m[ri][j] * x[j]
-        x[ci] = -acc / m[ri][ci]
+        acc = sum(m[ri][j] * x[j] for j in range(ci + 1, ncols) if x[j])
+        g = gcd(acc, m[ri][ci])
+        # scale x by pivot/g, so that x[ci] = -acc/g solves the row in integers
+        x = [v * (m[ri][ci] // g) for v in x]
+        x[ci] = -acc // g
     return x
 
 
-def _normalize(vec: list[Fraction], r: int, d: int) -> Recurrence | None:
+def _normalize(vec: list[int], r: int, d: int) -> Recurrence | None:
     """Primitive integer form with positive leading coefficient, trimmed."""
-    den = 1
-    for v in vec:
-        den = lcm(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
+    content = gcd(*vec)
     if content == 0:
         return None
-    ints = [v // content for v in ints]
+    ints = [v // content for v in vec]
     polys = [ints[k * (d + 1):(k + 1) * (d + 1)] for k in range(r + 1)]
     while polys and not any(polys[-1]):
         polys.pop()

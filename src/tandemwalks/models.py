@@ -23,6 +23,9 @@ from .errors import ValidationError
 
 Step = tuple[int, int]
 
+# unit steps x+1, y+1, z+1 of the 3D ballot walk, in fixed order
+BALLOT_STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
 
 def _check_triple(kind: str, triple: tuple[int, int, int]) -> None:
     for value in triple:
@@ -136,10 +139,6 @@ class StepSet:
 
 def tandem_step_set(m: TandemModel) -> StepSet:
     return StepSet(((m.A, 0), (-m.B, m.B), (0, -m.C)))
-
-
-def period(m: TandemModel) -> int:
-    return m.period
 
 
 def parse_model(text: str) -> TandemModel:

@@ -98,6 +98,35 @@ def test_endpoint_unreachable_target():
     assert all(v == 0 for v in count_endpoint(steps_of(2, 2, 1), 8, (1, 0)).values)
 
 
+def test_off_lattice_endpoint_skips_the_sweep(monkeypatch, capsys):
+    from tandemwalks import cli, enumeration
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("off-lattice target swept the levels")
+
+    monkeypatch.setattr(enumeration, "_iter_levels", no_sweep)
+    argv = ["enumerate", "--model", "2,2,1", "--what", "endpoint", "--target", "1,0",
+            "--n-max", "400"]
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == "n,count\n" + "".join(f"{n},0\n" for n in range(401))
+    assert cli.run(argv + ["--mode", "logfloat"]) == 0
+    assert capsys.readouterr().out == "n,log_count\n" + "".join(f"{n},-inf\n" for n in range(401))
+
+
+def test_off_lattice_endpoint_keeps_the_budget_check():
+    steps = steps_of(2, 2, 1)
+    with pytest.raises(BudgetExceededError):
+        count_endpoint(steps, 100, (1, 0), cell_budget=100)
+    with pytest.raises(BudgetExceededError):
+        count_endpoint(steps, 100, (0, 0), cell_budget=100)
+    # the budget that the on-lattice sweep just fits also admits the off-lattice target
+    swept = 1 + sum((n + 1) * (2 * n + 1) for n in range(1, 101))
+    assert count_endpoint(steps, 100, (0, 0), cell_budget=swept).values[0] == 1
+    assert count_endpoint(steps, 100, (1, 0), cell_budget=swept).values == (0,) * 101
+    with pytest.raises(BudgetExceededError):
+        count_endpoint(steps, 100, (1, 0), cell_budget=swept - 1)
+
+
 def test_endpoint_rejects_bad_target():
     with pytest.raises(ValidationError):
         count_endpoint(steps_of(1, 1, 1), 4, (-1, 0))

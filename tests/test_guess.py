@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tandemwalks import (
     Recurrence,
@@ -14,7 +16,7 @@ from tandemwalks import (
     verify_recurrence,
 )
 
-P1 = 2147483647  # first modular filter prime
+P1 = 2147483647  # the filter prime
 
 
 def excursion_subsequence(model, m_max):
@@ -132,7 +134,7 @@ def test_prime_denominators_cleared_before_filtering():
 
 
 def test_filter_prime_power_sequence():
-    # every row of the (1,0) system vanishes mod the first filter prime,
+    # every row of the (1,0) system vanishes mod the filter prime,
     # so the exact path must still find t_{n+1} = P1 * t_n
     rec = guess_recurrence([P1**n for n in range(12)], 1, 0)
     assert rec == Recurrence(1, 0, ((-P1,), (1,)))
@@ -147,3 +149,65 @@ def test_recurrence_validation():
         Recurrence(1, 1, ((1, 2), (3, 4, 5)))
     with pytest.raises(ValidationError):
         Recurrence(-1, 0, ())
+
+
+def recurrence_series(coeffs, initial, n_terms):
+    """Terms of sum_k p_k(n) t_{n+k} = 0 from the initial values, as Fractions."""
+    r = len(coeffs) - 1
+    t = [Fraction(v) for v in initial]
+    for n in range(n_terms - r):
+        lead = sum(c * n**i for i, c in enumerate(coeffs[-1]))
+        rest = sum(sum(c * n**i for i, c in enumerate(coeffs[k])) * t[n + k] for k in range(r))
+        t.append(-rest / lead)
+    return t
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+nonzero_rationals = rationals.filter(lambda c: c != 0)
+
+
+@st.composite
+def rational_series(draw):
+    """(terms, recurrence): 30 terms of a random order <= 2, degree <= 1
+    recurrence whose leading polynomial a + b*n (a, b >= 1) never vanishes, or,
+    half of the time, plain random rationals with many distinct denominators
+    and None."""
+    n_terms = 30
+    if draw(st.booleans()):
+        return [Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 97)))
+                for _ in range(n_terms)], None
+    r = draw(st.integers(1, 2))
+    small = st.integers(-4, 4)
+    coeffs = [(draw(small), draw(small)) for _ in range(r)]
+    coeffs.append((draw(st.integers(1, 5)), draw(st.integers(1, 5))))
+    initial = [draw(rationals) for _ in range(r)]
+    return recurrence_series(coeffs, initial, n_terms), Recurrence(r, 1, tuple(coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_series(), nonzero_rationals)
+def test_guess_is_invariant_under_rational_scaling(series, c):
+    terms, source = series
+    scaled = [c * t for t in terms]
+    rec = guess_recurrence(terms, 2, 2)
+    assert guess_recurrence(scaled, 2, 2) == rec
+    if source is not None:
+        assert rec is not None
+    if rec is not None:
+        assert verify_recurrence(rec, terms) and verify_recurrence(rec, scaled)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rational_series(),
+    nonzero_rationals,
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=3),
+)
+def test_verify_is_invariant_under_rational_scaling(series, c, polys):
+    terms, source = series
+    scaled = [c * t for t in terms]
+    if source is not None:
+        assert verify_recurrence(source, terms) and verify_recurrence(source, scaled)
+    polys[-1] = (polys[-1][0], polys[-1][1] or 1)
+    rec = Recurrence(len(polys) - 1, 1, tuple(polys))
+    assert verify_recurrence(rec, terms) == verify_recurrence(rec, scaled)

@@ -11,7 +11,6 @@ from tandemwalks import (
     ValidationError,
     ballot_to_tandem,
     parse_model,
-    period,
     tandem_step_set,
     tandem_to_ballot,
 )
@@ -58,9 +57,9 @@ def test_step_set_examples():
 
 
 def test_period_examples():
-    assert period(TandemModel(1, 1, 1)) == 3
-    assert period(TandemModel(3, 2, 1)) == 11
-    assert period(TandemModel(2, 2, 1)) == 4
+    assert TandemModel(1, 1, 1).period == 3
+    assert TandemModel(3, 2, 1).period == 11
+    assert TandemModel(2, 2, 1).period == 4
     assert BallotModel(2, 3, 6).period == 11
 
 
