@@ -27,7 +27,6 @@ from .enumeration import (
     count_excursions,
     count_walks_total,
     empirical_period,
-    reachable_from_infinity,
 )
 from .errors import BudgetExceededError, NonConvergenceError, ValidationError
 from .exponent import (
@@ -96,7 +95,6 @@ __all__ = [
     "map_walk_3to2",
     "parse_model",
     "phi",
-    "reachable_from_infinity",
     "reverse_reflect",
     "search_triples",
     "searched_grid",

@@ -3,7 +3,8 @@
 Every subcommand is a thin adapter over the library and writes CSV or JSON
 to stdout (or a file); identical inputs produce byte-identical output.
 Exit codes: 0 success, 1 validation or usage error, 2 resource-budget abort,
-3 internal error (an unexpected exception, reported in one line on stderr).
+3 internal error (an unexpected exception, reported in one line on stderr),
+4 failed check (``bijection-check`` found a count or walk-level mismatch).
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ TABLE1_BALLOT_TRIPLES = (
     (2, 3, 3), (1, 1, 3), (2, 2, 3), (1, 4, 4), (1, 2, 4),
     (3, 4, 12), (3, 4, 6), (3, 4, 4), (1, 1, 4), (3, 3, 4),
 )
+
+
+class _CheckFailed(Exception):
+    """A cross-check found a mismatch: a wrong result, not a bad input."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -439,7 +444,7 @@ def _cmd_bijection_check(args) -> None:
         c3 = seq3.values[n]
         c2 = seq2.values[p * n]
         if c3 != c2:
-            raise ValidationError(
+            raise _CheckFailed(
                 f"count mismatch at round {n}: 3d gives {c3}, 2d gives {c2}"
             )
         note = ""
@@ -447,7 +452,7 @@ def _cmd_bijection_check(args) -> None:
             walks3 = generate_ballot_walks(ballot, n)
             images = {map_walk_3to2(w).steps for w in walks3}
             if len(walks3) != c3 or len(images) != c3:
-                raise ValidationError(
+                raise _CheckFailed(
                     f"walk-level bijection failed at round {n}: "
                     f"{len(walks3)} walks, {len(images)} distinct images, count {c3}"
                 )
@@ -479,6 +484,9 @@ def run(argv=None) -> int:
     except (BudgetExceededError, NonConvergenceError) as exc:
         print(f"tandemwalks: aborted: {exc}", file=sys.stderr)
         return 2
+    except _CheckFailed as exc:
+        print(f"tandemwalks: check failed: {exc}", file=sys.stderr)
+        return 4
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except Exception as exc:  # a bug, not a bad input: report it without a traceback

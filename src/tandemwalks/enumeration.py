@@ -1,12 +1,15 @@
 """Exact and floating-point enumeration of quarter-plane and cone walks.
 
 The workhorse is a dense level-by-level dynamic program over the rectangle
-reachable in n steps.  Sweeps with a pinned endpoint (excursions, endpoint
-counts) keep only the drain window of that rectangle: the cells from which
-the target is still reachable in the remaining steps.  Free-endpoint totals
-sweep the whole rectangle.  Each transition is a shifted slice-add on a numpy
-array held in one of two buffers reused across levels.  With object dtype
-the arithmetic is exact big-integer arithmetic; with float64 the grid is
+reachable in n steps.  Each level updates only its drain window: the cells
+from which the sweep's target is still reachable in the remaining steps.
+For a pinned endpoint (excursions, endpoint counts) that is a rectangle,
+and the level holds nothing else.  Exact free-endpoint totals read only the
+two boundary slabs from which a step leaves the quadrant, so their window is
+an L-shaped band along both axes inside the full rectangle.  Log-float
+totals sum the whole rectangle.  Each transition is a shifted slice-add on a
+numpy array held in one of two buffers reused across levels.  With object
+dtype the arithmetic is exact big-integer arithmetic; with float64 the grid is
 rescaled to unit maximum after every level while a running log-offset keeps
 track of the true magnitude (never raw floats, which would overflow beyond a
 few hundred steps).
@@ -63,8 +66,9 @@ class QuadrantState:
 
     ``grid[i, j]`` counts walks ending at (i * gx, j * gy); ``log_scale`` is
     the accumulated rescaling offset (always 0.0 in exact mode).  A sweep
-    with a pinned endpoint holds only its drain window, and ``grid`` is a view
-    into a buffer that the sweep reuses, valid only until the next level.
+    with a pinned endpoint holds only its drain window; a sweep toward the
+    boundary slabs holds zeros outside its window.  ``grid`` is a view into a
+    buffer that the sweep reuses, valid only until the next level.
     """
 
     level: int
@@ -72,13 +76,6 @@ class QuadrantState:
     gx: int
     gy: int
     log_scale: float = 0.0
-
-    def occupancy(self) -> dict[tuple[int, int], object]:
-        out = {}
-        for (i, j), v in np.ndenumerate(self.grid):
-            if v:
-                out[(i * self.gx, j * self.gy)] = v
-        return out
 
 
 def _validate_n_max(n_max: int) -> None:
@@ -116,17 +113,26 @@ def _iter_levels(
     n_max: int,
     mode: str,
     cell_budget: int,
-    target: tuple[int, int] | None = None,
+    target: tuple[int, int] | str | None = None,
 ) -> Iterator[QuadrantState]:
     """Yield quadrant occupancy levels 0..n_max for walks started at the origin.
 
-    ``target`` is an endpoint (qi, qj) in lattice-compressed indices.  With a
-    target, level n keeps only the drain window i <= qi + r*nxm,
-    j <= qj + r*nym, where r = n_max - n and nxm, nym are the largest
-    negative step components: a cell outside it cannot reach the target in
-    the remaining r steps and never feeds a cell inside it, so every kept
-    value equals the full sweep's.  Without a target the whole reachable
-    rectangle is swept.  The budget always meters the full rectangle.
+    ``target`` is what the sweep must still reach after level n_max; level n
+    updates only its drain window, the cells from which the target is still
+    reachable in the remaining r = n_max - n steps.  With nxm, nym the largest
+    negative step components (lattice-compressed):
+
+    - an endpoint (qi, qj) in lattice-compressed indices: the rectangle
+      i <= qi + r*nxm, j <= qj + r*nym, which is all the level holds;
+    - ``"slabs"``, the boundary slabs i < nxm or j < nym from which a step can
+      leave the quadrant: the L-shaped union of the strips i < (r+1)*nxm and
+      j < (r+1)*nym, inside the full reachable rectangle, whose other cells
+      stay zero;
+    - None: the whole reachable rectangle.
+
+    Every predecessor of a cell in the window of level n+1 lies in the window
+    of level n, so every value in a window equals the full sweep's.  The
+    budget always meters the full rectangle.
 
     Levels share two reused buffers, so a yielded ``grid`` is valid only
     until the next level is requested; copy it to keep it.
@@ -134,18 +140,23 @@ def _iter_levels(
     gx, gy = _step_lattice(s)
     scaled = [(i // gx, j // gy) for i, j in s.steps]
     dxm, dym = _check_budget(scaled, n_max, cell_budget)
+    nxm = max((-i for i, _ in scaled if i < 0), default=0)
+    nym = max((-j for _, j in scaled if j < 0), default=0)
 
-    if target is None:
-        def shape(n: int) -> tuple[int, int]:
-            return n * dxm + 1, n * dym + 1
-    else:
-        qi, qj = target
-        nxm = max((-i for i, _ in scaled if i < 0), default=0)
-        nym = max((-j for _, j in scaled if j < 0), default=0)
-
-        def shape(n: int) -> tuple[int, int]:
+    def shape(n: int) -> tuple[int, int]:
+        w, h = n * dxm + 1, n * dym + 1
+        if isinstance(target, tuple):
             r = n_max - n
-            return min(n * dxm, qi + r * nxm) + 1, min(n * dym, qj + r * nym) + 1
+            w, h = min(w, target[0] + r * nxm + 1), min(h, target[1] + r * nym + 1)
+        return w, h
+
+    def window(n: int, w: int, h: int) -> tuple[tuple[int, int, int, int], ...]:
+        """Disjoint destination rectangles (x0, x1, y0, y1) of level n."""
+        if target != "slabs":
+            return ((0, w, 0, h),)
+        r = n_max - n + 1
+        split = min(r * nxm, w)
+        return (0, split, 0, h), (split, w, 0, min(r * nym, h))
 
     size = max(w * h for w, h in map(shape, range(n_max + 1)))
     dtype = object if mode == "exact" else np.float64
@@ -165,17 +176,13 @@ def _iter_levels(
     for n in range(1, n_max + 1):
         w0, h0 = cur.shape
         nxt = level_view(n)
-        w1, h1 = nxt.shape
-        for si, sj in scaled:
-            ox = max(0, -si)  # source offset for negative displacement
-            oy = max(0, -sj)
-            dx = max(0, si)
-            dy = max(0, sj)
-            lx = min(w0 - ox, w1 - dx)  # clipped to the smaller destination
-            ly = min(h0 - oy, h1 - dy)
-            if lx <= 0 or ly <= 0:
-                continue
-            nxt[dx:dx + lx, dy:dy + ly] += cur[ox:ox + lx, oy:oy + ly]
+        for x0, x1, y0, y1 in window(n, *nxt.shape):
+            for si, sj in scaled:
+                # destination cells whose source lies in the previous level
+                a, b = max(x0, si), min(x1, w0 + si)
+                c, d = max(y0, sj), min(y1, h0 + sj)
+                if a < b and c < d:
+                    nxt[a:b, c:d] += cur[a - si:b - si, c - sj:d - sj]
         if mode == "logfloat":
             peak = nxt.max()
             if peak > 0.0:
@@ -242,7 +249,10 @@ def count_walks_total(
 
     Exact mode avoids a full-grid big-integer sum per level by the recurrence
     q_{n+1} = |S| * q_n - (walks that would step outside the quadrant), the
-    loss being a sum over two boundary slabs per step.
+    loss being a sum over two boundary slabs per step.  Only the slabs are
+    read, so the sweep updates only the cells that can still reach one: an
+    L-shaped window that narrows toward the last level.  Log-float mode sums
+    the whole reachable rectangle at every level.
     """
     _validate_n_max(n_max)
     if mode == "exact":
@@ -250,7 +260,7 @@ def count_walks_total(
             return CountSequence(None, "total", mode, (1,))
         scaled_slabs = None
         q = [1]
-        for state in _iter_levels(s, n_max - 1, mode, cell_budget):
+        for state in _iter_levels(s, n_max - 1, mode, cell_budget, "slabs"):
             if scaled_slabs is None:
                 scaled_slabs = [(-(i // state.gx), -(j // state.gy)) for i, j in s.steps]
             grid = state.grid
@@ -325,41 +335,3 @@ def empirical_period(e: CountSequence) -> int:
         raise ValidationError("period undefined: every term with n >= 1 is zero")
     return gcd(*support)
 
-
-def reachable_from_infinity(
-    s: StepSet,
-    depth_bound: int,
-) -> tuple[tuple[int, int], tuple[tuple[int, int], ...]] | None:
-    """A strictly positive quadrant point with a walk to the origin, or None.
-
-    Breadth-first search backwards from the origin through reversed steps,
-    restricted to the quadrant; ties within a depth are broken by
-    lexicographic point order, so the result is deterministic.
-    """
-    if not isinstance(depth_bound, int) or isinstance(depth_bound, bool) or depth_bound < 0:
-        raise ValidationError(f"depth_bound must be a nonnegative integer, got {depth_bound!r}")
-    visited = {(0, 0)}
-    frontier = [(0, 0)]
-    parent: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
-    for _ in range(depth_bound):
-        discovered = []
-        for x, y in frontier:
-            for i, j in s.steps:
-                q = (x - i, y - j)
-                if q[0] >= 0 and q[1] >= 0 and q not in visited:
-                    visited.add(q)
-                    parent[q] = ((x, y), (i, j))
-                    discovered.append(q)
-        positives = sorted(q for q in discovered if q[0] > 0 and q[1] > 0)
-        if positives:
-            start = positives[0]
-            path = []
-            cur = start
-            while cur != (0, 0):
-                cur, step = parent[cur]
-                path.append(step)
-            return start, tuple(path)
-        if not discovered:
-            return None
-        frontier = sorted(discovered)
-    return None

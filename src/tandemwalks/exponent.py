@@ -92,12 +92,18 @@ def solve_critical_point(
     f(u, v) = sum exp(i*u + j*v) is strictly convex whenever the steps are
     not confined to a half-plane, so Newton with step-halving from (0, 0)
     converges to the unique minimum.
+
+    The stopping test is relative: the gradient norm must fall to
+    ``grad_tol`` times the norm of (sum |i|*w, sum |j|*w), the size of the
+    terms it cancels, w = exp(i*u + j*v).  Rounding alone leaves a gradient
+    of about one ulp of that size, which for steps of 10^6 lies far above any
+    fixed absolute tolerance.
     """
     if not s.not_in_half_plane():
         raise ValidationError("step set is contained in a half-plane; no critical point")
 
     def evaluate(u: float, v: float):
-        f = gu = gv = huu = huv = hvv = 0.0
+        f = gu = gv = huu = huv = hvv = su = sv = 0.0
         for i, j in s.steps:
             w = exp(i * u + j * v)
             f += w
@@ -106,12 +112,14 @@ def solve_critical_point(
             huu += i * i * w
             huv += i * j * w
             hvv += j * j * w
-        return f, gu, gv, huu, huv, hvv
+            su += abs(i) * w
+            sv += abs(j) * w
+        return f, gu, gv, huu, huv, hvv, hypot(su, sv)
 
     u = v = 0.0
-    f, gu, gv, huu, huv, hvv = evaluate(u, v)
+    f, gu, gv, huu, huv, hvv, scale = evaluate(u, v)
     for _ in range(max_iter):
-        if hypot(gu, gv) <= grad_tol:
+        if hypot(gu, gv) <= grad_tol * scale:
             return exp(u), exp(v)
         det = huu * hvv - huv * huv
         du = -(hvv * gu - huv * gv) / det
@@ -121,7 +129,7 @@ def solve_critical_point(
             # one ulp of f, so monotone line search would freeze; the
             # undamped Newton step is safe here and converges quadratically
             u, v = u + du, v + dv
-            f, gu, gv, huu, huv, hvv = evaluate(u, v)
+            f, gu, gv, huu, huv, hvv, scale = evaluate(u, v)
             continue
         t = 1.0
         while True:
@@ -130,9 +138,9 @@ def solve_critical_point(
                 break
             t /= 2
         u, v = u + t * du, v + t * dv
-        f, gu, gv, huu, huv, hvv = cand
+        f, gu, gv, huu, huv, hvv, scale = cand
     raise NonConvergenceError(
-        f"Newton did not reach gradient norm {grad_tol} in {max_iter} iterations"
+        f"Newton did not reach relative gradient norm {grad_tol} in {max_iter} iterations"
     )
 
 

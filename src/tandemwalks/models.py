@@ -111,10 +111,6 @@ class StepSet:
             raise ValidationError(f"steps must be distinct, got {steps!r}")
         object.__setattr__(self, "steps", steps)
 
-    def has_nonnegative_step(self) -> bool:
-        """True when some step points into the closed first quadrant."""
-        return any(i >= 0 and j >= 0 for i, j in self.steps)
-
     def not_in_half_plane(self) -> bool:
         """True when no closed half-plane through the origin contains every step.
 

@@ -4,12 +4,63 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import numpy as np
+
 
 def coprime_triples(bound):
     """All (A, B, C) with 1 <= A,B,C <= bound and gcd 1, lexicographic."""
     for triple in product(range(1, bound + 1), repeat=3):
         if gcd(*triple) == 1:
             yield triple
+
+
+def occupancy(state):
+    """Nonzero cells of a level state, keyed by uncompressed coordinates."""
+    return {
+        (i * state.gx, j * state.gy): v
+        for (i, j), v in np.ndenumerate(state.grid)
+        if v
+    }
+
+
+def has_nonnegative_step(s):
+    """True when some step points into the closed first quadrant."""
+    return any(i >= 0 and j >= 0 for i, j in s.steps)
+
+
+def reachable_from_infinity(s, depth_bound):
+    """A strictly positive quadrant point with a walk to the origin, or None.
+
+    Breadth-first search backwards from the origin through reversed steps,
+    restricted to the quadrant; ties within a depth are broken by
+    lexicographic point order, so the result is deterministic.  Returns
+    (start, path) with path the steps from start to the origin.
+    """
+    visited = {(0, 0)}
+    frontier = [(0, 0)]
+    parent = {}
+    for _ in range(depth_bound):
+        discovered = []
+        for x, y in frontier:
+            for i, j in s.steps:
+                q = (x - i, y - j)
+                if q[0] >= 0 and q[1] >= 0 and q not in visited:
+                    visited.add(q)
+                    parent[q] = ((x, y), (i, j))
+                    discovered.append(q)
+        positives = sorted(q for q in discovered if q[0] > 0 and q[1] > 0)
+        if positives:
+            start = positives[0]
+            path = []
+            cur = start
+            while cur != (0, 0):
+                cur, step = parent[cur]
+                path.append(step)
+            return start, tuple(path)
+        if not discovered:
+            return None
+        frontier = sorted(discovered)
+    return None
 
 
 # The 15-model exponent table: ballot triple, tandem triple, exact gamma^2,

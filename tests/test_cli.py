@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 from math import isclose, log
 
 import pytest
 
-from tandemwalks import TandemModel, count_excursions, exponent_report, tandem_step_set
+from tandemwalks import TandemModel, Walk2, count_excursions, exponent_report, tandem_step_set
 from tandemwalks import cli as cli_module
 from tandemwalks.cli import TABLE1_BALLOT_TRIPLES, run
 
@@ -299,12 +300,55 @@ def test_large_triples_exit_zero(capsys):
     assert "1/2,9,153,136,-5" in out.splitlines()
 
 
-def test_exit_code_internal_error(capsys, monkeypatch):
+# valid arguments of every subcommand; a new subcommand must be added here
+_VALID_ARGS = {
+    "enumerate": ["--model", "1,1,1", "--n-max", "1"],
+    "exponent": ["--model", "1,1,1"],
+    "table1": [],
+    "table2": [],
+    "classify": ["--gamma-sq", "1/4", "--bound", "1"],
+    "fit": ["--model", "1,1,1", "--m-max", "1"],
+    "guess": ["--series", "series.csv", "--max-order", "1", "--max-degree", "0"],
+    "bijection-check": ["--ballot", "1,1,1", "--rounds", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli_module._COMMANDS))
+def test_exit_code_internal_error(capsys, monkeypatch, command):
     def broken(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli_module._COMMANDS, "table1", broken)
-    code, out, err = cli(capsys, "table1")
+    monkeypatch.setitem(cli_module._COMMANDS, command, broken)
+    code, out, err = cli(capsys, command, *_VALID_ARGS[command])
     assert code == 3
     assert out == ""
     assert err == "tandemwalks: internal error: RuntimeError: boom\n"
+
+
+def test_bijection_check_count_mismatch_exit_code(capsys, monkeypatch):
+    real = cli_module.count_ballot_3d
+
+    def off_by_one(m, rounds_max):
+        seq = real(m, rounds_max)
+        return replace(seq, values=seq.values[:-1] + (seq.values[-1] + 1,))
+
+    monkeypatch.setattr(cli_module, "count_ballot_3d", off_by_one)
+    code, out, err = cli(capsys, "bijection-check", "--ballot", "2,3,6", "--rounds", "2")
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "tandemwalks: check failed: count mismatch at round 2: "
+        "3d gives 164623, 2d gives 164622\n"
+    )
+
+
+def test_bijection_check_walk_mismatch_exit_code(capsys, monkeypatch):
+    # every 3D walk mapped to one image: the walk-level check must fail
+    monkeypatch.setattr(cli_module, "map_walk_3to2", lambda w: Walk2(TandemModel(3, 2, 1), "R"))
+    code, out, err = cli(capsys, "bijection-check", "--ballot", "2,3,6", "--rounds", "1")
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "tandemwalks: check failed: walk-level bijection failed at round 1: "
+        "34 walks, 1 distinct images, count 34\n"
+    )

@@ -1,13 +1,15 @@
-"""The drain window of pinned-endpoint sweeps against an unpruned reference.
+"""The drain windows of the level sweep against an unpruned reference.
 
 Pinned-endpoint counts sweep only the cells that can still reach the target,
-so they are checked here against a plain dictionary dynamic program over the
+and exact totals only the cells that can still reach a boundary slab, so
+both are checked here against a plain dictionary dynamic program over the
 whole quadrant, on random step sets (tandem and generic, with and without
 negative components) and random targets (on and off the step lattice).
 """
 
 from math import gcd, log
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,7 +58,12 @@ no_negative_y = st.lists(
     st.tuples(_component, st.integers(0, 3)), min_size=1, max_size=5, unique=True
 )
 
-step_sets = st.one_of(tandem_steps, generic_steps, no_negative_x, no_negative_y)
+# no step leaves the quadrant: the slab window is empty and q_n = |S|^n
+no_negative = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5, unique=True
+)
+
+step_sets = st.one_of(tandem_steps, generic_steps, no_negative_x, no_negative_y, no_negative)
 
 
 @settings(max_examples=150, deadline=None)
@@ -74,13 +81,44 @@ def test_pinned_counts_match_unpruned_reference(steps, target, n_max):
             assert abs(lf - log(exact)) <= 1e-9
 
 
-@settings(max_examples=60, deadline=None)
-@given(step_sets, st.integers(0, 10))
+@settings(max_examples=80, deadline=None)
+@given(step_sets, st.integers(0, 16))
 def test_excursions_and_totals_match_unpruned_reference(steps, n_max):
     s = StepSet(tuple(steps))
     levels = reference_levels(s.steps, n_max)
     assert list(count_excursions(s, n_max).values) == [lv.get((0, 0), 0) for lv in levels]
     assert list(count_walks_total(s, n_max).values) == [sum(lv.values()) for lv in levels]
+
+
+@settings(max_examples=80, deadline=None)
+@given(step_sets, st.integers(0, 12))
+def test_slab_window_holds_reference_values(steps, n_max):
+    # level n of a slab sweep to n_max holds the true count on the L-shaped
+    # window i < (r+1)*nxm or j < (r+1)*nym (r = n_max - n, compressed
+    # units) and zero everywhere else
+    s = StepSet(tuple(steps))
+    gx = gcd(*(i for i, _ in s.steps)) or 1
+    gy = gcd(*(j for _, j in s.steps)) or 1
+    nxm = max((-i // gx for i, _ in s.steps if i < 0), default=0)
+    nym = max((-j // gy for _, j in s.steps if j < 0), default=0)
+    levels = reference_levels(s.steps, n_max)
+    for state in _iter_levels(s, n_max, "exact", 10**7, "slabs"):
+        n, grid = state.level, state.grid
+        r = n_max - n
+        for (i, j), v in np.ndenumerate(grid):
+            in_window = i < (r + 1) * nxm or j < (r + 1) * nym
+            true = levels[n].get((i * gx, j * gy), 0)
+            assert v == (true if in_window or n == 0 else 0), (n, i, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(no_negative, st.integers(0, 16))
+def test_totals_without_negative_steps_are_powers(steps, n_max):
+    s = StepSet(tuple(steps))
+    assert list(count_walks_total(s, n_max).values) == [len(steps) ** n for n in range(n_max + 1)]
+    # the window is empty: nothing past the initial level is ever written
+    for state in _iter_levels(s, n_max, "exact", 10**7, "slabs"):
+        assert state.level == 0 or not state.grid.any()
 
 
 def test_window_shapes_unit_model():
@@ -90,6 +128,8 @@ def test_window_shapes_unit_model():
     assert shapes == [(min(n, 20 - n) + 1,) * 2 for n in range(21)]
     full = [state.grid.shape for state in _iter_levels(s, 20, "exact", 10**6)]
     assert full == [(n + 1, n + 1) for n in range(21)]
+    slabs = [state.grid.shape for state in _iter_levels(s, 20, "exact", 10**6, "slabs")]
+    assert slabs == full
 
 
 def test_budget_meters_full_rectangle():
@@ -100,3 +140,16 @@ def test_budget_meters_full_rectangle():
     count_excursions(s, 30, cell_budget=dense)
     with pytest.raises(BudgetExceededError):
         count_excursions(s, 30, cell_budget=dense - 1)
+
+
+@pytest.mark.parametrize("mode", ["exact", "logfloat"])
+def test_total_budget_meters_full_rectangle(mode):
+    # exact totals sweep levels 0..n_max-1 (the last term comes from the
+    # slab loss), log-float totals levels 0..n_max; both are metered as the
+    # whole rectangle, so the same inputs pass and abort as an unpruned sweep
+    s = tandem_step_set(TandemModel(1, 1, 1))
+    n_max = 31 if mode == "exact" else 30
+    dense = sum((n + 1) ** 2 for n in range(1, 31)) + 1
+    count_walks_total(s, n_max, mode, cell_budget=dense)
+    with pytest.raises(BudgetExceededError):
+        count_walks_total(s, n_max, mode, cell_budget=dense - 1)

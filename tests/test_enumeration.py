@@ -16,12 +16,11 @@ from tandemwalks import (
     empirical_period,
     generate_excursions,
     generate_quadrant_walks,
-    reachable_from_infinity,
     tandem_step_set,
 )
 from tandemwalks.enumeration import _iter_levels
 
-from conftest import coprime_triples
+from conftest import coprime_triples, occupancy, reachable_from_infinity
 
 
 def steps_of(*triple):
@@ -240,7 +239,7 @@ def test_empirical_period_undefined():
 
 def test_level_states_well_formed():
     for state in _iter_levels(steps_of(3, 2, 2), 9, "exact", 10**6):
-        occ = state.occupancy()
+        occ = occupancy(state)
         assert sum(occ.values()) >= 1 or state.level > 0
         for (x, y), v in occ.items():
             assert x >= 0 and y >= 0

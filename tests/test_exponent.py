@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import isclose, pi, sqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tandemwalks import (
     NonConvergenceError,
@@ -82,6 +84,28 @@ def test_solver_iteration_cap():
     s = tandem_step_set(TandemModel(3, 2, 1))
     with pytest.raises(NonConvergenceError):
         solve_critical_point(s, grad_tol=1e-12, max_iter=1)
+
+
+family_members = st.one_of(
+    st.integers(1, 500).map(lambda k: family("quarter", 2 * k + 1)),
+    st.integers(1, 500).map(lambda k: family("half", 2 * k + 1)),
+    st.integers(1, 166).map(lambda k: family("three_quarter", 6 * k + 1)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(family_members)
+@example(family("half", 1001))  # steps near 10^6: an absolute gradient test never stops
+@example(family("quarter", 1001))
+def test_family_closed_forms_match_solver_and_exact_gamma(m):
+    s = tandem_step_set(m)
+    X, Y = closed_form_critical_point(m)
+    xs, ys = solve_critical_point(s)
+    assert isclose(xs, X, rel_tol=1e-12) and isclose(ys, Y, rel_tol=1e-12)
+    # x**i at a float x carries i times the rounding of x, so the tolerance
+    # grows with the largest step component
+    g = gamma_general(s, X, Y)
+    assert isclose(g * g, float(gamma_exact_sq(m)), rel_tol=1e-13 * max(m.A, m.B, m.C))
 
 
 def test_mu_is_minimum_of_step_polynomial():

@@ -15,7 +15,7 @@ from tandemwalks import (
     tandem_to_ballot,
 )
 
-from conftest import coprime_triples
+from conftest import coprime_triples, has_nonnegative_step
 
 
 def test_ballot_to_tandem_examples():
@@ -99,7 +99,7 @@ def test_half_plane_predicate():
     for triple in coprime_triples(5):
         s = tandem_step_set(TandemModel(*triple))
         assert s.not_in_half_plane()
-        assert s.has_nonnegative_step()
+        assert has_nonnegative_step(s)
     # contained examples: a quadrant pair, a collinear pair, an axis pair
     assert not StepSet(((1, 0), (0, 1))).not_in_half_plane()
     assert not StepSet(((1, 1), (-1, -1))).not_in_half_plane()
@@ -108,9 +108,9 @@ def test_half_plane_predicate():
 
 
 def test_has_nonnegative_step():
-    assert not StepSet(((-1, 0), (0, -1))).has_nonnegative_step()
-    assert not StepSet(((1, -1), (-1, -1))).has_nonnegative_step()
-    assert StepSet(((0, 0),)).has_nonnegative_step()
+    assert not has_nonnegative_step(StepSet(((-1, 0), (0, -1))))
+    assert not has_nonnegative_step(StepSet(((1, -1), (-1, -1))))
+    assert has_nonnegative_step(StepSet(((0, 0),)))
 
 
 @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=6, unique=True))
