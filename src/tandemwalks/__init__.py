@@ -18,7 +18,7 @@ from .bijection import (
     phi,
     reverse_reflect,
 )
-from .classify import FAMILIES, FamilySpec, family, search_triples
+from .classify import FAMILIES, family, search_triples
 from .enumeration import (
     CountSequence,
     QuadrantState,
@@ -30,6 +30,7 @@ from .enumeration import (
 )
 from .errors import BudgetExceededError, NonConvergenceError, ValidationError
 from .exponent import (
+    RATIONAL_ALPHA,
     ExponentReport,
     alpha_from_gamma,
     classify_rationality,
@@ -61,10 +62,10 @@ __all__ = [
     "CountSequence",
     "ExponentReport",
     "FAMILIES",
-    "FamilySpec",
     "FitResult",
     "NonConvergenceError",
     "QuadrantState",
+    "RATIONAL_ALPHA",
     "Recurrence",
     "StepSet",
     "TandemModel",

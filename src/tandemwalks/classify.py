@@ -1,10 +1,11 @@
 """Search and generation of tandem models with rational critical exponent.
 
-gamma^2 = B^2/((A+B)(B+C)) takes one of the three exceptional values 1/4,
-1/2, 3/4 exactly when the excursion exponent is rational (-4, -5, -7).
-Fixing two of A, B, C determines the third, so the search below is
-quadratic in the bound rather than cubic.  Three infinite parametric
-families, one per exceptional value:
+The exponent is rational exactly when gamma^2 = B^2/((A+B)(B+C)) is one of
+the three classes of ``exponent.RATIONAL_ALPHA`` (gamma^2 = 1/4, 1/2, 3/4,
+alpha = -4, -5, -7).  Fixing two of A, B, C determines the third, so the
+search below is quadratic in the bound rather than cubic.  Three infinite
+parametric families, one per class; ``FAMILIES`` maps each name to its
+gamma^2:
 
     quarter        (A, (A-1)A, (A-1)(3A-4))    for odd A > 1,
     half           (A, (A-1)A, (A-1)(A-2))     for odd A > 1,
@@ -13,35 +14,15 @@ families, one per exceptional value:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import ValidationError
-from .exponent import _RATIONAL_ALPHA
+from .exponent import RATIONAL_ALPHA
 from .models import TandemModel
 
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """One of the three exceptional classes, keyed by gamma^2."""
-
-    kind: str
-    r: Fraction
-    alpha: Fraction
-
-    def __post_init__(self) -> None:
-        if self.r not in _RATIONAL_ALPHA:
-            raise ValidationError(f"gamma^2 must be 1/4, 1/2 or 3/4, got {self.r}")
-        if self.alpha != _RATIONAL_ALPHA[self.r]:
-            raise ValidationError(f"alpha {self.alpha} does not match gamma^2 = {self.r}")
-
-
-FAMILIES = {
-    "quarter": FamilySpec("quarter", Fraction(1, 4), Fraction(-4)),
-    "half": FamilySpec("half", Fraction(1, 2), Fraction(-5)),
-    "three_quarter": FamilySpec("three_quarter", Fraction(3, 4), Fraction(-7)),
-}
+# family name -> gamma^2, named in the order of the rational-exponent table
+FAMILIES = dict(zip(("quarter", "half", "three_quarter"), RATIONAL_ALPHA))
 
 
 def search_triples(r, bound: int) -> list[TandemModel]:
@@ -69,18 +50,16 @@ def search_triples(r, bound: int) -> list[TandemModel]:
     return out
 
 
-def family(spec: FamilySpec | str, A: int) -> TandemModel:
+def family(kind: str, A: int) -> TandemModel:
     """The family member with first parameter A; raises outside the domain."""
-    if isinstance(spec, str):
-        if spec not in FAMILIES:
-            raise ValidationError(f"unknown family {spec!r}, expected one of {sorted(FAMILIES)}")
-        spec = FAMILIES[spec]
+    if kind not in FAMILIES:
+        raise ValidationError(f"unknown family {kind!r}, expected one of {sorted(FAMILIES)}")
     if not isinstance(A, int) or isinstance(A, bool):
         raise ValidationError(f"A must be an integer, got {A!r}")
-    if spec.kind in ("quarter", "half"):
+    if kind in ("quarter", "half"):
         if A <= 1 or A % 2 == 0:
-            raise ValidationError(f"{spec.kind} family requires odd A > 1, got A = {A}")
-        C = (A - 1) * (3 * A - 4) if spec.kind == "quarter" else (A - 1) * (A - 2)
+            raise ValidationError(f"{kind} family requires odd A > 1, got A = {A}")
+        C = (A - 1) * (3 * A - 4) if kind == "quarter" else (A - 1) * (A - 2)
     else:
         if A <= 1 or A % 6 != 1:
             raise ValidationError(f"three_quarter family requires A = 6k+1 with k > 0, got A = {A}")
@@ -89,7 +68,7 @@ def family(spec: FamilySpec | str, A: int) -> TandemModel:
             raise ValidationError(f"(A-1)(A-4) is not divisible by 3 for A = {A}")
     model = TandemModel(A, (A - 1) * A, C)
     # the defining equality, re-checked exactly
-    r = spec.r
+    r = FAMILIES[kind]
     if model.B**2 * r.denominator != (model.A + model.B) * (model.B + model.C) * r.numerator:
         raise ValidationError(f"family member {model} misses gamma^2 = {r}")
     return model

@@ -24,13 +24,14 @@ from .enumeration import (
     count_walks_total,
 )
 from .errors import BudgetExceededError, NonConvergenceError, ValidationError
-from .exponent import exponent_report
+from .exponent import RATIONAL_ALPHA, exponent_report
 from .fit import MAX_RICHARDSON_LEVELS, estimate_alpha
 from .guess import guess_recurrence, searched_grid
 from .models import (
     BallotModel,
     TandemModel,
     ballot_to_tandem,
+    parse_ints,
     parse_model,
     tandem_step_set,
     tandem_to_ballot,
@@ -61,24 +62,19 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(lo: int):
+    """An argparse type for integers >= lo."""
 
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+        return value
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+    return convert
 
 
 def _fraction(text: str) -> Fraction:
@@ -88,35 +84,21 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a fraction like 1/4, got {text!r}") from None
 
 
-def _pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected i,j with two integers, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected i,j with two integers, got {text!r}") from None
+def _validated(parse):
+    """An argparse type from a library parser that raises ValidationError."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _ballot(text: str) -> BallotModel:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected a,b,c with three integers, got {text!r}")
-    try:
-        triple = tuple(int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a,b,c with three integers, got {text!r}") from None
-    try:
-        return BallotModel(*triple)
-    except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _model(text: str) -> TandemModel:
-    try:
-        return parse_model(text)
-    except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+_model = _validated(parse_model)
+_ballot = _validated(lambda text: BallotModel(*parse_ints(text, 3)))
+_pair = _validated(lambda text: parse_ints(text, 2))
 
 
 def _write(path: str | None, payload: str) -> None:
@@ -148,15 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tandem triple A,B,C or ballot:a,b,c")
     p.add_argument("--what", choices=("excursions", "total", "endpoint"), default="excursions",
                    help="which counting sequence to produce")
-    p.add_argument("--n-max", type=_nonneg_int, required=True, help="largest walk length")
+    p.add_argument("--n-max", type=_int_at_least(0), required=True, help="largest walk length")
     p.add_argument("--mode", choices=("exact", "logfloat"), default="exact",
                    help="exact big integers or rescaled float64 logs")
     p.add_argument("--target", type=_pair, default=None, help="endpoint i,j (endpoint only)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--cell-budget", type=_positive_int, default=DEFAULT_CELL_BUDGET,
+    p.add_argument("--cell-budget", type=_int_at_least(1), default=DEFAULT_CELL_BUDGET,
                    help="abort if the sweep would exceed this many cells")
-    p.add_argument("--threads", type=_positive_int, default=1,
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
                    help="worker threads (results never depend on this)")
 
     p = sub.add_parser("exponent", help="growth constant and critical exponent of one model")
@@ -169,20 +151,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("table2", help="models with rational exponent, by exceptional class")
-    p.add_argument("--bound", type=_positive_int, default=50, help="search bound on A, B, C")
+    p.add_argument("--bound", type=_int_at_least(1), default=50, help="search bound on A, B, C")
     p.add_argument("--output", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("classify", help="search triples with a prescribed gamma^2")
     p.add_argument("--gamma-sq", type=_fraction, required=True, help="target gamma^2 as num/den")
-    p.add_argument("--bound", type=_positive_int, required=True, help="search bound on A, B, C")
+    p.add_argument("--bound", type=_int_at_least(1), required=True, help="search bound on A, B, C")
     p.add_argument("--output", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("fit", help="estimate alpha and mu from enumerated excursions")
     p.add_argument("--model", type=_model, required=True,
                    help="tandem triple A,B,C or ballot:a,b,c")
-    p.add_argument("--m-max", type=_positive_int, required=True,
+    p.add_argument("--m-max", type=_int_at_least(1), required=True,
                    help="largest subsequence index m (walk length p*m)")
-    p.add_argument("--richardson", type=_nonneg_int, default=MAX_RICHARDSON_LEVELS,
+    p.add_argument("--richardson", type=_int_at_least(0), default=MAX_RICHARDSON_LEVELS,
                    help="extrapolation levels")
     p.add_argument("--mode", choices=("logfloat", "exact"), default="logfloat",
                    help="enumeration mode feeding the fit")
@@ -190,22 +172,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="csv: m,alpha_hat table; json: summary")
     p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--cell-budget", type=_positive_int, default=DEFAULT_CELL_BUDGET,
+    p.add_argument("--cell-budget", type=_int_at_least(1), default=DEFAULT_CELL_BUDGET,
                    help="abort if the sweep would exceed this many cells")
-    p.add_argument("--threads", type=_positive_int, default=1,
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
                    help="worker threads (results never depend on this)")
 
     p = sub.add_parser("guess", help="guess a P-recursive recurrence from a series file")
     p.add_argument("--series", required=True,
                    help="CSV file: one integer or num/den rational per line")
-    p.add_argument("--max-order", type=_positive_int, required=True, help="largest order tried")
-    p.add_argument("--max-degree", type=_nonneg_int, required=True, help="largest degree tried")
+    p.add_argument("--max-order", type=_int_at_least(1), required=True, help="largest order tried")
+    p.add_argument("--max-degree", type=_int_at_least(0), required=True, help="largest degree tried")
     p.add_argument("--output", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("bijection-check", help="compare 3D ballot counts with 2D excursions")
     p.add_argument("--ballot", type=_ballot, required=True, help="ballot triple a,b,c")
-    p.add_argument("--rounds", type=_positive_int, required=True, help="rounds to check")
-    p.add_argument("--walk-cap", type=_positive_int, default=2000,
+    p.add_argument("--rounds", type=_int_at_least(1), required=True, help="rounds to check")
+    p.add_argument("--walk-cap", type=_int_at_least(1), default=2000,
                    help="walk-level bijection check only when counts stay below this")
     p.add_argument("--output", default=None, help="output path (default stdout)")
 
@@ -295,10 +277,9 @@ def _cmd_table1(args) -> None:
 
 def _cmd_table2(args) -> None:
     lines = ["gamma_sq,A,B,C,alpha"]
-    for target in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+    for target, alpha in RATIONAL_ALPHA.items():
         for m in search_triples(target, args.bound):
-            info = _report_dict(m)
-            lines.append(f"{target.numerator}/{target.denominator},{m.A},{m.B},{m.C},{_fmt(info['alpha'])}")
+            lines.append(f"{target.numerator}/{target.denominator},{m.A},{m.B},{m.C},{_fmt(float(alpha))}")
     _write(args.output, "\n".join(lines) + "\n")
 
 
@@ -450,7 +431,10 @@ def _cmd_bijection_check(args) -> None:
         note = ""
         if c3 <= args.walk_cap:
             walks3 = generate_ballot_walks(ballot, n)
-            images = {map_walk_3to2(w).steps for w in walks3}
+            try:
+                images = {map_walk_3to2(w).steps for w in walks3}
+            except ValidationError as exc:  # an image left the quadrant
+                raise _CheckFailed(f"walk-level bijection failed at round {n}: {exc}") from None
             if len(walks3) != c3 or len(images) != c3:
                 raise _CheckFailed(
                     f"walk-level bijection failed at round {n}: "

@@ -32,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .models import BALLOT_STEPS, BallotModel, StepSet, TandemModel, ballot_to_tandem
+from .models import BALLOT_STEPS, BallotModel, StepSet, ballot_to_tandem
 
 DEFAULT_CELL_BUDGET = 200_000_000
 
@@ -45,8 +45,6 @@ class CountSequence:
     (``-inf`` for zero counts) in ``logfloat`` mode.
     """
 
-    model: TandemModel | BallotModel | None
-    what: str
     mode: str
     values: tuple
 
@@ -222,21 +220,20 @@ def count_endpoint(
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (ti, tj)) or ti < 0 or tj < 0:
         raise ValidationError(f"target must be a quadrant point, got {target!r}")
     zero = 0 if mode == "exact" else float("-inf")
-    what = "excursions" if target == (0, 0) else f"endpoint:{ti},{tj}"
     gx, gy = _step_lattice(s)
     qi, ri = divmod(ti, gx)
     qj, rj = divmod(tj, gy)
     if ri or rj:
         # off the step lattice: no walk gets there, but the same inputs still abort
         _check_budget([(i // gx, j // gy) for i, j in s.steps], n_max, cell_budget)
-        return CountSequence(None, what, mode, (zero,) * (n_max + 1))
+        return CountSequence(mode, (zero,) * (n_max + 1))
     terms = []
     for state in _iter_levels(s, n_max, mode, cell_budget, (qi, qj)):
         if qi >= state.grid.shape[0] or qj >= state.grid.shape[1]:
             terms.append(zero)
         else:
             terms.append(_term(state.grid[qi, qj], mode, state.log_scale))
-    return CountSequence(None, what, mode, tuple(terms))
+    return CountSequence(mode, tuple(terms))
 
 
 def count_walks_total(
@@ -257,7 +254,7 @@ def count_walks_total(
     _validate_n_max(n_max)
     if mode == "exact":
         if n_max == 0:
-            return CountSequence(None, "total", mode, (1,))
+            return CountSequence(mode, (1,))
         scaled_slabs = None
         q = [1]
         for state in _iter_levels(s, n_max - 1, mode, cell_budget, "slabs"):
@@ -276,13 +273,13 @@ def count_walks_total(
                     if slab.size:
                         loss += int(slab.sum())
             q.append(len(s.steps) * q[-1] - loss)
-        return CountSequence(None, "total", mode, tuple(q))
+        return CountSequence(mode, tuple(q))
 
     terms = []
     for state in _iter_levels(s, n_max, mode, cell_budget):
         total = float(state.grid.sum())
         terms.append(log(total) + state.log_scale if total > 0.0 else float("-inf"))
-    return CountSequence(None, "total", mode, tuple(terms))
+    return CountSequence(mode, tuple(terms))
 
 
 def count_ballot_3d(
@@ -322,7 +319,7 @@ def count_ballot_3d(
         n, rem = divmod(t, m.period)
         if rem == 0:
             terms.append(cur.get((m.a * n, m.b * n, m.c * n), 0))
-    return CountSequence(m, "ballot", "exact", tuple(terms))
+    return CountSequence("exact", tuple(terms))
 
 
 def empirical_period(e: CountSequence) -> int:

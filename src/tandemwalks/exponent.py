@@ -35,8 +35,9 @@ from .models import StepSet, TandemModel, tandem_step_set
 GRAD_TOL = 1e-12
 MAX_NEWTON_ITER = 200
 
-# the three rational-exponent classes
-_RATIONAL_ALPHA = {
+# gamma^2 -> alpha for the three rational-exponent classes, the one list of them;
+# classify.FAMILIES names them in this order
+RATIONAL_ALPHA = {
     Fraction(1, 4): Fraction(-4),
     Fraction(1, 2): Fraction(-5),
     Fraction(3, 4): Fraction(-7),
@@ -60,14 +61,21 @@ class ExponentReport:
     alpha_closed_form: str
 
 
-def closed_form_critical_point(m: TandemModel) -> tuple[float, float]:
-    # E-weighted sums of logs: the integer powers overflow a float for large triples
+def _closed_form_logs(m: TandemModel) -> tuple[float, float]:
+    """(log X, log Y) as E-weighted sums of logs.
+
+    The integer powers overflow a float for large triples, and log(X) of a
+    rounded X loses the digits that a step component near 10^6 multiplies.
+    """
     A, B, C = m.A, m.B, m.C
     E = A * B + A * C + B * C
     la, lb, lc = log(A), log(B), log(C)
-    X = exp((C * lb + B * lc - (B + C) * la) / E)
-    Y = exp(((A + B) * lc - B * la - A * lb) / E)
-    return X, Y
+    return (C * lb + B * lc - (B + C) * la) / E, ((A + B) * lc - B * la - A * lb) / E
+
+
+def closed_form_critical_point(m: TandemModel) -> tuple[float, float]:
+    u, v = _closed_form_logs(m)
+    return exp(u), exp(v)
 
 
 def growth_constant(m: TandemModel) -> float:
@@ -79,6 +87,26 @@ def growth_constant(m: TandemModel) -> float:
 
 def step_polynomial(s: StepSet, x: float, y: float) -> float:
     return sum(x**i * y**j for i, j in s.steps)
+
+
+def _log_moments(s: StepSet, u: float, v: float):
+    """Sum of w = exp(i*u + j*v) over the steps, with its gradient and Hessian in (u, v).
+
+    Returns (f, f_u, f_v, f_uu, f_uv, f_vv, scale), where scale is the norm
+    of (sum |i|*w, sum |j|*w), the size of the terms the gradient cancels.
+    """
+    f = gu = gv = huu = huv = hvv = su = sv = 0.0
+    for i, j in s.steps:
+        w = exp(i * u + j * v)
+        f += w
+        gu += i * w
+        gv += j * w
+        huu += i * i * w
+        huv += i * j * w
+        hvv += j * j * w
+        su += abs(i) * w
+        sv += abs(j) * w
+    return f, gu, gv, huu, huv, hvv, hypot(su, sv)
 
 
 def solve_critical_point(
@@ -102,22 +130,8 @@ def solve_critical_point(
     if not s.not_in_half_plane():
         raise ValidationError("step set is contained in a half-plane; no critical point")
 
-    def evaluate(u: float, v: float):
-        f = gu = gv = huu = huv = hvv = su = sv = 0.0
-        for i, j in s.steps:
-            w = exp(i * u + j * v)
-            f += w
-            gu += i * w
-            gv += j * w
-            huu += i * i * w
-            huv += i * j * w
-            hvv += j * j * w
-            su += abs(i) * w
-            sv += abs(j) * w
-        return f, gu, gv, huu, huv, hvv, hypot(su, sv)
-
     u = v = 0.0
-    f, gu, gv, huu, huv, hvv, scale = evaluate(u, v)
+    f, gu, gv, huu, huv, hvv, scale = _log_moments(s, u, v)
     for _ in range(max_iter):
         if hypot(gu, gv) <= grad_tol * scale:
             return exp(u), exp(v)
@@ -129,11 +143,11 @@ def solve_critical_point(
             # one ulp of f, so monotone line search would freeze; the
             # undamped Newton step is safe here and converges quadratically
             u, v = u + du, v + dv
-            f, gu, gv, huu, huv, hvv, scale = evaluate(u, v)
+            f, gu, gv, huu, huv, hvv, scale = _log_moments(s, u, v)
             continue
         t = 1.0
         while True:
-            cand = evaluate(u + t * du, v + t * dv)
+            cand = _log_moments(s, u + t * du, v + t * dv)
             if cand[0] <= f or t <= 1e-18:
                 break
             t /= 2
@@ -144,18 +158,19 @@ def solve_critical_point(
     )
 
 
-def gamma_general(s: StepSet, x: float, y: float) -> float:
-    """gamma = S_xy / sqrt(S_xx * S_yy) at a positive point (x, y)."""
-    if x <= 0 or y <= 0:
-        raise ValidationError(f"evaluation point must be positive, got ({x}, {y})")
-    sxx = sxy = syy = 0.0
-    for i, j in s.steps:
-        sxx += i * (i - 1) * x ** (i - 2) * y**j
-        sxy += i * j * x ** (i - 1) * y ** (j - 1)
-        syy += j * (j - 1) * x**i * y ** (j - 2)
+def gamma_general(s: StepSet, u: float, v: float) -> float:
+    """gamma = S_xy / sqrt(S_xx * S_yy) at the point x = exp(u), y = exp(v).
+
+    With w = x^i y^j, x^2 S_xx = sum i(i-1) w, xy S_xy = sum ij w and
+    y^2 S_yy = sum j(j-1) w, so the powers of x and y cancel.  Taking the
+    point in logs keeps each exponent i*u + j*v as exact as u and v are;
+    a step component near 10^6 would multiply the rounding of a float x.
+    """
+    _, gu, gv, huu, huv, hvv, _ = _log_moments(s, u, v)
+    sxx, syy = huu - gu, hvv - gv
     if sxx <= 0.0 or syy <= 0.0:
         raise ValidationError("degenerate Hessian: S_xx and S_yy must be positive")
-    return sxy / sqrt(sxx * syy)
+    return huv / sqrt(sxx * syy)
 
 
 def gamma_exact_sq(m: TandemModel) -> Fraction:
@@ -174,8 +189,8 @@ def classify_rationality(gamma_sq: Fraction) -> tuple[str, Fraction | None]:
     gamma_sq = Fraction(gamma_sq)
     if not Fraction(0) < gamma_sq < Fraction(1):
         raise ValidationError(f"gamma^2 must lie strictly between 0 and 1, got {gamma_sq}")
-    if gamma_sq in _RATIONAL_ALPHA:
-        return "rational", _RATIONAL_ALPHA[gamma_sq]
+    if gamma_sq in RATIONAL_ALPHA:
+        return "rational", RATIONAL_ALPHA[gamma_sq]
     return "irrational", None
 
 

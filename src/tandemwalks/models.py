@@ -137,20 +137,20 @@ def tandem_step_set(m: TandemModel) -> StepSet:
     return StepSet(((m.A, 0), (-m.B, m.B), (0, -m.C)))
 
 
+def parse_ints(text: str, count: int) -> tuple[int, ...]:
+    """Exactly ``count`` comma-separated integers."""
+    parts = text.split(",")
+    if len(parts) == count:
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError:
+            pass
+    raise ValidationError(f"expected {count} comma-separated integers, got {text!r}")
+
+
 def parse_model(text: str) -> TandemModel:
     """Parse ``"A,B,C"`` or ``"ballot:a,b,c"`` into a tandem model."""
     text = text.strip()
-    ballot = False
     if text.startswith("ballot:"):
-        ballot = True
-        text = text[len("ballot:"):]
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValidationError(f"model must be three comma-separated integers, got {text!r}")
-    try:
-        triple = tuple(int(p.strip()) for p in parts)
-    except ValueError:
-        raise ValidationError(f"model must be three comma-separated integers, got {text!r}") from None
-    if ballot:
-        return ballot_to_tandem(BallotModel(*triple))
-    return TandemModel(*triple)
+        return ballot_to_tandem(BallotModel(*parse_ints(text[len("ballot:"):], 3)))
+    return TandemModel(*parse_ints(text, 3))

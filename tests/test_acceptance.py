@@ -224,7 +224,7 @@ def test_criterion_10_property_bundle(tmp_path):
     values = [0.0 if n == 0 else
               (log(kappa) + n * log(mu) + alpha * log(n) if n % q == 0 else float("-inf"))
               for n in range(q * 120 + 1)]
-    synth = CountSequence(None, "excursions", "logfloat", tuple(values))
+    synth = CountSequence("logfloat", tuple(values))
     fit = estimate_alpha(synth, q)
     ok = ok and abs(fit.alpha_final - alpha) < 1e-6
     ok = ok and abs(fit.mu_final - mu) < 1e-8

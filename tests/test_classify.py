@@ -4,7 +4,6 @@ import pytest
 
 from tandemwalks import (
     FAMILIES,
-    FamilySpec,
     TandemModel,
     ValidationError,
     classify_rationality,
@@ -91,13 +90,13 @@ def test_family_members_pass_search_equality():
     first_a = {"quarter": [3, 5, 7, 9, 11], "half": [3, 5, 7, 9, 11],
                "three_quarter": [7, 13, 19, 25, 31]}
     for kind, values in first_a.items():
-        spec = FAMILIES[kind]
+        r = FAMILIES[kind]
         for A in values:
             m = family(kind, A)
-            assert gamma_exact_sq(m) == spec.r
+            assert gamma_exact_sq(m) == r
             # membership in the quadratic search, when within its bound
             bound = max(m.A, m.B, m.C)
-            assert (m.A, m.B, m.C) in {(t.A, t.B, t.C) for t in search_triples(spec.r, bound)}
+            assert (m.A, m.B, m.C) in {(t.A, t.B, t.C) for t in search_triples(r, bound)}
 
 
 @pytest.mark.parametrize(
@@ -115,8 +114,8 @@ def test_family_unknown_kind():
         family("eighth", 3)
 
 
-def test_family_spec_validation():
-    with pytest.raises(ValidationError):
-        FamilySpec("quarter", Fraction(1, 3), Fraction(-4))
-    with pytest.raises(ValidationError):
-        FamilySpec("quarter", Fraction(1, 4), Fraction(-5))
+def test_families_name_the_rational_classes():
+    # FAMILIES names the exponent table's classes by position
+    assert FAMILIES == {
+        "quarter": Fraction(1, 4), "half": Fraction(1, 2), "three_quarter": Fraction(3, 4),
+    }

@@ -1,3 +1,4 @@
+import inspect
 import json
 from dataclasses import replace
 from math import isclose, log
@@ -352,3 +353,41 @@ def test_bijection_check_walk_mismatch_exit_code(capsys, monkeypatch):
         "tandemwalks: check failed: walk-level bijection failed at round 1: "
         "34 walks, 1 distinct images, count 34\n"
     )
+
+
+def test_bijection_check_image_leaves_quadrant_exit_code(capsys, monkeypatch):
+    # a map that reads the word backwards sends a cone walk out of the quadrant
+    real = cli_module.map_walk_3to2
+    monkeypatch.setattr(cli_module, "map_walk_3to2",
+                        lambda w: Walk2(TandemModel(3, 2, 1), real(w).steps[::-1]))
+    code, out, err = cli(capsys, "bijection-check", "--ballot", "2,3,6", "--rounds", "1")
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "tandemwalks: check failed: walk-level bijection failed at round 1: "
+        "prefix of length 1 leaves the quadrant at (0, -1)\n"
+    )
+
+
+# the cli names that perfbench/layers.py wraps, with the parameters its
+# classifiers read; a rename here silently zeroes the per-layer metrics
+_TRACED = {
+    "count_excursions": ("s", "n_max", "mode"),
+    "count_endpoint": ("s", "n_max", "mode"),
+    "count_walks_total": ("s", "n_max", "mode"),
+    "count_ballot_3d": (),
+    "generate_ballot_walks": (),
+    "estimate_alpha": (),
+    "exponent_report": (),
+    "guess_recurrence": ("max_order", "max_degree"),
+    "map_walk_3to2": (),
+    "run": (),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRACED))
+def test_benchmark_traced_names_exist(name):
+    fn = getattr(cli_module, name)
+    params = inspect.signature(fn).parameters
+    for param in _TRACED[name]:
+        assert param in params, f"{name} lost parameter {param!r}"

@@ -26,7 +26,7 @@ def synthetic_logfloat(kappa, mu, alpha, p, m_max, noise=None):
             values.append(u)
         else:
             values.append(float("-inf"))
-    return CountSequence(None, "excursions", "logfloat", tuple(values))
+    return CountSequence("logfloat", tuple(values))
 
 
 def test_estimator_exact_on_pure_model():
@@ -43,7 +43,7 @@ def test_constant_ratio_sequence():
     values = [0] * 81
     for m in range(21):
         values[4 * m] = 2**m
-    seq = CountSequence(None, "excursions", "exact", tuple(values))
+    seq = CountSequence("exact", tuple(values))
     res = estimate_alpha(seq, 4)
     assert max(abs(v) for v in res.alpha_estimates) < 1e-8
     assert abs(res.alpha_final) < 1e-8
@@ -52,7 +52,7 @@ def test_constant_ratio_sequence():
 
 def test_geometric_with_unit_period():
     values = tuple(2**n for n in range(30))
-    seq = CountSequence(None, "total", "exact", values)
+    seq = CountSequence("exact", values)
     assert abs(estimate_mu(seq, 1, 0.0) - 2.0) < 1e-12
 
 
@@ -92,7 +92,7 @@ def test_progression_only_consumption():
     for n in range(len(tweaked)):
         if n % 3:
             tweaked[n] = 123.456  # garbage off the progression
-    other = CountSequence(None, "excursions", "logfloat", tuple(tweaked))
+    other = CountSequence("logfloat", tuple(tweaked))
     r1 = estimate_alpha(base, 3)
     r2 = estimate_alpha(other, 3)
     assert r1.alpha_estimates == r2.alpha_estimates
@@ -113,7 +113,7 @@ def test_insufficient_data():
 
 
 def test_all_zero_progression():
-    seq = CountSequence(None, "excursions", "exact", (0,) * 20)
+    seq = CountSequence("exact", (0,) * 20)
     with pytest.raises(ValidationError, match="no nonzero"):
         estimate_alpha(seq, 5)
 
