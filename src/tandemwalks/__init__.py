@@ -11,8 +11,6 @@ from .bijection import (
     Walk2,
     Walk3,
     generate_ballot_walks,
-    generate_excursions,
-    generate_quadrant_walks,
     map_walk_2to3,
     map_walk_3to2,
     phi,
@@ -26,7 +24,6 @@ from .enumeration import (
     count_endpoint,
     count_excursions,
     count_walks_total,
-    empirical_period,
 )
 from .errors import BudgetExceededError, NonConvergenceError, ValidationError
 from .exponent import (
@@ -80,7 +77,6 @@ __all__ = [
     "count_endpoint",
     "count_excursions",
     "count_walks_total",
-    "empirical_period",
     "estimate_alpha",
     "estimate_mu",
     "exponent_report",
@@ -88,8 +84,6 @@ __all__ = [
     "gamma_exact_sq",
     "gamma_general",
     "generate_ballot_walks",
-    "generate_excursions",
-    "generate_quadrant_walks",
     "growth_constant",
     "guess_recurrence",
     "map_walk_2to3",

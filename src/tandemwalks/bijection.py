@@ -9,14 +9,15 @@ tandem steps (A, 0), (-B, B), (0, -C).  Walks map letterwise:
 Reading a tandem excursion backwards and exchanging R with U gives an
 excursion of the reversed model (C, B, A); doing it twice is the identity.
 
-Brute-force depth-first generators live here as test oracles.  They are
-exponential and guarded by a node budget; nothing in the library proper
-depends on them.
+``generate_ballot_walks`` lists every cone walk of a given number of rounds
+by depth-first search, for the walk-level check; it is exponential and
+guarded by a node budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import BudgetExceededError, ValidationError
 from .models import (
@@ -33,6 +34,7 @@ _UNIT_STEPS = dict(zip(_LETTERS3, BALLOT_STEPS))
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
+@cache
 def _tandem_displacements(m: TandemModel) -> dict[str, tuple[int, int]]:
     """The letters R, D, U mapped to the model's steps (tandem_step_set order)."""
     return dict(zip(_LETTERS2, tandem_step_set(m).steps))
@@ -152,58 +154,4 @@ def generate_ballot_walks(
             word.pop()
 
     rec(0, 0, 0, [])
-    return out
-
-
-def generate_quadrant_walks(
-    m: TandemModel,
-    length: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> list[Walk2]:
-    """Every quadrant walk of the given length, depth-first in R < D < U."""
-    return _generate_walks2(m, length, excursions_only=False, node_budget=node_budget)
-
-
-def generate_excursions(
-    m: TandemModel,
-    length: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> list[Walk2]:
-    """Every excursion of the given length, depth-first in R < D < U."""
-    return _generate_walks2(m, length, excursions_only=True, node_budget=node_budget)
-
-
-def _generate_walks2(
-    m: TandemModel,
-    length: int,
-    excursions_only: bool,
-    node_budget: int,
-) -> list[Walk2]:
-    if not isinstance(length, int) or length < 0:
-        raise ValidationError(f"length must be a nonnegative integer, got {length!r}")
-    out: list[Walk2] = []
-    nodes = 0
-    displacements = list(_tandem_displacements(m).items())
-
-    def rec(x: int, y: int, remaining: int, word: list[str]) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceededError(f"search exceeded the node budget of {node_budget}")
-        if remaining == 0:
-            if not excursions_only or (x == 0 and y == 0):
-                out.append(Walk2(m, "".join(word)))
-            return
-        for letter, (dx, dy) in displacements:
-            nx, ny = x + dx, y + dy
-            if nx < 0 or ny < 0:
-                continue
-            # an excursion must still be able to drain both coordinates
-            if excursions_only and (nx > (remaining - 1) * m.B or ny > (remaining - 1) * m.C):
-                continue
-            word.append(letter)
-            rec(nx, ny, remaining - 1, word)
-            word.pop()
-
-    rec(0, 0, length, [])
     return out

@@ -1,31 +1,36 @@
 """Exact and floating-point enumeration of quarter-plane and cone walks.
 
-The workhorse is a dense level-by-level dynamic program over the rectangle
-reachable in n steps.  Each level updates only its drain window: the cells
-from which the sweep's target is still reachable in the remaining steps.
-For a pinned endpoint (excursions, endpoint counts) that is a rectangle,
-and the level holds nothing else.  Exact free-endpoint totals read only the
-two boundary slabs from which a step leaves the quadrant, so their window is
-an L-shaped band along both axes inside the full rectangle.  Log-float
-totals sum the whole rectangle.  Each transition is a shifted slice-add on a
-numpy array held in one of two buffers reused across levels.  With object
-dtype the arithmetic is exact big-integer arithmetic; with float64 the grid is
-rescaled to unit maximum after every level while a running log-offset keeps
-track of the true magnitude (never raw floats, which would overflow beyond a
-few hundred steps).
+The workhorse is a dense level-by-level dynamic program over the quadrant.
+Each level updates only a window cut out by linear bounds: functionals
+a*i + b*j with a, b >= 0 (the axes and the normals of the step differences)
+that rise and fall by a bounded amount per step.  Forward, they bound the
+cells reachable in n steps; backward, the cells from which the sweep's
+target is still reachable in the remaining steps.  A pinned endpoint
+(excursions, endpoint counts) keeps both; exact free-endpoint totals read
+only the two boundary slabs from which a step leaves the quadrant, so their
+window is the reachable part of an L-shaped band along both axes; log-float
+totals keep every reachable cell.  A level's grid is the bounding box of its
+window, and a few column blocks of it cover the window.  Each transition is
+a shifted slice-add on a numpy array held in one of two buffers reused
+across levels.  With object dtype the arithmetic is exact big-integer
+arithmetic; with float64 the grid is rescaled to unit maximum after every
+level while a running log-offset keeps track of the true magnitude (never
+raw floats, which would overflow beyond a few hundred steps).
 
 Coordinates are compressed by the lattice the steps actually span: every
 reachable x is a multiple of gcd of the horizontal displacements and likewise
 for y, so the grid indexes multiples rather than raw coordinates.  For tandem
 steps (A,0), (-B,B), (0,-C) this cuts the cell count by gcd(A,B)*gcd(B,C).
 
-Work is metered in swept cells, checked upfront against a budget, so a
-mistyped n_max fails fast instead of thrashing.
+Work is metered as the cells of the full reachable rectangles, whatever the
+window, checked upfront against a budget, so a mistyped n_max fails fast
+instead of thrashing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, log
 from typing import Iterator
 
@@ -35,6 +40,10 @@ from .errors import BudgetExceededError, ValidationError
 from .models import BALLOT_STEPS, BallotModel, StepSet, ballot_to_tandem
 
 DEFAULT_CELL_BUDGET = 200_000_000
+
+# column blocks covering a pinned or free window: more cut fewer cells, but
+# each costs a slice-add per step
+_BLOCKS = 2
 
 
 @dataclass(frozen=True)
@@ -63,9 +72,10 @@ class QuadrantState:
     """Occupancy grid after ``level`` steps, in lattice-compressed indices.
 
     ``grid[i, j]`` counts walks ending at (i * gx, j * gy); ``log_scale`` is
-    the accumulated rescaling offset (always 0.0 in exact mode).  A sweep
-    with a pinned endpoint holds only its drain window; a sweep toward the
-    boundary slabs holds zeros outside its window.  ``grid`` is a view into a
+    the accumulated rescaling offset (always 0.0 in exact mode).  ``grid`` is
+    the bounding box of the level's window (see ``_iter_levels``): every
+    cell of the window holds its true count, any other cell at most its true
+    count (zero outside the window's blocks).  ``grid`` is a view into a
     buffer that the sweep reuses, valid only until the next level.
     """
 
@@ -93,9 +103,9 @@ def _step_lattice(s: StepSet) -> tuple[int, int]:
     return _lattice([i for i, _ in s.steps]), _lattice([j for _, j in s.steps])
 
 
-def _check_budget(scaled: list[tuple[int, int]], n_max: int, cell_budget: int) -> tuple[int, int]:
+def _check_budget(scaled: list[tuple[int, int]], n_max: int, cell_budget: int) -> None:
     """Meter the dense rectangles of levels 0..n_max of the lattice-compressed
-    steps against the budget; return their per-level growth (dxm, dym)."""
+    steps against the budget."""
     dxm = max((i for i, _ in scaled if i > 0), default=0)
     dym = max((j for _, j in scaled if j > 0), default=0)
     swept = sum((n * dxm + 1) * (n * dym + 1) for n in range(1, n_max + 1)) + 1
@@ -103,7 +113,17 @@ def _check_budget(scaled: list[tuple[int, int]], n_max: int, cell_budget: int) -
         raise BudgetExceededError(
             f"level sweep needs {swept} cells, budget is {cell_budget}"
         )
-    return dxm, dym
+
+
+def _functionals(scaled: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The axes and the primitive nonnegative normals of the step differences."""
+    phis = {(1, 0), (0, 1)}
+    for (i1, j1), (i2, j2) in combinations(scaled, 2):
+        a, b = j1 - j2, i2 - i1
+        if a * b >= 0:  # one of the two normals lies in the closed first quadrant
+            g = gcd(a, b)
+            phis.add((abs(a) // g, abs(b) // g))
+    return sorted(phis)
 
 
 def _iter_levels(
@@ -115,53 +135,70 @@ def _iter_levels(
 ) -> Iterator[QuadrantState]:
     """Yield quadrant occupancy levels 0..n_max for walks started at the origin.
 
-    ``target`` is what the sweep must still reach after level n_max; level n
-    updates only its drain window, the cells from which the target is still
-    reachable in the remaining r = n_max - n steps.  With nxm, nym the largest
-    negative step components (lattice-compressed):
+    Level n updates only a window of cells cut out by linear bounds.  Each
+    functional phi = (a, b) >= 0 among the axes and the normals of the step
+    differences (lattice-compressed) rises by at most up = max(0, max phi.s)
+    and falls by at most dn = max(0, max -phi.s) per step, so:
 
-    - an endpoint (qi, qj) in lattice-compressed indices: the rectangle
-      i <= qi + r*nxm, j <= qj + r*nym, which is all the level holds;
-    - ``"slabs"``, the boundary slabs i < nxm or j < nym from which a step can
-      leave the quadrant: the L-shaped union of the strips i < (r+1)*nxm and
-      j < (r+1)*nym, inside the full reachable rectangle, whose other cells
-      stay zero;
-    - None: the whole reachable rectangle.
+    - reach: a cell c holds walks after n steps only if phi.c <= n*up;
+    - drain: ``target`` is what the sweep must still reach after level
+      n_max.  For an endpoint q (lattice-compressed indices), c can reach q
+      in the remaining r = n_max - n steps only if phi.c <= phi.q + r*dn.
+      For ``"slabs"``, the boundary slabs i < nxm or j < nym from which a step
+      can leave the quadrant (nxm, nym the largest negative step
+      components), the drain window is the L-shaped union of the strips
+      i < (r+1)*nxm and j < (r+1)*nym.  None has no drain bound.
 
-    Every predecessor of a cell in the window of level n+1 lies in the window
-    of level n, so every value in a window equals the full sweep's.  The
-    budget always meters the full rectangle.
+    The level's grid is the bounding box of the window, and the update
+    covers the window with a few column blocks of the box, each as tall as
+    the window at its left edge; the slab L is covered by its two strips,
+    each cut to the reach bound.  Every predecessor of a walk counted in the
+    window of level n+1 lies in the window of level n, so every value in the
+    window equals the full sweep's, and any other cell holds a value between
+    0 and its true count.  The budget always meters the full rectangle.
 
     Levels share two reused buffers, so a yielded ``grid`` is valid only
     until the next level is requested; copy it to keep it.
     """
     gx, gy = _step_lattice(s)
     scaled = [(i // gx, j // gy) for i, j in s.steps]
-    dxm, dym = _check_budget(scaled, n_max, cell_budget)
+    _check_budget(scaled, n_max, cell_budget)
     nxm = max((-i for i, _ in scaled if i < 0), default=0)
     nym = max((-j for _, j in scaled if j < 0), default=0)
+    rates = []  # (a, b, up, dn) per functional
+    for a, b in _functionals(scaled):
+        dots = [a * i + b * j for i, j in scaled]
+        rates.append((a, b, max(0, max(dots)), max(0, -min(dots))))
 
-    def shape(n: int) -> tuple[int, int]:
-        w, h = n * dxm + 1, n * dym + 1
-        if isinstance(target, tuple):
-            r = n_max - n
-            w, h = min(w, target[0] + r * nxm + 1), min(h, target[1] + r * nym + 1)
-        return w, h
+    def window(n: int) -> tuple[int, int, tuple[tuple[int, int, int, int], ...]]:
+        """Box (w, h) of level n and its destination rectangles (x0, x1, y0, y1)."""
+        r = n_max - n
+        lims = []
+        for a, b, up, dn in rates:
+            lim = n * up
+            if isinstance(target, tuple):
+                lim = min(lim, a * target[0] + b * target[1] + r * dn)
+            lims.append((a, b, lim))
+        w = min(lim // a for a, _, lim in lims if a) + 1
 
-    def window(n: int, w: int, h: int) -> tuple[tuple[int, int, int, int], ...]:
-        """Disjoint destination rectangles (x0, x1, y0, y1) of level n."""
-        if target != "slabs":
-            return ((0, w, 0, h),)
-        r = n_max - n + 1
-        split = min(r * nxm, w)
-        return (0, split, 0, h), (split, w, 0, min(r * nym, h))
+        def height(x: int) -> int:
+            return min((lim - a * x) // b for a, b, lim in lims if b) + 1
 
-    size = max(w * h for w, h in map(shape, range(n_max + 1)))
+        h = height(0)
+        if target == "slabs":
+            split = min((r + 1) * nxm, w)
+            rest = min((r + 1) * nym, height(split)) if split < w else 0
+            return w, h, ((0, split, 0, h), (split, w, 0, rest))
+        edges = sorted({k * w // _BLOCKS for k in range(_BLOCKS + 1)})
+        return w, h, tuple((x0, x1, 0, height(x0)) for x0, x1 in zip(edges, edges[1:]))
+
+    windows = [window(n) for n in range(n_max + 1)]
+    size = max(w * h for w, h, _ in windows)
     dtype = object if mode == "exact" else np.float64
     bufs = (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
 
     def level_view(n: int) -> np.ndarray:
-        w, h = shape(n)
+        w, h, _ = windows[n]
         view = bufs[n % 2][: w * h].reshape(w, h)
         view.fill(0)
         return view
@@ -174,7 +211,7 @@ def _iter_levels(
     for n in range(1, n_max + 1):
         w0, h0 = cur.shape
         nxt = level_view(n)
-        for x0, x1, y0, y1 in window(n, *nxt.shape):
+        for x0, x1, y0, y1 in windows[n][2]:
             for si, sj in scaled:
                 # destination cells whose source lies in the previous level
                 a, b = max(x0, si), min(x1, w0 + si)
@@ -320,15 +357,3 @@ def count_ballot_3d(
         if rem == 0:
             terms.append(cur.get((m.a * n, m.b * n, m.c * n), 0))
     return CountSequence("exact", tuple(terms))
-
-
-def empirical_period(e: CountSequence) -> int:
-    """gcd of the indices n >= 1 with a nonzero term."""
-    if e.mode == "exact":
-        support = [n for n in range(1, e.n_max + 1) if e.values[n] != 0]
-    else:
-        support = [n for n in range(1, e.n_max + 1) if e.values[n] != float("-inf")]
-    if not support:
-        raise ValidationError("period undefined: every term with n >= 1 is zero")
-    return gcd(*support)
-

@@ -17,6 +17,7 @@ and an excursion of the planar model has length p = a + b + c per round.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, lcm
 
 from .errors import ValidationError
@@ -84,6 +85,7 @@ class TandemModel:
         return TandemModel(self.C, self.B, self.A)
 
 
+@cache
 def ballot_to_tandem(m: BallotModel) -> TandemModel:
     big = m.M
     return TandemModel(big // m.a, big // m.b, big // m.c)

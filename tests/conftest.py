@@ -6,6 +6,8 @@ from math import gcd
 
 import numpy as np
 
+from tandemwalks import BudgetExceededError, ValidationError, Walk2, tandem_step_set
+
 
 def coprime_triples(bound):
     """All (A, B, C) with 1 <= A,B,C <= bound and gcd 1, lexicographic."""
@@ -61,6 +63,54 @@ def reachable_from_infinity(s, depth_bound):
             return None
         frontier = sorted(discovered)
     return None
+
+
+def empirical_period(e):
+    """gcd of the indices n >= 1 with a nonzero term."""
+    zero = 0 if e.mode == "exact" else float("-inf")
+    support = [n for n in range(1, e.n_max + 1) if e.values[n] != zero]
+    if not support:
+        raise ValidationError("period undefined: every term with n >= 1 is zero")
+    return gcd(*support)
+
+
+def generate_quadrant_walks(m, length, node_budget=10_000_000):
+    """Every quadrant walk of the given length, depth-first in R < D < U."""
+    return _generate_walks2(m, length, False, node_budget)
+
+
+def generate_excursions(m, length, node_budget=10_000_000):
+    """Every excursion of the given length, depth-first in R < D < U."""
+    return _generate_walks2(m, length, True, node_budget)
+
+
+def _generate_walks2(m, length, excursions_only, node_budget):
+    out = []
+    nodes = 0
+    displacements = list(zip("RDU", tandem_step_set(m).steps))
+
+    def rec(x, y, remaining, word):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(f"search exceeded the node budget of {node_budget}")
+        if remaining == 0:
+            if not excursions_only or (x == 0 and y == 0):
+                out.append(Walk2(m, "".join(word)))
+            return
+        for letter, (dx, dy) in displacements:
+            nx, ny = x + dx, y + dy
+            if nx < 0 or ny < 0:
+                continue
+            # an excursion must still be able to drain both coordinates
+            if excursions_only and (nx > (remaining - 1) * m.B or ny > (remaining - 1) * m.C):
+                continue
+            word.append(letter)
+            rec(nx, ny, remaining - 1, word)
+            word.pop()
+
+    rec(0, 0, length, [])
+    return out
 
 
 # The 15-model exponent table: ballot triple, tandem triple, exact gamma^2,

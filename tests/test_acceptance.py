@@ -20,7 +20,6 @@ from tandemwalks import (
     count_ballot_3d,
     count_excursions,
     count_walks_total,
-    empirical_period,
     estimate_alpha,
     exponent_report,
     gamma_exact_sq,
@@ -37,7 +36,7 @@ from tandemwalks import (
 )
 from tandemwalks.cli import run
 
-from conftest import TABLE1_EXPECTED, TABLE2_QUINTUPLES, coprime_triples
+from conftest import TABLE1_EXPECTED, TABLE2_QUINTUPLES, coprime_triples, empirical_period
 
 WALK_LEVEL_CAP = 20000
 

@@ -12,14 +12,14 @@ from tandemwalks import (
     ballot_to_tandem,
     count_excursions,
     generate_ballot_walks,
-    generate_excursions,
-    generate_quadrant_walks,
     map_walk_2to3,
     map_walk_3to2,
     phi,
     reverse_reflect,
     tandem_step_set,
 )
+
+from conftest import generate_excursions, generate_quadrant_walks
 
 
 def test_phi_examples():

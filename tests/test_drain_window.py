@@ -1,10 +1,11 @@
-"""The drain windows of the level sweep against an unpruned reference.
+"""The level windows of the sweep against an unpruned reference.
 
-Pinned-endpoint counts sweep only the cells that can still reach the target,
-and exact totals only the cells that can still reach a boundary slab, so
-both are checked here against a plain dictionary dynamic program over the
-whole quadrant, on random step sets (tandem and generic, with and without
-negative components) and random targets (on and off the step lattice).
+Every level updates only the cells within the reach of the origin and, for
+a pinned endpoint, those that can still reach the target; exact totals keep
+only the cells that can still reach a boundary slab.  All of it is checked
+here against a plain dictionary dynamic program over the whole quadrant, on
+random step sets (tandem and generic, with and without negative components)
+and random targets (on and off the step lattice).
 """
 
 from math import gcd, log
@@ -111,6 +112,49 @@ def test_slab_window_holds_reference_values(steps, n_max):
             assert v == (true if in_window or n == 0 else 0), (n, i, j)
 
 
+def drain_sets(steps, target, n_max):
+    """Quadrant cells from which ``target`` is reachable in at most r steps, r = 0..n_max."""
+    sets = [{target}]
+    for _ in range(n_max):
+        grown = set(sets[-1])
+        for x, y in sets[-1]:
+            for i, j in steps:
+                if x - i >= 0 and y - j >= 0:
+                    grown.add((x - i, y - j))
+        sets.append(grown)
+    return sets
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_sets, st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(0, 12))
+def test_every_level_holds_reference_on_its_window(steps, q, n_max):
+    # in pinned, slab and free sweeps alike, every cell that holds walks after
+    # n steps and still matters to the sweep holds its true count, and every
+    # other cell of the grid holds a value between 0 and its true count
+    s = StepSet(tuple(steps))
+    gx = gcd(*(i for i, _ in s.steps)) or 1
+    gy = gcd(*(j for _, j in s.steps)) or 1
+    nxm = max((-i // gx for i, _ in s.steps if i < 0), default=0)
+    nym = max((-j // gy for _, j in s.steps if j < 0), default=0)
+    levels = reference_levels(s.steps, n_max)
+    drain = drain_sets(s.steps, (q[0] * gx, q[1] * gy), n_max)
+    needed = {
+        q: lambda r, x, y: (x, y) in drain[r],
+        "slabs": lambda r, x, y: x < (r + 1) * nxm * gx or y < (r + 1) * nym * gy,
+        None: lambda r, x, y: True,
+    }
+    for target, matters in needed.items():
+        for state in _iter_levels(s, n_max, "exact", 10**7, target):
+            n, grid = state.level, state.grid
+            w, h = grid.shape
+            for (x, y), v in levels[n].items():
+                if matters(n_max - n, x, y):
+                    i, j = x // gx, y // gy
+                    assert i < w and j < h and grid[i, j] == v, (target, n, x, y)
+            for (i, j), v in np.ndenumerate(grid):
+                assert 0 <= v <= levels[n].get((i * gx, j * gy), 0), (target, n, i, j)
+
+
 @settings(max_examples=40, deadline=None)
 @given(no_negative, st.integers(0, 16))
 def test_totals_without_negative_steps_are_powers(steps, n_max):
@@ -122,24 +166,28 @@ def test_totals_without_negative_steps_are_powers(steps, n_max):
 
 
 def test_window_shapes_unit_model():
-    # (1,1,1): level n of a 20-step excursion sweep keeps min(n, 20 - n) + 1 rows
+    # (1,1,1) has the steps (1,0), (-1,1), (0,-1): after n steps every walk
+    # has i + 2j <= n, and it can return to the origin in r = 20 - n more
+    # steps only if 2i + j <= r.  A grid is the bounding box of its window.
     s = tandem_step_set(TandemModel(1, 1, 1))
     shapes = [state.grid.shape for state in _iter_levels(s, 20, "exact", 10**6, (0, 0))]
-    assert shapes == [(min(n, 20 - n) + 1,) * 2 for n in range(21)]
+    assert shapes == [(min(n, (20 - n) // 2) + 1, min(n // 2, 20 - n) + 1) for n in range(21)]
     full = [state.grid.shape for state in _iter_levels(s, 20, "exact", 10**6)]
-    assert full == [(n + 1, n + 1) for n in range(21)]
+    assert full == [(n + 1, n // 2 + 1) for n in range(21)]
     slabs = [state.grid.shape for state in _iter_levels(s, 20, "exact", 10**6, "slabs")]
     assert slabs == full
 
 
-def test_budget_meters_full_rectangle():
-    # the pinned sweep touches fewer cells, but the budget still counts the
-    # whole reachable rectangle, so the same inputs pass and abort as before
+@pytest.mark.parametrize("mode", ["exact", "logfloat"])
+def test_budget_meters_full_rectangle(mode):
+    # pinned sweeps touch fewer cells, but the budget still counts the whole
+    # reachable rectangle, so the same inputs pass and abort as before
     s = tandem_step_set(TandemModel(1, 1, 1))
     dense = sum((n + 1) ** 2 for n in range(1, 31)) + 1
-    count_excursions(s, 30, cell_budget=dense)
-    with pytest.raises(BudgetExceededError):
-        count_excursions(s, 30, cell_budget=dense - 1)
+    for target in [(0, 0), (3, 2)]:
+        count_endpoint(s, 30, target, mode, cell_budget=dense)
+        with pytest.raises(BudgetExceededError):
+            count_endpoint(s, 30, target, mode, cell_budget=dense - 1)
 
 
 @pytest.mark.parametrize("mode", ["exact", "logfloat"])

@@ -13,14 +13,18 @@ from tandemwalks import (
     count_endpoint,
     count_excursions,
     count_walks_total,
-    empirical_period,
-    generate_excursions,
-    generate_quadrant_walks,
     tandem_step_set,
 )
 from tandemwalks.enumeration import _iter_levels
 
-from conftest import coprime_triples, occupancy, reachable_from_infinity
+from conftest import (
+    coprime_triples,
+    empirical_period,
+    generate_excursions,
+    generate_quadrant_walks,
+    occupancy,
+    reachable_from_infinity,
+)
 
 
 def steps_of(*triple):
