@@ -19,7 +19,6 @@ from .bijection import (
 from .classify import FAMILIES, family, search_triples
 from .enumeration import (
     CountSequence,
-    QuadrantState,
     count_ballot_3d,
     count_endpoint,
     count_excursions,
@@ -61,7 +60,6 @@ __all__ = [
     "FAMILIES",
     "FitResult",
     "NonConvergenceError",
-    "QuadrantState",
     "RATIONAL_ALPHA",
     "Recurrence",
     "StepSet",

@@ -63,9 +63,7 @@ def family(kind: str, A: int) -> TandemModel:
     else:
         if A <= 1 or A % 6 != 1:
             raise ValidationError(f"three_quarter family requires A = 6k+1 with k > 0, got A = {A}")
-        C, rem = divmod((A - 1) * (A - 4), 3)
-        if rem:  # cannot happen for A = 6k+1; guards the divisibility claim
-            raise ValidationError(f"(A-1)(A-4) is not divisible by 3 for A = {A}")
+        C = (A - 1) * (A - 4) // 3  # 18k(2k-1) / 3 for A = 6k+1
     model = TandemModel(A, (A - 1) * A, C)
     # the defining equality, re-checked exactly
     r = FAMILIES[kind]

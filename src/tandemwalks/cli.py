@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import inf
 
 from .bijection import generate_ballot_walks, map_walk_3to2
 from .classify import search_triples
@@ -113,7 +114,7 @@ def _write(path: str | None, payload: str) -> None:
 
 
 def _emit_json(path: str | None, obj) -> None:
-    _write(path, json.dumps(obj, indent=2) + "\n")
+    _write(path, json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def _model_meta(m: TandemModel) -> dict:
@@ -222,7 +223,8 @@ def _cmd_enumerate(args) -> None:
             "n_max": args.n_max,
             "target": list(args.target) if args.target else None,
             "metadata": {"cell_budget": args.cell_budget, "threads": args.threads},
-            "terms": list(seq.values),
+            # a log-float zero count (-inf) has no JSON number: write null
+            "terms": [None if v == -inf else v for v in seq.values],
         })
 
 
@@ -347,9 +349,7 @@ def _cmd_fit(args) -> None:
     s = tandem_step_set(m)
     n_max = p * (args.m_max + 1)
     seq = count_excursions(s, n_max, args.mode, args.cell_budget)
-    result = estimate_alpha(
-        seq, p, max_levels=args.richardson, model=m, alpha_reference=rep.alpha
-    )
+    result = estimate_alpha(seq, p, max_levels=args.richardson, alpha_reference=rep.alpha)
     if args.plot is not None:
         _write(args.plot, _svg_chart(result, rep.alpha))
     if args.format == "csv":

@@ -48,7 +48,6 @@ RATIONAL_ALPHA = {
 class ExponentReport:
     """Everything the exponent pipeline knows about one tandem model."""
 
-    model: TandemModel
     x: float
     y: float
     mu: float
@@ -213,7 +212,6 @@ def exponent_report(m: TandemModel) -> ExponentReport:
     else:
         dfiniteness = "unknown"
     return ExponentReport(
-        model=m,
         x=x,
         y=y,
         mu=mu,

@@ -14,10 +14,18 @@ power at a time:
 Deeper levels amplify rounding noise in the float logs, so levels are capped
 (default 3) and the reported value comes from the last stable level.  Each
 level is summarized by the mean of its last few entries; descending the
-table stops when successive level means agree within the stability
-tolerance, or when a level starts diverging: its gap to the previous level
-grows, or its tail spread blows up relative to the level before (the
-signature of noise amplification).
+table stops when successive level means agree within ``STABILITY_TOL``, or
+when a level starts diverging: its gap to the previous level grows, or its
+tail spread blows up relative to the level before (the signature of noise
+amplification).  The log-mu estimator (u_{m+1} - u_m - alpha_hat *
+log((m+1)/m)) / p goes through the same extrapolation and pick, on the same
+logs.
+
+Results print to 17 digits, but extrapolation amplifies the rounding of the
+input logs: logs moved by 1.2e-15 relative moved alpha_final of
+``fit --model 1,1,1 --m-max 60`` by 2.0e-6.  A log-float term also depends
+on n_max: for (1,1,1), alpha_hat at m = 4 is -2.5884399226792425 with
+``--m-max 5`` and -2.588439922679215 with ``--m-max 6``.
 
 For periods p > 1 only the Theta bound is guaranteed; the fit assumes the
 subsequence itself behaves smoothly and consumes no terms off the
@@ -31,7 +39,6 @@ from math import exp, log, log1p
 
 from .enumeration import CountSequence
 from .errors import ValidationError
-from .models import TandemModel
 
 MAX_RICHARDSON_LEVELS = 3
 STABILITY_TOL = 1e-3
@@ -39,8 +46,6 @@ STABILITY_TOL = 1e-3
 
 @dataclass(frozen=True)
 class FitResult:
-    model: TandemModel | None
-    p: int
     m_range: tuple[int, int]
     ms: tuple[int, ...]
     alpha_estimates: tuple[float, ...]
@@ -56,57 +61,41 @@ def _subsequence_logs(e: CountSequence, p: int) -> tuple[int, list[float]]:
     """(m_lo, [u_{m_lo}, ...]) over the contiguous nonzero support of e_{pm}."""
     if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise ValidationError(f"period must be a positive integer, got {p!r}")
-    support = []
-    logs = {}
-    for m in range(e.n_max // p + 1):
-        v = e.values[p * m]
-        if e.mode == "exact":
-            if v != 0:
-                support.append(m)
-                logs[m] = log(v)
-        elif v != float("-inf"):
-            support.append(m)
-            logs[m] = float(v)
+    zero_log = float("-inf")
+    if e.mode == "exact":
+        logs = [log(v) if v != 0 else zero_log for v in e.values[::p]]
+    else:
+        logs = [float(v) for v in e.values[::p]]
+    support = [m for m, u in enumerate(logs) if u != zero_log]
     if not support:
         raise ValidationError("no nonzero terms on the progression; check the period")
     m_lo, m_hi = support[0], support[-1]
-    if support != list(range(m_lo, m_hi + 1)):
-        missing = next(m for m in range(m_lo, m_hi + 1) if m not in logs)
+    if len(support) != m_hi - m_lo + 1:
+        missing = logs.index(zero_log, m_lo)
         raise ValidationError(f"zero term inside the progression at m = {missing} (n = {p * missing})")
-    if m_hi - m_lo + 1 < 5:
-        raise ValidationError(
-            f"need a contiguous nonzero run of length >= 5, got {m_hi - m_lo + 1}"
-        )
-    return m_lo, [logs[m] for m in range(m_lo, m_hi + 1)]
+    if len(support) < 5:
+        raise ValidationError(f"need a contiguous nonzero run of length >= 5, got {len(support)}")
+    return m_lo, logs[m_lo:m_hi + 1]
 
 
-def _richardson(ms: list[int], values: list[float], max_levels: int) -> list[list[float]]:
+def _richardson(ms: range, values: list[float], max_levels: int) -> list[list[float]]:
     """Levels 0..k of the extrapolation table; level k is aligned to ms[k:]."""
-    levels = [list(values)]
-    for k in range(1, max_levels + 1):
-        prev = levels[-1]
-        if len(prev) < 2:
-            break
-        offset = len(ms) - len(prev)
-        cur = [
-            (ms[offset + i] * prev[i] - (ms[offset + i] - k) * prev[i - 1]) / k
-            for i in range(1, len(prev))
-        ]
-        levels.append(cur)
+    if not isinstance(max_levels, int) or max_levels < 0:
+        raise ValidationError(f"max_levels must be a nonnegative integer, got {max_levels!r}")
+    levels = [values]
+    for k in range(1, min(max_levels, len(values) - 1) + 1):
+        prev, m = levels[-1], ms[k - 1:]
+        levels.append([(m[i] * prev[i] - (m[i] - k) * prev[i - 1]) / k for i in range(1, len(prev))])
     return levels
 
 
 _TAIL_WINDOW = 10
 
 
-def _pick_stable(levels: list[list[float]], tol: float) -> tuple[int, float]:
+def _pick_stable(levels: list[list[float]]) -> tuple[int, float]:
     """Last stable level's tail mean, per the stop-or-diverge rule."""
-    stats = []
-    for lev in levels:
-        tail = lev[-min(_TAIL_WINDOW, len(lev)):]
-        stats.append((sum(tail) / len(tail), max(tail) - min(tail)))
-    if len(stats) == 1:
-        return 0, stats[0][0]
+    tails = [lev[-_TAIL_WINDOW:] for lev in levels]
+    stats = [(sum(t) / len(t), max(t) - min(t)) for t in tails]
     prev_gap = None
     for k in range(1, len(stats)):
         value, spread = stats[k]
@@ -115,70 +104,50 @@ def _pick_stable(levels: list[list[float]], tol: float) -> tuple[int, float]:
         noise_blowup = spread > max(5 * prev_spread, 1e-9)
         if noise_blowup or (prev_gap is not None and gap > prev_gap):
             return k - 1, prev_value
-        if gap < tol:
+        if gap < STABILITY_TOL:
             return k, value
         prev_gap = gap
     return len(stats) - 1, stats[-1][0]
+
+
+def _log_mu(m_lo: int, u: list[float], p: int, alpha_hat: float, max_levels: int) -> float:
+    """Stable Richardson level's tail mean of the log mu estimator."""
+    ms = range(max(m_lo, 1), m_lo + len(u) - 1)
+    estimates = [(u[m + 1 - m_lo] - u[m - m_lo] - alpha_hat * log((m + 1) / m)) / p for m in ms]
+    return _pick_stable(_richardson(ms, estimates, max_levels))[1]
 
 
 def estimate_alpha(
     e: CountSequence,
     p: int,
     max_levels: int = MAX_RICHARDSON_LEVELS,
-    stability_tol: float = STABILITY_TOL,
-    model: TandemModel | None = None,
     alpha_reference: float | None = None,
 ) -> FitResult:
-    if not isinstance(max_levels, int) or max_levels < 0:
-        raise ValidationError(f"max_levels must be a nonnegative integer, got {max_levels!r}")
     m_lo, u = _subsequence_logs(e, p)
     m_hi = m_lo + len(u) - 1
-    ms = []
-    estimates = []
-    for m in range(max(m_lo + 1, 2), m_hi):
-        num = u[m + 1 - m_lo] - 2 * u[m - m_lo] + u[m - 1 - m_lo]
-        den = log1p(-1.0 / (m * m))  # log((m+1)(m-1)/m^2)
-        ms.append(m)
-        estimates.append(num / den)
-    if not ms:
-        raise ValidationError("not enough interior points for the second-difference estimator")
+    ms = range(max(m_lo + 1, 2), m_hi)
+    # the denominator is log((m+1)(m-1)/m^2)
+    estimates = [
+        (u[m + 1 - m_lo] - 2 * u[m - m_lo] + u[m - 1 - m_lo]) / log1p(-1.0 / (m * m)) for m in ms
+    ]
     levels = _richardson(ms, estimates, max_levels)
-    level_used, alpha_final = _pick_stable(levels, stability_tol)
-    mu_final = estimate_mu(e, p, alpha_final, max_levels, stability_tol)
-    deviation = None if alpha_reference is None else abs(alpha_final - alpha_reference)
+    level_used, alpha_final = _pick_stable(levels)
     return FitResult(
-        model=model,
-        p=p,
         m_range=(m_lo, m_hi),
         ms=tuple(ms),
         alpha_estimates=tuple(estimates),
         richardson_levels=tuple(tuple(lev) for lev in levels),
         level_used=level_used,
         alpha_final=alpha_final,
-        mu_final=mu_final,
+        mu_final=exp(_log_mu(m_lo, u, p, alpha_final, max_levels)),
         alpha_reference=alpha_reference,
-        deviation=deviation,
+        deviation=None if alpha_reference is None else abs(alpha_final - alpha_reference),
     )
 
 
 def estimate_mu(
-    e: CountSequence,
-    p: int,
-    alpha_hat: float,
-    max_levels: int = MAX_RICHARDSON_LEVELS,
-    stability_tol: float = STABILITY_TOL,
+    e: CountSequence, p: int, alpha_hat: float, max_levels: int = MAX_RICHARDSON_LEVELS
 ) -> float:
     """exp of the stable Richardson level's tail mean of the log mu estimator."""
     m_lo, u = _subsequence_logs(e, p)
-    m_hi = m_lo + len(u) - 1
-    ms = []
-    estimates = []
-    for m in range(max(m_lo, 1), m_hi):
-        num = u[m + 1 - m_lo] - u[m - m_lo] - alpha_hat * log((m + 1) / m)
-        ms.append(m)
-        estimates.append(num / p)
-    if not ms:
-        raise ValidationError("not enough points for the growth estimator")
-    levels = _richardson(ms, estimates, max_levels)
-    _, log_mu = _pick_stable(levels, stability_tol)
-    return exp(log_mu)
+    return exp(_log_mu(m_lo, u, p, alpha_hat, max_levels))

@@ -5,7 +5,14 @@ from math import isclose, log
 
 import pytest
 
-from tandemwalks import TandemModel, Walk2, count_excursions, exponent_report, tandem_step_set
+from tandemwalks import (
+    CountSequence,
+    TandemModel,
+    Walk2,
+    count_excursions,
+    exponent_report,
+    tandem_step_set,
+)
 from tandemwalks import cli as cli_module
 from tandemwalks.cli import TABLE1_BALLOT_TRIPLES, run
 
@@ -48,6 +55,29 @@ def test_enumerate_json(capsys):
     assert doc["model"] == {"A": 1, "B": 1, "C": 1, "a": 1, "b": 1, "c": 1, "period": 3}
     assert doc["what"] == "excursions"
     assert doc["terms"] == [1, 0, 0, 1, 0, 0, 5]
+
+
+def _reject_constant(name):
+    raise ValueError(f"not RFC 8259 JSON: {name}")
+
+
+def test_enumerate_logfloat_json_zero_counts_are_null(capsys):
+    code, out, _ = cli(capsys, "enumerate", "--model", "3,2,1", "--n-max", "3",
+                       "--mode", "logfloat", "--format", "json")
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["schema_version"] == 1
+    assert doc["terms"] == [0.0, None, None, None]
+
+
+def test_emit_json_rejects_non_finite_floats(capsys, monkeypatch):
+    nan_seq = CountSequence("logfloat", (0.0, float("nan")))
+    monkeypatch.setattr(cli_module, "count_excursions", lambda *args: nan_seq)
+    code, out, err = cli(capsys, "enumerate", "--model", "1,1,1", "--n-max", "1",
+                         "--mode", "logfloat", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("tandemwalks: internal error: ValueError: Out of range float values")
 
 
 def test_enumerate_total_and_endpoint(capsys):

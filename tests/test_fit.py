@@ -1,3 +1,4 @@
+import re
 from math import log
 
 import pytest
@@ -102,7 +103,8 @@ def test_progression_only_consumption():
 
 def test_zero_term_inside_progression():
     seq = count_excursions(tandem_step_set(TandemModel(1, 1, 1)), 36)
-    with pytest.raises(ValidationError, match="zero term"):
+    msg = "zero term inside the progression at m = 1 (n = 2)"
+    with pytest.raises(ValidationError, match=re.escape(msg)):
         estimate_alpha(seq, 2)  # e_{2m} vanishes unless 3 | m
 
 
@@ -132,8 +134,28 @@ def test_period_validation():
         estimate_mu(seq, -3, 0.0)
 
 
+@pytest.mark.parametrize("levels", [-1, 2.5])
+def test_max_levels_validation(levels):
+    seq = count_excursions(tandem_step_set(TandemModel(1, 1, 1)), 30)
+    with pytest.raises(ValidationError, match="max_levels"):
+        estimate_alpha(seq, 3, max_levels=levels)
+    with pytest.raises(ValidationError, match="max_levels"):
+        estimate_mu(seq, 3, -4.0, levels)
+
+
 def test_richardson_level_zero_only():
     seq = count_excursions(tandem_step_set(TandemModel(1, 1, 1)), 363)
     res = estimate_alpha(seq, 3, max_levels=0)
     assert res.level_used == 0
     assert len(res.richardson_levels) == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "logfloat"])
+@pytest.mark.parametrize("levels", [0, 3])
+def test_estimate_mu_matches_fit(mode, levels):
+    # estimate_alpha's mu_final comes from the same logs and the same
+    # extrapolation as the public estimate_mu, so the two agree exactly
+    m = TandemModel(3, 2, 1)
+    seq = count_excursions(tandem_step_set(m), 30 * m.period, mode)
+    res = estimate_alpha(seq, m.period, max_levels=levels)
+    assert estimate_mu(seq, m.period, res.alpha_final, levels) == res.mu_final
