@@ -85,11 +85,10 @@ class Walk2:
                 )
 
     def endpoint(self) -> tuple[int, int]:
-        displacements = _tandem_displacements(self.model)
         x = y = 0
-        for letter in self.steps:
-            dx, dy = displacements[letter]
-            x, y = x + dx, y + dy
+        for letter, (dx, dy) in _tandem_displacements(self.model).items():
+            k = self.steps.count(letter)
+            x, y = x + k * dx, y + k * dy
         return (x, y)
 
     def is_excursion(self) -> bool:

@@ -113,8 +113,12 @@ def _write(path: str | None, payload: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
-def _emit_json(path: str | None, obj) -> None:
-    _write(path, json.dumps(obj, indent=2, allow_nan=False) + "\n")
+def _emit(args, result: list[str] | dict) -> None:
+    """Write a subcommand's result: its lines, or its payload as a JSON document."""
+    if isinstance(result, dict):
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **result}
+        result = [json.dumps(doc, indent=2, allow_nan=False)]
+    _write(args.output, "\n".join(result) + "\n")
 
 
 def _model_meta(m: TandemModel) -> dict:
@@ -195,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_enumerate(args) -> None:
+def _cmd_enumerate(args) -> list[str] | dict:
     s = tandem_step_set(args.model)
     if args.what == "endpoint":
         if args.target is None:
@@ -207,25 +211,20 @@ def _cmd_enumerate(args) -> None:
         counter = count_excursions if args.what == "excursions" else count_walks_total
         seq = counter(s, args.n_max, args.mode, args.cell_budget)
 
+    if args.format == "csv" and args.mode == "exact":
+        return ["n,count"] + [f"{n},{v}" for n, v in enumerate(seq.values)]
     if args.format == "csv":
-        header = "n,count" if args.mode == "exact" else "n,log_count"
-        lines = [header]
-        for n, v in enumerate(seq.values):
-            lines.append(f"{n},{v}" if args.mode == "exact" else f"{n},{_fmt(v)}")
-        _write(args.output, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args.output, {
-            "schema_version": SCHEMA_VERSION,
-            "command": "enumerate",
-            "model": _model_meta(args.model),
-            "what": args.what,
-            "mode": args.mode,
-            "n_max": args.n_max,
-            "target": list(args.target) if args.target else None,
-            "metadata": {"cell_budget": args.cell_budget, "threads": args.threads},
-            # a log-float zero count (-inf) has no JSON number: write null
-            "terms": [None if v == -inf else v for v in seq.values],
-        })
+        return ["n,log_count"] + [f"{n},{_fmt(v)}" for n, v in enumerate(seq.values)]
+    return {
+        "model": _model_meta(args.model),
+        "what": args.what,
+        "mode": args.mode,
+        "n_max": args.n_max,
+        "target": list(args.target) if args.target else None,
+        "metadata": {"cell_budget": args.cell_budget, "threads": args.threads},
+        # a log-float zero count (-inf) has no JSON number: write null
+        "terms": [None if v == -inf else v for v in seq.values],
+    }
 
 
 def _report_dict(m: TandemModel) -> dict:
@@ -245,14 +244,12 @@ def _report_dict(m: TandemModel) -> dict:
     }
 
 
-def _cmd_exponent(args) -> None:
+def _cmd_exponent(args) -> list[str] | dict:
     info = _report_dict(args.model)
     if args.json:
-        info = {"schema_version": SCHEMA_VERSION, "command": "exponent", **info}
-        _emit_json(args.output, info)
-        return
+        return info
     m = args.model
-    lines = [
+    return [
         f"model: ({m.A},{m.B},{m.C})  ballot ({info['model']['a']},{info['model']['b']},{info['model']['c']})  period {info['model']['period']}",
         f"critical point: X = {_fmt(info['x'])}, Y = {_fmt(info['y'])}",
         f"mu = {_fmt(info['mu'])}",
@@ -261,10 +258,9 @@ def _cmd_exponent(args) -> None:
         f"rationality: {info['rationality']}",
         f"verdict: {info['verdict']}",
     ]
-    _write(args.output, "\n".join(lines) + "\n")
 
 
-def _cmd_table1(args) -> None:
+def _cmd_table1(args) -> list[str]:
     lines = ["a,b,c,A,B,C,gamma_sq,alpha,alpha_closed_form,verdict"]
     for triple in TABLE1_BALLOT_TRIPLES:
         ballot = BallotModel(*triple)
@@ -274,23 +270,22 @@ def _cmd_table1(args) -> None:
             f"{ballot.a},{ballot.b},{ballot.c},{m.A},{m.B},{m.C},"
             f"{info['gamma_sq']},{_fmt(info['alpha'])},{info['alpha_closed_form']},{info['verdict']}"
         )
-    _write(args.output, "\n".join(lines) + "\n")
+    return lines
 
 
-def _cmd_table2(args) -> None:
-    lines = ["gamma_sq,A,B,C,alpha"]
-    for target, alpha in RATIONAL_ALPHA.items():
-        for m in search_triples(target, args.bound):
-            lines.append(f"{target.numerator}/{target.denominator},{m.A},{m.B},{m.C},{_fmt(float(alpha))}")
-    _write(args.output, "\n".join(lines) + "\n")
+def _cmd_table2(args) -> list[str]:
+    return ["gamma_sq,A,B,C,alpha"] + [
+        f"{target.numerator}/{target.denominator},{m.A},{m.B},{m.C},{_fmt(float(alpha))}"
+        for target, alpha in RATIONAL_ALPHA.items()
+        for m in search_triples(target, args.bound)
+    ]
 
 
-def _cmd_classify(args) -> None:
-    lines = ["A,B,C,alpha"]
-    for m in search_triples(args.gamma_sq, args.bound):
-        info = _report_dict(m)
-        lines.append(f"{m.A},{m.B},{m.C},{_fmt(info['alpha'])}")
-    _write(args.output, "\n".join(lines) + "\n")
+def _cmd_classify(args) -> list[str]:
+    return ["A,B,C,alpha"] + [
+        f"{m.A},{m.B},{m.C},{_fmt(exponent_report(m).alpha)}"
+        for m in search_triples(args.gamma_sq, args.bound)
+    ]
 
 
 def _svg_chart(result, reference: float | None) -> str:
@@ -342,7 +337,7 @@ def _svg_chart(result, reference: float | None) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_fit(args) -> None:
+def _cmd_fit(args) -> list[str] | dict:
     m = args.model
     p = m.period
     rep = exponent_report(m)
@@ -353,31 +348,25 @@ def _cmd_fit(args) -> None:
     if args.plot is not None:
         _write(args.plot, _svg_chart(result, rep.alpha))
     if args.format == "csv":
-        lines = ["m,alpha_hat"]
-        for mm, v in zip(result.ms, result.alpha_estimates):
-            lines.append(f"{mm},{_fmt(v)}")
-        _write(args.output, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args.output, {
-            "schema_version": SCHEMA_VERSION,
-            "command": "fit",
-            "model": _model_meta(m),
-            "mode": args.mode,
-            "m_range": list(result.m_range),
-            "metadata": {
-                "m_max": args.m_max,
-                "n_max": n_max,
-                "richardson": args.richardson,
-                "cell_budget": args.cell_budget,
-                "threads": args.threads,
-            },
-            "level_used": result.level_used,
-            "alpha_final": result.alpha_final,
-            "mu_final": result.mu_final,
-            "alpha_reference": result.alpha_reference,
-            "mu_reference": rep.mu,
-            "deviation": result.deviation,
-        })
+        return ["m,alpha_hat"] + [f"{mm},{_fmt(v)}" for mm, v in zip(result.ms, result.alpha_estimates)]
+    return {
+        "model": _model_meta(m),
+        "mode": args.mode,
+        "m_range": list(result.m_range),
+        "metadata": {
+            "m_max": args.m_max,
+            "n_max": n_max,
+            "richardson": args.richardson,
+            "cell_budget": args.cell_budget,
+            "threads": args.threads,
+        },
+        "level_used": result.level_used,
+        "alpha_final": result.alpha_final,
+        "mu_final": result.mu_final,
+        "alpha_reference": result.alpha_reference,
+        "mu_reference": rep.mu,
+        "deviation": result.deviation,
+    }
 
 
 def _read_series(path: str) -> list[Fraction]:
@@ -398,12 +387,10 @@ def _read_series(path: str) -> list[Fraction]:
     return terms
 
 
-def _cmd_guess(args) -> None:
+def _cmd_guess(args) -> dict:
     terms = _read_series(args.series)
     rec = guess_recurrence(terms, args.max_order, args.max_degree)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "guess",
+    return {
         "n_terms": len(terms),
         "found": rec is not None,
         "order": None if rec is None else rec.order,
@@ -411,15 +398,15 @@ def _cmd_guess(args) -> None:
         "coefficients": None if rec is None else [[str(c) for c in poly] for poly in rec.coefficients],
         "searched_grid": [list(cell) for cell in searched_grid(args.max_order, args.max_degree)],
     }
-    _emit_json(args.output, payload)
 
 
-def _cmd_bijection_check(args) -> None:
+def _cmd_bijection_check(args) -> list[str]:
     ballot = args.ballot
     tandem = ballot_to_tandem(ballot)
     p = ballot.period
-    seq3 = count_ballot_3d(ballot, args.rounds)
+    # the 2D sweep checks its budget upfront, so a too-large run aborts at once
     seq2 = count_excursions(tandem_step_set(tandem), p * args.rounds)
+    seq3 = count_ballot_3d(ballot, args.rounds)
     lines = []
     for n in range(1, args.rounds + 1):
         c3 = seq3.values[n]
@@ -432,17 +419,24 @@ def _cmd_bijection_check(args) -> None:
         if c3 <= args.walk_cap:
             walks3 = generate_ballot_walks(ballot, n)
             try:
-                images = {map_walk_3to2(w).steps for w in walks3}
+                images = [map_walk_3to2(w) for w in walks3]
             except ValidationError as exc:  # an image left the quadrant
                 raise _CheckFailed(f"walk-level bijection failed at round {n}: {exc}") from None
-            if len(walks3) != c3 or len(images) != c3:
+            distinct = len({image.steps for image in images})
+            if len(walks3) != c3 or distinct != c3:
                 raise _CheckFailed(
                     f"walk-level bijection failed at round {n}: "
-                    f"{len(walks3)} walks, {len(images)} distinct images, count {c3}"
+                    f"{len(walks3)} walks, {distinct} distinct images, count {c3}"
                 )
+            for image in images:
+                if not image.is_excursion():
+                    raise _CheckFailed(
+                        f"walk-level bijection failed at round {n}: "
+                        f"image {image.steps} ends at {image.endpoint()}, not the origin"
+                    )
             note = ",mapped"
         lines.append(f"round {n}: count {c3} ok{note}")
-    _write(args.output, "\n".join(lines) + "\n")
+    return lines
 
 
 _COMMANDS = {
@@ -461,7 +455,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _COMMANDS[args.command](args)
+        _emit(args, _COMMANDS[args.command](args))
     except ValidationError as exc:
         print(f"tandemwalks: error: {exc}", file=sys.stderr)
         return 1

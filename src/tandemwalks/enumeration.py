@@ -17,6 +17,11 @@ arithmetic; with float64 the grid is rescaled to unit maximum after every
 level while a running log-offset keeps track of the true magnitude (never
 raw floats, which would overflow beyond a few hundred steps).
 
+The sweep returns one reading per level from a callback on the level's grid
+(the count at the target, the grid sum, or the walks that would leave the
+quadrant); in log-float mode it turns each reading into a log itself, so no
+caller sees the rescaling.
+
 Coordinates are compressed by the lattice the steps actually span: every
 reachable x is a multiple of gcd of the horizontal displacements and likewise
 for y, so the grid indexes multiples rather than raw coordinates.  For tandem
@@ -32,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, log
-from typing import Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -58,8 +63,7 @@ class CountSequence:
     values: tuple
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exact", "logfloat"):
-            raise ValidationError(f"mode must be 'exact' or 'logfloat', got {self.mode!r}")
+        _validate_mode(self.mode)
         object.__setattr__(self, "values", tuple(self.values))
 
     @property
@@ -67,48 +71,29 @@ class CountSequence:
         return len(self.values) - 1
 
 
-@dataclass(frozen=True)
-class QuadrantState:
-    """Occupancy grid after ``level`` steps, in lattice-compressed indices.
-
-    ``grid[i, j]`` counts walks ending at (i * gx, j * gy); ``log_scale`` is
-    the accumulated rescaling offset (always 0.0 in exact mode).  ``grid`` is
-    the bounding box of the level's window (see ``_iter_levels``): every
-    cell of the window holds its true count, any other cell at most its true
-    count (zero outside the window's blocks).  ``grid`` is a view into a
-    buffer that the sweep reuses, valid only until the next level.
-    """
-
-    level: int
-    grid: np.ndarray
-    gx: int
-    gy: int
-    log_scale: float = 0.0
-
-
 def _validate_n_max(n_max: int) -> None:
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
         raise ValidationError(f"n_max must be a nonnegative integer, got {n_max!r}")
 
 
-def _lattice(values: list[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g or 1
+def _validate_mode(mode: str) -> None:
+    if mode not in ("exact", "logfloat"):
+        raise ValidationError(f"mode must be 'exact' or 'logfloat', got {mode!r}")
 
 
 def _step_lattice(s: StepSet) -> tuple[int, int]:
     """Spacings (gx, gy) of the lattice the steps span."""
-    return _lattice([i for i, _ in s.steps]), _lattice([j for _, j in s.steps])
+    return gcd(*(i for i, _ in s.steps)) or 1, gcd(*(j for _, j in s.steps)) or 1
 
 
 def _check_budget(scaled: list[tuple[int, int]], n_max: int, cell_budget: int) -> None:
     """Meter the dense rectangles of levels 0..n_max of the lattice-compressed
-    steps against the budget."""
+    steps against the budget: 1 + sum over k = 1..n of (k*dxm + 1)(k*dym + 1),
+    in closed form."""
     dxm = max((i for i, _ in scaled if i > 0), default=0)
     dym = max((j for _, j in scaled if j > 0), default=0)
-    swept = sum((n * dxm + 1) * (n * dym + 1) for n in range(1, n_max + 1)) + 1
+    n = n_max
+    swept = dxm * dym * n * (n + 1) * (2 * n + 1) // 6 + (dxm + dym) * n * (n + 1) // 2 + n + 1
     if swept > cell_budget:
         raise BudgetExceededError(
             f"level sweep needs {swept} cells, budget is {cell_budget}"
@@ -126,14 +111,19 @@ def _functionals(scaled: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return sorted(phis)
 
 
-def _iter_levels(
+def _sweep(
     s: StepSet,
     n_max: int,
     mode: str,
     cell_budget: int,
-    target: tuple[int, int] | str | None = None,
-) -> Iterator[QuadrantState]:
-    """Yield quadrant occupancy levels 0..n_max for walks started at the origin.
+    target: tuple[int, int] | str | None,
+    read: Callable[[np.ndarray], Any],
+) -> list:
+    """Readings ``read(grid)`` of quadrant occupancy levels 0..n_max for walks
+    started at the origin, where ``grid[i, j]`` counts walks ending at
+    (i * gx, j * gy), (gx, gy) = ``_step_lattice(s)``.  An exact reading is
+    returned as it is; a log-float one (a number) as log(reading) plus the
+    running rescale offset, or -inf for zero.
 
     Level n updates only a window of cells cut out by linear bounds.  Each
     functional phi = (a, b) >= 0 among the axes and the normals of the step
@@ -157,8 +147,8 @@ def _iter_levels(
     window equals the full sweep's, and any other cell holds a value between
     0 and its true count.  The budget always meters the full rectangle.
 
-    Levels share two reused buffers, so a yielded ``grid`` is valid only
-    until the next level is requested; copy it to keep it.
+    Levels share two reused buffers, so ``read`` sees a view that the next
+    level overwrites: a reading that keeps the grid must copy it.
     """
     gx, gy = _step_lattice(s)
     scaled = [(i // gx, j // gy) for i, j in s.steps]
@@ -204,34 +194,32 @@ def _iter_levels(
         return view
 
     cur = level_view(0)
-    cur[0, 0] = 1 if mode == "exact" else 1.0
+    cur[0, 0] = 1
     offset = 0.0
-    yield QuadrantState(0, cur, gx, gy, offset)
-
-    for n in range(1, n_max + 1):
-        w0, h0 = cur.shape
-        nxt = level_view(n)
-        for x0, x1, y0, y1 in windows[n][2]:
-            for si, sj in scaled:
-                # destination cells whose source lies in the previous level
-                a, b = max(x0, si), min(x1, w0 + si)
-                c, d = max(y0, sj), min(y1, h0 + sj)
-                if a < b and c < d:
-                    nxt[a:b, c:d] += cur[a - si:b - si, c - sj:d - sj]
+    readings = []
+    for n in range(n_max + 1):
+        if n > 0:
+            w0, h0 = cur.shape
+            nxt = level_view(n)
+            for x0, x1, y0, y1 in windows[n][2]:
+                for si, sj in scaled:
+                    # destination cells whose source lies in the previous level
+                    a, b = max(x0, si), min(x1, w0 + si)
+                    c, d = max(y0, sj), min(y1, h0 + sj)
+                    if a < b and c < d:
+                        nxt[a:b, c:d] += cur[a - si:b - si, c - sj:d - sj]
+            if mode == "logfloat":
+                peak = nxt.max()
+                if peak > 0.0:
+                    nxt /= peak
+                    offset += log(peak)
+            cur = nxt
+        v = read(cur)
         if mode == "logfloat":
-            peak = nxt.max()
-            if peak > 0.0:
-                nxt /= peak
-                offset += log(peak)
-        cur = nxt
-        yield QuadrantState(n, cur, gx, gy, offset)
-
-
-def _term(grid_value, mode: str, log_scale: float):
-    if mode == "exact":
-        return int(grid_value)
-    v = float(grid_value)
-    return log(v) + log_scale if v > 0.0 else float("-inf")
+            v = float(v)
+            v = log(v) + offset if v > 0.0 else float("-inf")
+        readings.append(v)
+    return readings
 
 
 def count_excursions(
@@ -253,24 +241,26 @@ def count_endpoint(
 ) -> CountSequence:
     """Numbers of quarter-plane walks from the origin to ``target``."""
     _validate_n_max(n_max)
-    ti, tj = target
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (ti, tj)) or ti < 0 or tj < 0:
+    _validate_mode(mode)
+    point = tuple(target) if isinstance(target, (tuple, list)) else ()
+    if len(point) != 2 or not all(
+        isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in point
+    ):
         raise ValidationError(f"target must be a quadrant point, got {target!r}")
-    zero = 0 if mode == "exact" else float("-inf")
     gx, gy = _step_lattice(s)
-    qi, ri = divmod(ti, gx)
-    qj, rj = divmod(tj, gy)
+    qi, ri = divmod(point[0], gx)
+    qj, rj = divmod(point[1], gy)
     if ri or rj:
         # off the step lattice: no walk gets there, but the same inputs still abort
         _check_budget([(i // gx, j // gy) for i, j in s.steps], n_max, cell_budget)
+        zero = 0 if mode == "exact" else float("-inf")
         return CountSequence(mode, (zero,) * (n_max + 1))
-    terms = []
-    for state in _iter_levels(s, n_max, mode, cell_budget, (qi, qj)):
-        if qi >= state.grid.shape[0] or qj >= state.grid.shape[1]:
-            terms.append(zero)
-        else:
-            terms.append(_term(state.grid[qi, qj], mode, state.log_scale))
-    return CountSequence(mode, tuple(terms))
+
+    def at_target(grid: np.ndarray):
+        w, h = grid.shape
+        return grid[qi, qj] if qi < w and qj < h else 0
+
+    return CountSequence(mode, _sweep(s, n_max, mode, cell_budget, (qi, qj), at_target))
 
 
 def count_walks_total(
@@ -289,34 +279,28 @@ def count_walks_total(
     the whole reachable rectangle at every level.
     """
     _validate_n_max(n_max)
-    if mode == "exact":
-        if n_max == 0:
-            return CountSequence(mode, (1,))
-        scaled_slabs = None
-        q = [1]
-        for state in _iter_levels(s, n_max - 1, mode, cell_budget, "slabs"):
-            if scaled_slabs is None:
-                scaled_slabs = [(-(i // state.gx), -(j // state.gy)) for i, j in s.steps]
-            grid = state.grid
-            loss = 0
-            for bx, by in scaled_slabs:
-                # x + i < 0  <=>  scaled index < -i/gx; then y-violations among the rest
-                if bx > 0:
-                    slab = grid[: min(bx, grid.shape[0]), :]
-                    if slab.size:
-                        loss += int(slab.sum())
-                if by > 0:
-                    slab = grid[max(bx, 0):, : min(by, grid.shape[1])]
-                    if slab.size:
-                        loss += int(slab.sum())
-            q.append(len(s.steps) * q[-1] - loss)
-        return CountSequence(mode, tuple(q))
+    _validate_mode(mode)
+    if mode == "logfloat":
+        return CountSequence(mode, _sweep(s, n_max, mode, cell_budget, None, np.sum))
+    if n_max == 0:
+        return CountSequence(mode, (1,))
+    gx, gy = _step_lattice(s)
+    slabs = [(-(i // gx), -(j // gy)) for i, j in s.steps]
 
-    terms = []
-    for state in _iter_levels(s, n_max, mode, cell_budget):
-        total = float(state.grid.sum())
-        terms.append(log(total) + state.log_scale if total > 0.0 else float("-inf"))
-    return CountSequence(mode, tuple(terms))
+    def slab_loss(grid: np.ndarray) -> int:
+        loss = 0
+        for bx, by in slabs:
+            # x + i < 0  <=>  scaled index < -i/gx; then y-violations among the rest
+            if bx > 0:
+                loss += int(grid[:bx].sum())
+            if by > 0:
+                loss += int(grid[max(bx, 0):, :by].sum())
+        return loss
+
+    q = [1]
+    for loss in _sweep(s, n_max - 1, mode, cell_budget, "slabs", slab_loss):
+        q.append(len(s.steps) * q[-1] - loss)
+    return CountSequence(mode, tuple(q))
 
 
 def count_ballot_3d(

@@ -16,11 +16,11 @@ def coprime_triples(bound):
             yield triple
 
 
-def occupancy(state):
-    """Nonzero cells of a level state, keyed by uncompressed coordinates."""
+def occupancy(grid, gx, gy):
+    """Nonzero cells of a level grid, keyed by uncompressed coordinates."""
     return {
-        (i * state.gx, j * state.gy): v
-        for (i, j), v in np.ndenumerate(state.grid)
+        (i * gx, j * gy): v
+        for (i, j), v in np.ndenumerate(grid)
         if v
     }
 

@@ -399,6 +399,32 @@ def test_bijection_check_image_leaves_quadrant_exit_code(capsys, monkeypatch):
     )
 
 
+def test_bijection_check_image_not_an_excursion_exit_code(capsys, monkeypatch):
+    # dropping each word's last letter is injective and stays in the quadrant,
+    # but the images no longer end at the origin
+    real = cli_module.map_walk_3to2
+    monkeypatch.setattr(cli_module, "map_walk_3to2",
+                        lambda w: Walk2(TandemModel(1, 1, 1), real(w).steps[:-1]))
+    code, out, err = cli(capsys, "bijection-check", "--ballot", "1,1,1", "--rounds", "3")
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "tandemwalks: check failed: walk-level bijection failed at round 1: "
+        "image RD ends at (0, 1), not the origin\n"
+    )
+
+
+def test_bijection_check_budget_abort_skips_the_cone_sweep(capsys, monkeypatch):
+    def no_cone_sweep(*args):
+        raise AssertionError("3D counts computed before the 2D budget check")
+
+    monkeypatch.setattr(cli_module, "count_ballot_3d", no_cone_sweep)
+    code, out, err = cli(capsys, "bijection-check", "--ballot", "1,1,1", "--rounds", "400")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("tandemwalks: aborted: level sweep needs ")
+
+
 # the cli names that perfbench/layers.py wraps, with the parameters its
 # classifiers read; a rename here silently zeroes the per-layer metrics
 _TRACED = {

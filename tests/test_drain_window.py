@@ -24,7 +24,7 @@ from tandemwalks import (
     count_walks_total,
     tandem_step_set,
 )
-from tandemwalks.enumeration import _iter_levels
+from tandemwalks.enumeration import _sweep
 
 
 def reference_levels(steps, n_max):
@@ -103,8 +103,7 @@ def test_slab_window_holds_reference_values(steps, n_max):
     nxm = max((-i // gx for i, _ in s.steps if i < 0), default=0)
     nym = max((-j // gy for _, j in s.steps if j < 0), default=0)
     levels = reference_levels(s.steps, n_max)
-    for state in _iter_levels(s, n_max, "exact", 10**7, "slabs"):
-        n, grid = state.level, state.grid
+    for n, grid in enumerate(_sweep(s, n_max, "exact", 10**7, "slabs", np.copy)):
         r = n_max - n
         for (i, j), v in np.ndenumerate(grid):
             in_window = i < (r + 1) * nxm or j < (r + 1) * nym
@@ -144,9 +143,8 @@ def test_every_level_holds_reference_on_its_window(steps, q, n_max):
         None: lambda r, x, y: True,
     }
     for target, matters in needed.items():
-        for state in _iter_levels(s, n_max, "exact", 10**7, target):
-            n, grid = state.level, state.grid
-            w, h = grid.shape
+        for n, grid in enumerate(_sweep(s, n_max, "exact", 10**7, target, np.copy)):
+            w, h = np.shape(grid)
             for (x, y), v in levels[n].items():
                 if matters(n_max - n, x, y):
                     i, j = x // gx, y // gy
@@ -161,8 +159,8 @@ def test_totals_without_negative_steps_are_powers(steps, n_max):
     s = StepSet(tuple(steps))
     assert list(count_walks_total(s, n_max).values) == [len(steps) ** n for n in range(n_max + 1)]
     # the window is empty: nothing past the initial level is ever written
-    for state in _iter_levels(s, n_max, "exact", 10**7, "slabs"):
-        assert state.level == 0 or not state.grid.any()
+    for n, grid in enumerate(_sweep(s, n_max, "exact", 10**7, "slabs", np.copy)):
+        assert n == 0 or not grid.any()
 
 
 def test_window_shapes_unit_model():
@@ -170,11 +168,11 @@ def test_window_shapes_unit_model():
     # has i + 2j <= n, and it can return to the origin in r = 20 - n more
     # steps only if 2i + j <= r.  A grid is the bounding box of its window.
     s = tandem_step_set(TandemModel(1, 1, 1))
-    shapes = [state.grid.shape for state in _iter_levels(s, 20, "exact", 10**6, (0, 0))]
+    shapes = _sweep(s, 20, "exact", 10**6, (0, 0), np.shape)
     assert shapes == [(min(n, (20 - n) // 2) + 1, min(n // 2, 20 - n) + 1) for n in range(21)]
-    full = [state.grid.shape for state in _iter_levels(s, 20, "exact", 10**6)]
+    full = _sweep(s, 20, "exact", 10**6, None, np.shape)
     assert full == [(n + 1, n // 2 + 1) for n in range(21)]
-    slabs = [state.grid.shape for state in _iter_levels(s, 20, "exact", 10**6, "slabs")]
+    slabs = _sweep(s, 20, "exact", 10**6, "slabs", np.shape)
     assert slabs == full
 
 

@@ -1,5 +1,7 @@
 from math import factorial, isclose, log
+from time import perf_counter
 
+import numpy as np
 import pytest
 
 from tandemwalks import (
@@ -15,7 +17,7 @@ from tandemwalks import (
     count_walks_total,
     tandem_step_set,
 )
-from tandemwalks.enumeration import _iter_levels
+from tandemwalks.enumeration import _step_lattice, _sweep
 
 from conftest import (
     coprime_triples,
@@ -107,7 +109,7 @@ def test_off_lattice_endpoint_skips_the_sweep(monkeypatch, capsys):
     def no_sweep(*args, **kwargs):
         raise AssertionError("off-lattice target swept the levels")
 
-    monkeypatch.setattr(enumeration, "_iter_levels", no_sweep)
+    monkeypatch.setattr(enumeration, "_sweep", no_sweep)
     argv = ["enumerate", "--model", "2,2,1", "--what", "endpoint", "--target", "1,0",
             "--n-max", "400"]
     assert cli.run(argv) == 0
@@ -128,6 +130,34 @@ def test_off_lattice_endpoint_keeps_the_budget_check():
     assert count_endpoint(steps, 100, (1, 0), cell_budget=swept).values == (0,) * 101
     with pytest.raises(BudgetExceededError):
         count_endpoint(steps, 100, (1, 0), cell_budget=swept - 1)
+
+
+def test_budget_meter_is_closed_form():
+    # (1,1,1) meters 1 + sum over n = 1..N of (n + 1)^2 = (N+1)(N+2)(2N+3)/6
+    # cells; a loop over n would run for hours at N = 10**12
+    N = 10**12
+    needed = (N + 1) * (N + 2) * (2 * N + 3) // 6
+    start = perf_counter()
+    with pytest.raises(BudgetExceededError, match=f"needs {needed} cells,"):
+        count_excursions(steps_of(1, 1, 1), N)
+    assert perf_counter() - start < 0.5
+
+
+def test_bad_mode_and_target_fail_before_the_sweep(monkeypatch):
+    from tandemwalks import enumeration
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before validating")
+
+    monkeypatch.setattr(enumeration, "_sweep", no_sweep)
+    s = steps_of(1, 1, 1)
+    with pytest.raises(ValidationError, match="mode must be"):
+        count_walks_total(s, 1200, "float")
+    with pytest.raises(ValidationError, match="mode must be"):
+        count_excursions(s, 1200, "float")
+    for target in [(1,), None, (1, 0, 0), "10", (1.0, 0)]:
+        with pytest.raises(ValidationError, match="target must be a quadrant point"):
+            count_endpoint(s, 3, target)
 
 
 def test_endpoint_rejects_bad_target():
@@ -242,12 +272,14 @@ def test_empirical_period_undefined():
 
 
 def test_level_states_well_formed():
-    for state in _iter_levels(steps_of(3, 2, 2), 9, "exact", 10**6):
-        occ = occupancy(state)
-        assert sum(occ.values()) >= 1 or state.level > 0
+    s = steps_of(3, 2, 2)
+    gx, gy = _step_lattice(s)
+    for level, grid in enumerate(_sweep(s, 9, "exact", 10**6, None, np.copy)):
+        occ = occupancy(grid, gx, gy)
+        assert sum(occ.values()) >= 1 or level > 0
         for (x, y), v in occ.items():
             assert x >= 0 and y >= 0
-            assert x % state.gx == 0 and y % state.gy == 0
+            assert x % gx == 0 and y % gy == 0
             assert v > 0
-        if state.level == 0:
+        if level == 0:
             assert occ == {(0, 0): 1}
