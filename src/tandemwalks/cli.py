@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation or usage error, 2 resource-budget abort,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -451,10 +452,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing does not change it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         _emit(args, _COMMANDS[args.command](args))
     except ValidationError as exc:
         print(f"tandemwalks: error: {exc}", file=sys.stderr)

@@ -29,7 +29,8 @@ steps (A,0), (-B,B), (0,-C) this cuts the cell count by gcd(A,B)*gcd(B,C).
 
 Work is metered as the cells of the full reachable rectangles, whatever the
 window, checked upfront against a budget, so a mistyped n_max fails fast
-instead of thrashing.
+instead of thrashing; the 3D cone sweep likewise counts its cone points
+against the budget before its first step.
 """
 
 from __future__ import annotations
@@ -318,9 +319,9 @@ def count_ballot_3d(
     T = ballot_to_tandem(m)
     A, B, C = T.A, T.B, T.C
     xm, ym, zm = m.a * rounds_max, m.b * rounds_max, m.c * rounds_max
+    _check_cone_budget(A, B, C, xm, ym, cell_budget)
     terms = [1]
     cur: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
-    swept = 1
     for t in range(1, m.period * rounds_max + 1):
         nxt: dict[tuple[int, int, int], int] = {}
         for (x, y, z), v in cur.items():
@@ -332,12 +333,20 @@ def count_ballot_3d(
                     key = (nx, ny, nz)
                     nxt[key] = nxt.get(key, 0) + v
         cur = nxt
-        swept += len(cur)
-        if swept > cell_budget:
-            raise BudgetExceededError(
-                f"cone sweep exceeded the cell budget of {cell_budget} at step {t}"
-            )
         n, rem = divmod(t, m.period)
         if rem == 0:
             terms.append(cur.get((m.a * n, m.b * n, m.c * n), 0))
     return CountSequence("exact", tuple(terms))
+
+
+def _check_cone_budget(A: int, B: int, C: int, xm: int, ym: int, cell_budget: int) -> None:
+    """Meter the cone sweep before it starts: it visits every lattice point of
+    A*x >= B*y >= C*z >= 0 in the box [0, xm] x [0, ym] x [0, zm] once, at step
+    x + y + z.  A*xm = B*ym = C*zm, so at height y there are
+    xm - ceil(B*y/A) + 1 values of x and floor(B*y/C) + 1 values of z."""
+    swept = 0
+    for y in range(ym + 1):
+        x_lo = -(-B * y // A)  # ceil(B*y/A)
+        swept += (xm - x_lo + 1) * (B * y // C + 1)
+        if swept > cell_budget:
+            raise BudgetExceededError(f"cone sweep needs more cells than the budget of {cell_budget}")

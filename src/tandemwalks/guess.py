@@ -7,11 +7,17 @@ candidate must annihilate the complete input before being returned, so a
 returned recurrence is never an artifact of an underdetermined system.
 
 The series is cleared to integers once, by the lcm of its denominators; the
-system is homogeneous, so this changes no kernel and no residual.  A full-rank
-test modulo one large prime discards hopeless (r, d) cells (full column rank
-mod p implies full rank over the rationals, so it can never miss a kernel),
-and the other cells go through fraction-free Bareiss elimination with integer
-back-substitution.  No floating point anywhere.
+system is homogeneous, so this changes no kernel and no residual.  It is then
+reduced once modulo one large prime p, next to a table of n^i mod p, and
+every cell's filter matrix is a product of slices of these two residue
+tables.  Full column rank mod p implies full rank over the rationals, so a
+full-rank cell can never hold a kernel and is skipped.  The first
+window - R rows of any cell (r, d) with r <= R, d <= D are a subset of the
+columns of the largest cell (R, D), so one full-rank largest cell certifies
+the whole grid empty with a single elimination.  Otherwise the cells are
+searched in turn, and the ones the filter passes go through fraction-free
+Bareiss elimination with integer back-substitution on big-integer rows.  No
+floating point anywhere.
 
 Cells are searched by increasing r + d with ties to smaller r, so the
 structurally simplest verified recurrence wins.
@@ -99,11 +105,14 @@ def guess_recurrence(terms, max_order: int, max_degree: int) -> Recurrence | Non
             f"need at least {needed} terms for the {max_order}x{max_degree} grid, got {len(seq)}"
         )
     window = len(seq) - HELD_OUT
+    residues = np.array([t % _FILTER_PRIME for t in seq], dtype=np.int64)
+    powers = _powers_mod_p(window, max_degree)
+    if _grid_certified(residues, powers, window, max_order, max_degree):
+        return None
     for r, d in searched_grid(max_order, max_degree):
-        rows = _integer_rows(seq, window, r, d)
-        if not _maybe_singular(rows):
+        if _full_rank_mod_p(_residue_rows(residues, powers, window - r, r, d)):
             continue
-        vec = _kernel_vector(rows)
+        vec = _kernel_vector(_integer_rows(seq, window, r, d))
         if vec is None:
             continue
         rec = _normalize(vec, r, d)
@@ -120,14 +129,37 @@ def _integer_rows(seq: list[int], window: int, r: int, d: int) -> list[list[int]
     ]
 
 
-def _maybe_singular(rows: list[list[int]]) -> bool:
-    """False only when full column rank is certain (full rank mod the prime)."""
-    ncols = len(rows[0])
-    if len(rows) < ncols:
-        return True
-    p = _FILTER_PRIME
-    mat = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-    return _rank_mod_p(mat, p) < ncols
+def _powers_mod_p(n_rows: int, max_degree: int) -> np.ndarray:
+    """powers[n, i] = n^i mod p, reduced at every power so no int64 overflows."""
+    n = np.arange(n_rows, dtype=np.int64)  # n < n_rows, far below p
+    powers = np.ones((n_rows, max_degree + 1), dtype=np.int64)
+    for i in range(1, max_degree + 1):
+        powers[:, i] = powers[:, i - 1] * n % _FILTER_PRIME
+    return powers
+
+
+def _residue_rows(
+    residues: np.ndarray, powers: np.ndarray, n_rows: int, r: int, d: int
+) -> np.ndarray:
+    """Rows n < n_rows of the (r, d) system mod p, columns in _integer_rows order."""
+    shifted = np.lib.stride_tricks.sliding_window_view(residues, r + 1)[:n_rows]
+    return (shifted[:, :, None] * powers[:n_rows, None, :d + 1] % _FILTER_PRIME).reshape(n_rows, -1)
+
+
+def _grid_certified(
+    residues: np.ndarray, powers: np.ndarray, window: int, max_order: int, max_degree: int
+) -> bool:
+    """True when no cell of the grid can hold a kernel: the largest cell has
+    full column rank mod p on its window - max_order rows.  Those rows of any
+    smaller cell are a subset of its columns, hence of full rank too."""
+    n_rows = window - max_order
+    return _full_rank_mod_p(_residue_rows(residues, powers, n_rows, max_order, max_degree))
+
+
+def _full_rank_mod_p(mat: np.ndarray) -> bool:
+    """Full column rank mod p (which proves full column rank over Q)."""
+    nrows, ncols = mat.shape
+    return nrows >= ncols and _rank_mod_p(mat, _FILTER_PRIME) == ncols
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:

@@ -6,7 +6,8 @@ from math import gcd
 
 import numpy as np
 
-from tandemwalks import BudgetExceededError, ValidationError, Walk2, tandem_step_set
+from tandemwalks import BudgetExceededError, ValidationError, Walk2, searched_grid, tandem_step_set
+from tandemwalks import guess
 
 
 def coprime_triples(bound):
@@ -111,6 +112,35 @@ def _generate_walks2(m, length, excursions_only, node_budget):
 
     rec(0, 0, length, [])
     return out
+
+
+def maybe_singular(rows):
+    """The big-integer cell filter: False only when full column rank is
+    certain (full rank mod the prime), each entry reduced on its own."""
+    ncols = len(rows[0])
+    if len(rows) < ncols:
+        return True
+    p = guess._FILTER_PRIME
+    mat = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
+    return guess._rank_mod_p(mat, p) < ncols
+
+
+def reference_guess(terms, max_order, max_degree):
+    """guess_recurrence as a per-cell search: every cell's rows are built as
+    big integers and filtered on their own, with no grid certificate."""
+    seq = guess._cleared(terms)
+    window = len(seq) - guess.HELD_OUT
+    for r, d in searched_grid(max_order, max_degree):
+        rows = guess._integer_rows(seq, window, r, d)
+        if not maybe_singular(rows):
+            continue
+        vec = guess._kernel_vector(rows)
+        if vec is None:
+            continue
+        rec = guess._normalize(vec, r, d)
+        if rec is not None and guess.verify_recurrence(rec, seq):
+            return rec
+    return None
 
 
 # The 15-model exponent table: ballot triple, tandem triple, exact gamma^2,

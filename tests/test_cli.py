@@ -1,6 +1,10 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from math import isclose, log
 
 import pytest
@@ -292,6 +296,22 @@ def test_exit_code_validation_errors(capsys, tmp_path):
     assert cli(capsys, "nonsense")[0] == 1
     assert cli(capsys)[0] == 1
     assert cli(capsys, "enumerate", "--model", "1,1,1", "--n-max", "4", "--bogus")[0] == 1
+
+
+def test_cached_parser_matches_fresh_processes(capsys, monkeypatch):
+    # one process runs all three on the same parser; each must print what a
+    # fresh process prints, a usage error in between included
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    src = str(Path(cli_module.__file__).parents[1])
+    monkeypatch.setenv("PYTHONPATH", src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    runs = [["table1"], ["exponent", "--model", "3,2"],
+            ["exponent", "--model", "3,2,1", "--json"]]
+    for argv, expected_code in zip(runs, (0, 1, 0)):
+        code, out, err = cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "tandemwalks", *argv],
+                               capture_output=True, check=False)
+        assert code == fresh.returncode == expected_code
+        assert (out.encode(), err.encode()) == (fresh.stdout, fresh.stderr)
 
 
 def test_exit_code_budget(capsys):

@@ -180,6 +180,32 @@ def test_ballot_3d_matches_excursions():
         assert [e.values[p * n] for n in range(4)] == list(seq3.values)
 
 
+@pytest.mark.parametrize("abc, rounds", [((1, 1, 1), 6), ((1, 1, 3), 4), ((2, 3, 6), 2),
+                                         ((1, 2, 2), 5)])
+def test_ballot_3d_budget_boundary(abc, rounds):
+    # the cone sweep visits each cone point of the box once, so its budget
+    # boundary is their number
+    m = BallotModel(*abc)
+    T = ballot_to_tandem(m)
+    cells = sum(
+        1
+        for x in range(m.a * rounds + 1)
+        for y in range(m.b * rounds + 1)
+        for z in range(m.c * rounds + 1)
+        if T.A * x >= T.B * y >= T.C * z
+    )
+    assert count_ballot_3d(m, rounds, cell_budget=cells) == count_ballot_3d(m, rounds)
+    with pytest.raises(BudgetExceededError, match=f"budget of {cells - 1}$"):
+        count_ballot_3d(m, rounds, cell_budget=cells - 1)
+
+
+def test_ballot_3d_budget_abort_is_upfront():
+    t0 = perf_counter()
+    with pytest.raises(BudgetExceededError):
+        count_ballot_3d(BallotModel(1, 1, 1), 1000, cell_budget=10**6)
+    assert perf_counter() - t0 < 0.5
+
+
 def test_periodicity_sweep():
     for triple in coprime_triples(4):
         t = TandemModel(*triple)

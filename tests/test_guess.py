@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tandemwalks import (
@@ -15,6 +16,10 @@ from tandemwalks import (
     tandem_step_set,
     verify_recurrence,
 )
+from tandemwalks import guess
+from tandemwalks.guess import HELD_OUT
+
+from conftest import maybe_singular, reference_guess
 
 P1 = 2147483647  # the filter prime
 
@@ -99,13 +104,19 @@ def test_grid_limit_validation():
         guess_recurrence(terms, True, 2)
 
 
+def catalan_numbers(n_terms):
+    """c_0..c_{n_terms-1}, from (n+2) c_{n+1} = (4n+2) c_n."""
+    c = [1]
+    for n in range(n_terms - 1):
+        c.append(c[-1] * (4 * n + 2) // (n + 2))
+    return c
+
+
 def test_held_out_terms_block_spurious_fits():
     # Catalan numbers for the solving window, garbage in the held out tail:
     # the window admits (n+2) c_{n+1} = (4n+2) c_n but full verification
     # must kill every candidate.
-    catalan = [1]
-    for n in range(29):
-        catalan.append(catalan[-1] * (4 * n + 2) // (n + 2))
+    catalan = catalan_numbers(30)
     corrupted = catalan[:20] + [c + 1 for c in catalan[20:]]
     assert guess_recurrence(catalan, 2, 2) == Recurrence(1, 1, ((-2, -4), (2, 1)))
     assert guess_recurrence(corrupted, 2, 2) is None
@@ -211,3 +222,81 @@ def test_verify_is_invariant_under_rational_scaling(series, c, polys):
     polys[-1] = (polys[-1][0], polys[-1][1] or 1)
     rec = Recurrence(len(polys) - 1, 1, tuple(polys))
     assert verify_recurrence(rec, terms) == verify_recurrence(rec, scaled)
+
+
+@st.composite
+def grid_series(draw):
+    """(terms, max_order, max_degree) on a random grid up to 4x4, with enough
+    terms for it: a random order <= 2, degree <= 1 recurrence (its leading
+    polynomial positive for n >= 0), the same with one term near the end of
+    the solving window changed, or random rationals."""
+    R, D = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    n_terms = (R + 1) * (D + 1) + HELD_OUT + draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["recurrence", "corrupted", "random"]))
+    if kind == "random":
+        return [Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 97)))
+                for _ in range(n_terms)], R, D
+    r = draw(st.integers(1, 2))
+    small = st.integers(-4, 4)
+    coeffs = [(draw(small), draw(small)) for _ in range(r)]
+    coeffs.append((draw(st.integers(1, 5)), draw(st.integers(0, 5))))
+    terms = recurrence_series(coeffs, [draw(nonzero_rationals) for _ in range(r)], n_terms)
+    if kind == "corrupted":
+        window = n_terms - HELD_OUT
+        terms[draw(st.integers(window - R, min(window + R, n_terms - 1)))] += 1
+    return terms, R, D
+
+
+@st.composite
+def long_series(draw):
+    """(terms, max_order, max_degree) with n^max_degree > 2^63 inside the
+    solving window: c^n * Q(n) for a random polynomial Q of degree near
+    max_degree (which has an order 1 recurrence of degree deg Q), or random
+    rationals."""
+    R, D = draw(st.integers(1, 2)), draw(st.integers(9, 10))
+    n_rows = int(2 ** (63 / D)) + 2  # rows n = 0..n_rows-1 reach n^D > 2^63
+    n_terms = n_rows + R + HELD_OUT + draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return [Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 97)))
+                for _ in range(n_terms)], R, D
+    e = draw(st.integers(D - 2, D))
+    q = [draw(st.integers(-9, 9)) for _ in range(e)] + [draw(st.integers(1, 9))]
+    c = draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 2)]))
+    return [c**n * sum(a * n**i for i, a in enumerate(q)) for n in range(n_terms)], R, D
+
+
+CATALAN = catalan_numbers(30)
+# t_20 is the first held-out term: the window's (1, 1) system keeps the
+# Catalan kernel, but a system that also read t_20 would lose it
+CATALAN_EDGE = CATALAN[:20] + [CATALAN[20] + 1] + CATALAN[21:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_series())
+@example((CATALAN, 2, 2))
+@example((CATALAN_EDGE, 1, 1))
+def test_guess_matches_per_cell_reference(case):
+    terms, R, D = case
+    assert guess_recurrence(terms, R, D) == reference_guess(terms, R, D)
+
+
+@settings(max_examples=8, deadline=None)
+@given(long_series())
+@example(([n**9 + 1 for n in range(140)], 1, 9))
+def test_guess_matches_reference_past_int64_powers(case):
+    terms, R, D = case
+    assert guess_recurrence(terms, R, D) == reference_guess(terms, R, D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_series())
+@example((CATALAN_EDGE, 1, 1))
+def test_full_rank_largest_cell_certifies_every_cell(case):
+    terms, R, D = case
+    seq = guess._cleared(terms)
+    window = len(seq) - HELD_OUT
+    residues = np.array([t % P1 for t in seq], dtype=np.int64)
+    powers = guess._powers_mod_p(window, D)
+    if guess._grid_certified(residues, powers, window, R, D):
+        for r, d in searched_grid(R, D):
+            assert not maybe_singular(guess._integer_rows(seq, window, r, d)), (r, d)
