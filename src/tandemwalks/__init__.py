@@ -7,16 +7,8 @@ whose excursion series cannot be differentially finite, numerical fits, and
 exact recurrence guessing.
 """
 
-from .bijection import (
-    Walk2,
-    Walk3,
-    generate_ballot_walks,
-    map_walk_2to3,
-    map_walk_3to2,
-    phi,
-    reverse_reflect,
-)
-from .classify import FAMILIES, family, search_triples
+from .bijection import Walk2, Walk3, generate_ballot_walks, map_walk_3to2
+from .classify import search_triples
 from .enumeration import (
     CountSequence,
     count_ballot_3d,
@@ -24,7 +16,7 @@ from .enumeration import (
     count_excursions,
     count_walks_total,
 )
-from .errors import BudgetExceededError, NonConvergenceError, ValidationError
+from .errors import BudgetExceededError, ValidationError
 from .exponent import (
     RATIONAL_ALPHA,
     ExponentReport,
@@ -33,12 +25,9 @@ from .exponent import (
     closed_form_critical_point,
     exponent_report,
     gamma_exact_sq,
-    gamma_general,
     growth_constant,
-    solve_critical_point,
-    step_polynomial,
 )
-from .fit import FitResult, estimate_alpha, estimate_mu
+from .fit import FitResult, estimate_alpha
 from .guess import Recurrence, guess_recurrence, searched_grid, verify_recurrence
 from .models import (
     BallotModel,
@@ -57,9 +46,7 @@ __all__ = [
     "BudgetExceededError",
     "CountSequence",
     "ExponentReport",
-    "FAMILIES",
     "FitResult",
-    "NonConvergenceError",
     "RATIONAL_ALPHA",
     "Recurrence",
     "StepSet",
@@ -76,23 +63,15 @@ __all__ = [
     "count_excursions",
     "count_walks_total",
     "estimate_alpha",
-    "estimate_mu",
     "exponent_report",
-    "family",
     "gamma_exact_sq",
-    "gamma_general",
     "generate_ballot_walks",
     "growth_constant",
     "guess_recurrence",
-    "map_walk_2to3",
     "map_walk_3to2",
     "parse_model",
-    "phi",
-    "reverse_reflect",
     "search_triples",
     "searched_grid",
-    "solve_critical_point",
-    "step_polynomial",
     "tandem_step_set",
     "tandem_to_ballot",
     "verify_recurrence",

@@ -1,13 +1,11 @@
 """The bijection between cone walks in Z^3 and tandem quarter-plane walks.
 
-phi(x, y, z) = (A*x - B*y, B*y - C*z) sends the cone A*x >= B*y >= C*z >= 0
-onto the closed quadrant, and sends the unit steps x+1, y+1, z+1 to the
-tandem steps (A, 0), (-B, B), (0, -C).  Walks map letterwise:
+The linear map (x, y, z) -> (A*x - B*y, B*y - C*z) sends the cone
+A*x >= B*y >= C*z >= 0 onto the closed quadrant, and sends the unit steps
+x+1, y+1, z+1 to the tandem steps (A, 0), (-B, B), (0, -C).  Walks map
+letterwise:
 
     X -> R,    Y -> D,    Z -> U.
-
-Reading a tandem excursion backwards and exchanging R with U gives an
-excursion of the reversed model (C, B, A); doing it twice is the identity.
 
 ``generate_ballot_walks`` lists every cone walk of a given number of rounds
 by depth-first search, for the walk-level check; it is exponential and
@@ -20,15 +18,11 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import BudgetExceededError, ValidationError
-from .models import (
-    BALLOT_STEPS, BallotModel, TandemModel, ballot_to_tandem, tandem_step_set, tandem_to_ballot,
-)
+from .models import BALLOT_STEPS, BallotModel, TandemModel, ballot_to_tandem, tandem_step_set
 
 _LETTERS3 = "XYZ"
 _LETTERS2 = "RDU"
 _3TO2 = str.maketrans(_LETTERS3, _LETTERS2)
-_2TO3 = str.maketrans(_LETTERS2, _LETTERS3)
-_REVERSE_SWAP = str.maketrans("RU", "UR")
 _UNIT_STEPS = dict(zip(_LETTERS3, BALLOT_STEPS))
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -59,9 +53,6 @@ class Walk3:
                 raise ValidationError(
                     f"prefix of length {k + 1} leaves the cone at ({x}, {y}, {z})"
                 )
-
-    def endpoint(self) -> tuple[int, int, int]:
-        return (self.steps.count("X"), self.steps.count("Y"), self.steps.count("Z"))
 
 
 @dataclass(frozen=True)
@@ -95,26 +86,8 @@ class Walk2:
         return self.endpoint() == (0, 0)
 
 
-def phi(m: BallotModel, point: tuple[int, int, int]) -> tuple[int, int]:
-    """The linear projection (x, y, z) -> (A*x - B*y, B*y - C*z)."""
-    T = ballot_to_tandem(m)
-    x, y, z = point
-    return (T.A * x - T.B * y, T.B * y - T.C * z)
-
-
 def map_walk_3to2(w: Walk3) -> Walk2:
     return Walk2(ballot_to_tandem(w.model), w.steps.translate(_3TO2))
-
-
-def map_walk_2to3(w: Walk2) -> Walk3:
-    return Walk3(tandem_to_ballot(w.model), w.steps.translate(_2TO3))
-
-
-def reverse_reflect(w: Walk2) -> Walk2:
-    """Reverse an excursion and swap R with U: an excursion of (C, B, A)."""
-    if not w.is_excursion():
-        raise ValidationError("reverse_reflect is defined on excursions only")
-    return Walk2(w.model.swapped(), w.steps[::-1].translate(_REVERSE_SWAP))
 
 
 def generate_ballot_walks(

@@ -1,15 +1,9 @@
-"""Search and generation of tandem models with rational critical exponent.
+"""Search for tandem models with a prescribed gamma^2.
 
 The exponent is rational exactly when gamma^2 = B^2/((A+B)(B+C)) is one of
 the three classes of ``exponent.RATIONAL_ALPHA`` (gamma^2 = 1/4, 1/2, 3/4,
 alpha = -4, -5, -7).  Fixing two of A, B, C determines the third, so the
-search below is quadratic in the bound rather than cubic.  Three infinite
-parametric families, one per class; ``FAMILIES`` maps each name to its
-gamma^2:
-
-    quarter        (A, (A-1)A, (A-1)(3A-4))    for odd A > 1,
-    half           (A, (A-1)A, (A-1)(A-2))     for odd A > 1,
-    three_quarter  (A, (A-1)A, (A-1)(A-4)/3)   for A = 6k+1, k > 0.
+search below is quadratic in the bound rather than cubic.
 """
 
 from __future__ import annotations
@@ -18,11 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ValidationError
-from .exponent import RATIONAL_ALPHA
 from .models import TandemModel
-
-# family name -> gamma^2, named in the order of the rational-exponent table
-FAMILIES = dict(zip(("quarter", "half", "three_quarter"), RATIONAL_ALPHA))
 
 
 def search_triples(r, bound: int) -> list[TandemModel]:
@@ -48,25 +38,3 @@ def search_triples(r, bound: int) -> list[TandemModel]:
                 out.append(TandemModel(A, B, C))
     out.sort(key=lambda t: (t.A, t.B, t.C))
     return out
-
-
-def family(kind: str, A: int) -> TandemModel:
-    """The family member with first parameter A; raises outside the domain."""
-    if kind not in FAMILIES:
-        raise ValidationError(f"unknown family {kind!r}, expected one of {sorted(FAMILIES)}")
-    if not isinstance(A, int) or isinstance(A, bool):
-        raise ValidationError(f"A must be an integer, got {A!r}")
-    if kind in ("quarter", "half"):
-        if A <= 1 or A % 2 == 0:
-            raise ValidationError(f"{kind} family requires odd A > 1, got A = {A}")
-        C = (A - 1) * (3 * A - 4) if kind == "quarter" else (A - 1) * (A - 2)
-    else:
-        if A <= 1 or A % 6 != 1:
-            raise ValidationError(f"three_quarter family requires A = 6k+1 with k > 0, got A = {A}")
-        C = (A - 1) * (A - 4) // 3  # 18k(2k-1) / 3 for A = 6k+1
-    model = TandemModel(A, (A - 1) * A, C)
-    # the defining equality, re-checked exactly
-    r = FAMILIES[kind]
-    if model.B**2 * r.denominator != (model.A + model.B) * (model.B + model.C) * r.numerator:
-        raise ValidationError(f"family member {model} misses gamma^2 = {r}")
-    return model

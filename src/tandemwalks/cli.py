@@ -25,7 +25,7 @@ from .enumeration import (
     count_excursions,
     count_walks_total,
 )
-from .errors import BudgetExceededError, NonConvergenceError, ValidationError
+from .errors import BudgetExceededError, ValidationError
 from .exponent import RATIONAL_ALPHA, exponent_report
 from .fit import MAX_RICHARDSON_LEVELS, estimate_alpha
 from .guess import guess_recurrence, searched_grid
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-budget", type=_int_at_least(1), default=DEFAULT_CELL_BUDGET,
                    help="abort if the sweep would exceed this many cells")
     p.add_argument("--threads", type=_int_at_least(1), default=1,
-                   help="worker threads (results never depend on this)")
+                   help="accepted and ignored: counting runs on one thread")
 
     p = sub.add_parser("exponent", help="growth constant and critical exponent of one model")
     p.add_argument("--model", type=_model, required=True,
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-budget", type=_int_at_least(1), default=DEFAULT_CELL_BUDGET,
                    help="abort if the sweep would exceed this many cells")
     p.add_argument("--threads", type=_int_at_least(1), default=1,
-                   help="worker threads (results never depend on this)")
+                   help="accepted and ignored: counting runs on one thread")
 
     p = sub.add_parser("guess", help="guess a P-recursive recurrence from a series file")
     p.add_argument("--series", required=True,
@@ -465,7 +465,7 @@ def run(argv=None) -> int:
     except ValidationError as exc:
         print(f"tandemwalks: error: {exc}", file=sys.stderr)
         return 1
-    except (BudgetExceededError, NonConvergenceError) as exc:
+    except BudgetExceededError as exc:
         print(f"tandemwalks: aborted: {exc}", file=sys.stderr)
         return 2
     except _CheckFailed as exc:

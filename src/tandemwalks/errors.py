@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Validation failures are value errors so that callers using plain ``except
-ValueError`` keep working; resource and convergence failures are runtime
-errors because retrying with the same inputs cannot succeed.
+ValueError`` keep working; a budget abort is a runtime error because
+retrying with the same inputs cannot succeed.
 """
 
 
@@ -12,7 +12,3 @@ class ValidationError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """A computation would sweep more cells or nodes than its budget allows."""
-
-
-class NonConvergenceError(RuntimeError):
-    """An iterative solver exhausted its iteration limit."""

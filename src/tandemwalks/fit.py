@@ -143,11 +143,3 @@ def estimate_alpha(
         alpha_reference=alpha_reference,
         deviation=None if alpha_reference is None else abs(alpha_final - alpha_reference),
     )
-
-
-def estimate_mu(
-    e: CountSequence, p: int, alpha_hat: float, max_levels: int = MAX_RICHARDSON_LEVELS
-) -> float:
-    """exp of the stable Richardson level's tail mean of the log mu estimator."""
-    m_lo, u = _subsequence_logs(e, p)
-    return exp(_log_mu(m_lo, u, p, alpha_hat, max_levels))

@@ -80,10 +80,6 @@ class TandemModel:
         m = self.M
         return m // self.A + m // self.B + m // self.C
 
-    def swapped(self) -> "TandemModel":
-        """The reversal partner (C, B, A)."""
-        return TandemModel(self.C, self.B, self.A)
-
 
 @cache
 def ballot_to_tandem(m: BallotModel) -> TandemModel:
@@ -112,27 +108,6 @@ class StepSet:
         if len(set(steps)) != len(steps):
             raise ValidationError(f"steps must be distinct, got {steps!r}")
         object.__setattr__(self, "steps", steps)
-
-    def not_in_half_plane(self) -> bool:
-        """True when no closed half-plane through the origin contains every step.
-
-        Exact integer test: if a direction u with u . s >= 0 for all steps s
-        exists, the cone of such u is closed and its boundary is attained at a
-        direction perpendicular to one of the steps, so checking the 2*|S|
-        candidate perpendiculars (plus each step's own direction, which covers
-        the case |S| = 1 or all steps parallel) decides containment.  A zero
-        step lies in every half-plane, so only nonzero steps anchor candidates.
-        """
-        nonzero = [s for s in self.steps if s != (0, 0)]
-        if not nonzero:
-            return False
-        candidates = []
-        for i, j in nonzero:
-            candidates.extend([(-j, i), (j, -i), (i, j)])
-        for u in candidates:
-            if all(u[0] * i + u[1] * j >= 0 for i, j in self.steps):
-                return False
-        return True
 
 
 def tandem_step_set(m: TandemModel) -> StepSet:

@@ -1,13 +1,24 @@
-"""Shared test data and helpers."""
+"""Shared test data, helpers, and the oracles the library is checked against."""
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import exp, gcd, hypot, sqrt
 
 import numpy as np
 
-from tandemwalks import BudgetExceededError, ValidationError, Walk2, searched_grid, tandem_step_set
-from tandemwalks import guess
+from tandemwalks import (
+    RATIONAL_ALPHA,
+    BudgetExceededError,
+    TandemModel,
+    ValidationError,
+    Walk2,
+    Walk3,
+    ballot_to_tandem,
+    searched_grid,
+    tandem_step_set,
+    tandem_to_ballot,
+)
+from tandemwalks import fit, guess
 
 
 def coprime_triples(bound):
@@ -141,6 +152,189 @@ def reference_guess(terms, max_order, max_degree):
         if rec is not None and guess.verify_recurrence(rec, seq):
             return rec
     return None
+
+
+def swapped(m):
+    """The reversal partner (C, B, A) of a tandem model."""
+    return TandemModel(m.C, m.B, m.A)
+
+
+def not_in_half_plane(s):
+    """True when no closed half-plane through the origin contains every step.
+
+    Exact integer test: if a direction u with u . s >= 0 for all steps s
+    exists, the cone of such u is closed and its boundary is attained at a
+    direction perpendicular to one of the steps, so checking the 2*|S|
+    candidate perpendiculars (plus each step's own direction, which covers
+    the case |S| = 1 or all steps parallel) decides containment.  A zero
+    step lies in every half-plane, so only nonzero steps anchor candidates.
+    """
+    nonzero = [step for step in s.steps if step != (0, 0)]
+    if not nonzero:
+        return False
+    candidates = []
+    for i, j in nonzero:
+        candidates.extend([(-j, i), (j, -i), (i, j)])
+    for u in candidates:
+        if all(u[0] * i + u[1] * j >= 0 for i, j in s.steps):
+            return False
+    return True
+
+
+# The generic route to the critical data, for any step set: the oracle the
+# closed forms of tandemwalks.exponent are checked against.
+GRAD_TOL = 1e-12
+MAX_NEWTON_ITER = 200
+
+
+def step_polynomial(s, x, y):
+    return sum(x**i * y**j for i, j in s.steps)
+
+
+def _log_moments(s, u, v):
+    """Sum of w = exp(i*u + j*v) over the steps, with its gradient and Hessian in (u, v).
+
+    Returns (f, f_u, f_v, f_uu, f_uv, f_vv, scale), where scale is the norm
+    of (sum |i|*w, sum |j|*w), the size of the terms the gradient cancels.
+    """
+    f = gu = gv = huu = huv = hvv = su = sv = 0.0
+    for i, j in s.steps:
+        w = exp(i * u + j * v)
+        f += w
+        gu += i * w
+        gv += j * w
+        huu += i * i * w
+        huv += i * j * w
+        hvv += j * j * w
+        su += abs(i) * w
+        sv += abs(j) * w
+    return f, gu, gv, huu, huv, hvv, hypot(su, sv)
+
+
+def solve_critical_point(s, grad_tol=GRAD_TOL, max_iter=MAX_NEWTON_ITER):
+    """Positive critical point of the step polynomial, by damped Newton.
+
+    In the coordinates u = log x, v = log y the objective
+    f(u, v) = sum exp(i*u + j*v) is strictly convex whenever the steps are
+    not confined to a half-plane, so Newton with step-halving from (0, 0)
+    converges to the unique minimum.
+
+    The stopping test is relative: the gradient norm must fall to
+    ``grad_tol`` times the norm of (sum |i|*w, sum |j|*w), the size of the
+    terms it cancels, w = exp(i*u + j*v).  Rounding alone leaves a gradient
+    of about one ulp of that size, which for steps of 10^6 lies far above any
+    fixed absolute tolerance.  Raises RuntimeError after ``max_iter`` steps.
+    """
+    if not not_in_half_plane(s):
+        raise ValidationError("step set is contained in a half-plane; no critical point")
+
+    u = v = 0.0
+    f, gu, gv, huu, huv, hvv, scale = _log_moments(s, u, v)
+    for _ in range(max_iter):
+        if hypot(gu, gv) <= grad_tol * scale:
+            return exp(u), exp(v)
+        det = huu * hvv - huv * huv
+        du = -(hvv * gu - huv * gv) / det
+        dv = -(huu * gv - huv * gu) / det
+        if abs(du) + abs(dv) <= 1e-8:
+            # deep in the quadratic basin the decrease per step falls below
+            # one ulp of f, so monotone line search would freeze; the
+            # undamped Newton step is safe here and converges quadratically
+            u, v = u + du, v + dv
+            f, gu, gv, huu, huv, hvv, scale = _log_moments(s, u, v)
+            continue
+        t = 1.0
+        while True:
+            cand = _log_moments(s, u + t * du, v + t * dv)
+            if cand[0] <= f or t <= 1e-18:
+                break
+            t /= 2
+        u, v = u + t * du, v + t * dv
+        f, gu, gv, huu, huv, hvv, scale = cand
+    raise RuntimeError(
+        f"Newton did not reach relative gradient norm {grad_tol} in {max_iter} iterations"
+    )
+
+
+def gamma_general(s, u, v):
+    """gamma = S_xy / sqrt(S_xx * S_yy) at the point x = exp(u), y = exp(v).
+
+    With w = x^i y^j, x^2 S_xx = sum i(i-1) w, xy S_xy = sum ij w and
+    y^2 S_yy = sum j(j-1) w, so the powers of x and y cancel.  Taking the
+    point in logs keeps each exponent i*u + j*v as exact as u and v are;
+    a step component near 10^6 would multiply the rounding of a float x.
+    """
+    _, gu, gv, huu, huv, hvv, _ = _log_moments(s, u, v)
+    sxx, syy = huu - gu, hvv - gv
+    if sxx <= 0.0 or syy <= 0.0:
+        raise ValidationError("degenerate Hessian: S_xx and S_yy must be positive")
+    return huv / sqrt(sxx * syy)
+
+
+# Three infinite parametric families, one per rational-exponent class, named
+# in the order of RATIONAL_ALPHA:
+#
+#     quarter        (A, (A-1)A, (A-1)(3A-4))    for odd A > 1,
+#     half           (A, (A-1)A, (A-1)(A-2))     for odd A > 1,
+#     three_quarter  (A, (A-1)A, (A-1)(A-4)/3)   for A = 6k+1, k > 0.
+FAMILIES = dict(zip(("quarter", "half", "three_quarter"), RATIONAL_ALPHA))
+
+
+def family(kind, A):
+    """The family member with first parameter A; raises outside the domain."""
+    if kind not in FAMILIES:
+        raise ValidationError(f"unknown family {kind!r}, expected one of {sorted(FAMILIES)}")
+    if not isinstance(A, int) or isinstance(A, bool):
+        raise ValidationError(f"A must be an integer, got {A!r}")
+    if kind in ("quarter", "half"):
+        if A <= 1 or A % 2 == 0:
+            raise ValidationError(f"{kind} family requires odd A > 1, got A = {A}")
+        C = (A - 1) * (3 * A - 4) if kind == "quarter" else (A - 1) * (A - 2)
+    else:
+        if A <= 1 or A % 6 != 1:
+            raise ValidationError(f"three_quarter family requires A = 6k+1 with k > 0, got A = {A}")
+        C = (A - 1) * (A - 4) // 3  # 18k(2k-1) / 3 for A = 6k+1
+    model = TandemModel(A, (A - 1) * A, C)
+    # the defining equality, re-checked exactly
+    r = FAMILIES[kind]
+    if model.B**2 * r.denominator != (model.A + model.B) * (model.B + model.C) * r.numerator:
+        raise ValidationError(f"family member {model} misses gamma^2 = {r}")
+    return model
+
+
+# Walk-level maps the command line does not use: the inverse of
+# map_walk_3to2, the projection behind it, and the reversal symmetry.
+_2TO3 = str.maketrans("RDU", "XYZ")
+_REVERSE_SWAP = str.maketrans("RU", "UR")
+
+
+def phi(m, point):
+    """The linear projection (x, y, z) -> (A*x - B*y, B*y - C*z)."""
+    T = ballot_to_tandem(m)
+    x, y, z = point
+    return (T.A * x - T.B * y, T.B * y - T.C * z)
+
+
+def map_walk_2to3(w):
+    return Walk3(tandem_to_ballot(w.model), w.steps.translate(_2TO3))
+
+
+def reverse_reflect(w):
+    """Reverse an excursion and swap R with U: an excursion of (C, B, A)."""
+    if not w.is_excursion():
+        raise ValidationError("reverse_reflect is defined on excursions only")
+    return Walk2(swapped(w.model), w.steps[::-1].translate(_REVERSE_SWAP))
+
+
+def walk3_endpoint(w):
+    """The end (x, y, z) of a cone walk: its letter counts."""
+    return (w.steps.count("X"), w.steps.count("Y"), w.steps.count("Z"))
+
+
+def estimate_mu(e, p, alpha_hat, max_levels=fit.MAX_RICHARDSON_LEVELS):
+    """exp of the stable Richardson level's tail mean of the log mu estimator."""
+    m_lo, u = fit._subsequence_logs(e, p)
+    return exp(fit._log_mu(m_lo, u, p, alpha_hat, max_levels))
 
 
 # The 15-model exponent table: ballot triple, tandem triple, exact gamma^2,

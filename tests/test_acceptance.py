@@ -26,17 +26,23 @@ from tandemwalks import (
     generate_ballot_walks,
     growth_constant,
     guess_recurrence,
-    map_walk_2to3,
     map_walk_3to2,
     search_triples,
-    solve_critical_point,
-    step_polynomial,
     tandem_step_set,
     verify_recurrence,
 )
 from tandemwalks.cli import run
 
-from conftest import TABLE1_EXPECTED, TABLE2_QUINTUPLES, coprime_triples, empirical_period
+from conftest import (
+    TABLE1_EXPECTED,
+    TABLE2_QUINTUPLES,
+    coprime_triples,
+    empirical_period,
+    map_walk_2to3,
+    solve_critical_point,
+    step_polynomial,
+    swapped,
+)
 
 WALK_LEVEL_CAP = 20000
 
@@ -134,7 +140,7 @@ def test_criterion_05_reversal_symmetry():
         m = TandemModel(*triple)
         n_max = 3 * m.period
         e = count_excursions(tandem_step_set(m), n_max)
-        e_rev = count_excursions(tandem_step_set(m.swapped()), n_max)
+        e_rev = count_excursions(tandem_step_set(swapped(m)), n_max)
         ok = ok and e.values == e_rev.values
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0

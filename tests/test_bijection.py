@@ -12,14 +12,19 @@ from tandemwalks import (
     ballot_to_tandem,
     count_excursions,
     generate_ballot_walks,
-    map_walk_2to3,
     map_walk_3to2,
-    phi,
-    reverse_reflect,
     tandem_step_set,
 )
 
-from conftest import generate_excursions, generate_quadrant_walks
+from conftest import (
+    coprime_triples,
+    generate_excursions,
+    generate_quadrant_walks,
+    map_walk_2to3,
+    phi,
+    reverse_reflect,
+    walk3_endpoint,
+)
 
 
 def test_phi_examples():
@@ -88,7 +93,7 @@ def test_map_round_trip(picks):
         w = _legal_walk3(BallotModel(*triple), picks)
         image = map_walk_3to2(w)
         assert map_walk_2to3(image) == w
-        assert phi(w.model, w.endpoint()) == image.endpoint()
+        assert phi(w.model, walk3_endpoint(w)) == image.endpoint()
 
 
 def test_map_bijective_on_small_sets():
@@ -118,6 +123,19 @@ def test_walk_validation():
         Walk2(TandemModel(1, 1, 1), "D")
 
 
+def _excursion_count(triple, n):
+    return count_excursions(tandem_step_set(TandemModel(*triple)), n).values[n]
+
+
+# (A, B, C), a length n = p or 2p and its excursion count, below 5,000
+_REVERSAL_CASES = [
+    (triple, n, _excursion_count(triple, n))
+    for triple in coprime_triples(3)
+    for n in (TandemModel(*triple).period, 2 * TandemModel(*triple).period)
+    if _excursion_count(triple, n) < 5000
+]
+
+
 def test_reverse_reflect_small():
     walks = generate_excursions(TandemModel(1, 1, 1), 6)
     assert len(walks) == 5
@@ -136,6 +154,23 @@ def test_reverse_reflect_asymmetric_model():
     assert len(images) == len(source) == 34
     one = reverse_reflect(source[0])
     assert one.model == TandemModel(1, 2, 3)
+
+
+@settings(max_examples=len(_REVERSAL_CASES), deadline=None)
+@given(st.sampled_from(_REVERSAL_CASES))
+def test_reverse_reflect_maps_excursions_onto_the_reversed_model(case):
+    (A, B, C), n, count = case
+    source = generate_excursions(TandemModel(A, B, C), n)
+    target = {w.steps for w in generate_excursions(TandemModel(C, B, A), n)}
+    images = set()
+    for w in source:
+        r = reverse_reflect(w)
+        assert r.model == TandemModel(C, B, A)
+        assert len(r.steps) == n
+        assert reverse_reflect(r) == w
+        images.add(r.steps)
+    assert images == target
+    assert len(images) == len(source) == count
 
 
 def test_reverse_reflect_rejects_non_excursion():

@@ -3,16 +3,14 @@ from fractions import Fraction
 import pytest
 
 from tandemwalks import (
-    FAMILIES,
     TandemModel,
     ValidationError,
     classify_rationality,
-    family,
     gamma_exact_sq,
     search_triples,
 )
 
-from conftest import TABLE2_QUINTUPLES
+from conftest import FAMILIES, TABLE2_QUINTUPLES, family
 
 
 def test_search_quarter():

@@ -26,6 +26,7 @@ from conftest import (
     generate_quadrant_walks,
     occupancy,
     reachable_from_infinity,
+    swapped,
 )
 
 
@@ -220,7 +221,7 @@ def test_symmetry_small():
     for triple in coprime_triples(3):
         t = TandemModel(*triple)
         e1 = count_excursions(tandem_step_set(t), 2 * t.period)
-        e2 = count_excursions(tandem_step_set(t.swapped()), 2 * t.period)
+        e2 = count_excursions(tandem_step_set(swapped(t)), 2 * t.period)
         assert e1.values == e2.values
 
 

@@ -9,9 +9,10 @@ from tandemwalks import (
     ValidationError,
     count_excursions,
     estimate_alpha,
-    estimate_mu,
     tandem_step_set,
 )
+
+from conftest import estimate_mu
 
 
 def synthetic_logfloat(kappa, mu, alpha, p, m_max, noise=None):
@@ -154,7 +155,7 @@ def test_richardson_level_zero_only():
 @pytest.mark.parametrize("levels", [0, 3])
 def test_estimate_mu_matches_fit(mode, levels):
     # estimate_alpha's mu_final comes from the same logs and the same
-    # extrapolation as the public estimate_mu, so the two agree exactly
+    # extrapolation as estimate_mu, so the two agree exactly
     m = TandemModel(3, 2, 1)
     seq = count_excursions(tandem_step_set(m), 30 * m.period, mode)
     res = estimate_alpha(seq, m.period, max_levels=levels)

@@ -15,7 +15,7 @@ from tandemwalks import (
     tandem_to_ballot,
 )
 
-from conftest import coprime_triples, has_nonnegative_step
+from conftest import coprime_triples, has_nonnegative_step, not_in_half_plane
 
 
 def test_ballot_to_tandem_examples():
@@ -98,13 +98,13 @@ def test_half_plane_predicate():
     # every tandem step set spans the plane and has a nonnegative step
     for triple in coprime_triples(5):
         s = tandem_step_set(TandemModel(*triple))
-        assert s.not_in_half_plane()
+        assert not_in_half_plane(s)
         assert has_nonnegative_step(s)
     # contained examples: a quadrant pair, a collinear pair, an axis pair
-    assert not StepSet(((1, 0), (0, 1))).not_in_half_plane()
-    assert not StepSet(((1, 1), (-1, -1))).not_in_half_plane()
-    assert not StepSet(((1, 0), (-1, 0))).not_in_half_plane()
-    assert not StepSet(((2, 1), (1, 2), (-1, 1))).not_in_half_plane()
+    assert not not_in_half_plane(StepSet(((1, 0), (0, 1))))
+    assert not not_in_half_plane(StepSet(((1, 1), (-1, -1))))
+    assert not not_in_half_plane(StepSet(((1, 0), (-1, 0))))
+    assert not not_in_half_plane(StepSet(((2, 1), (1, 2), (-1, 1))))
 
 
 def test_has_nonnegative_step():
@@ -123,7 +123,7 @@ def test_half_plane_matches_exhaustive_directions(steps):
         for v in range(-40, 41)
     )
     # candidate perpendiculars have coordinates <= 9, well inside the scan
-    assert s.not_in_half_plane() == (not contained)
+    assert not_in_half_plane(s) == (not contained)
 
 
 def test_parse_model():
