@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from math import inf
@@ -79,13 +80,6 @@ def _int_at_least(lo: int):
     return convert
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a fraction like 1/4, got {text!r}") from None
-
-
 def _validated(parse):
     """An argparse type from a library parser that raises ValidationError."""
 
@@ -98,6 +92,21 @@ def _validated(parse):
     return convert
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
+def _rational(text: str) -> Fraction:
+    """An integer, num/den or plain decimal in ASCII digits.  Fraction alone
+    also reads exponents, and would build 10^999999999 for 1e-999999999."""
+    if _RATIONAL.fullmatch(text.strip()):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
+            pass
+    raise ValidationError(f"expected a fraction like 1/4, got {text!r}")
+
+
+_fraction = _validated(_rational)
 _model = _validated(parse_model)
 _ballot = _validated(lambda text: BallotModel(*parse_ints(text, 3)))
 _pair = _validated(lambda text: parse_ints(text, 2))
@@ -289,17 +298,15 @@ def _cmd_classify(args) -> list[str]:
     ]
 
 
-def _svg_chart(result, reference: float | None) -> str:
-    """Minimal line chart: level-0 estimates vs m, plus a reference rule."""
+def _svg_chart(result, reference: float) -> str:
+    """Minimal line chart: level-0 estimates vs m, plus a rule at the reference
+    alpha.  A fit reads at least 5 contiguous terms, so ms spans >= 2 values."""
     width, height = 640, 400
     ml, mr, mt, mb = 60, 20, 20, 40
     xs = list(result.ms)
     ys = list(result.alpha_estimates)
-    y_all = ys + ([reference] if reference is not None else [])
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(y_all), max(y_all)
-    if x_hi == x_lo:
-        x_hi += 1
+    y_lo, y_hi = min(ys + [reference]), max(ys + [reference])
     pad = 0.05 * (y_hi - y_lo) or 0.5
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -310,31 +317,22 @@ def _svg_chart(result, reference: float | None) -> str:
         return height - mb - (y - y_lo) / (y_hi - y_lo) * (height - mt - mb)
 
     points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    ry = py(reference)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<line x1="{ml}" y1="{height - mb}" x2="{width - mr}" y2="{height - mb}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{height - mb}" stroke="black"/>',
         f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1.5"/>',
-    ]
-    if reference is not None:
-        ry = py(reference)
-        parts.append(
-            f'<line x1="{ml}" y1="{ry:.2f}" x2="{width - mr}" y2="{ry:.2f}" '
-            f'stroke="crimson" stroke-dasharray="6 4"/>'
-        )
-        parts.append(
-            f'<text x="{width - mr - 4}" y="{ry - 6:.2f}" text-anchor="end" '
-            f'font-size="12" fill="crimson">alpha = {reference:.6g}</text>'
-        )
-    parts.append(
-        f'<text x="{(ml + width - mr) / 2}" y="{height - 8}" text-anchor="middle" font-size="12">m</text>'
-    )
-    parts.append(
+        f'<line x1="{ml}" y1="{ry:.2f}" x2="{width - mr}" y2="{ry:.2f}" '
+        f'stroke="crimson" stroke-dasharray="6 4"/>',
+        f'<text x="{width - mr - 4}" y="{ry - 6:.2f}" text-anchor="end" '
+        f'font-size="12" fill="crimson">alpha = {reference:.6g}</text>',
+        f'<text x="{(ml + width - mr) / 2}" y="{height - 8}" text-anchor="middle" font-size="12">m</text>',
         f'<text x="16" y="{(mt + height - mb) / 2}" font-size="12" '
-        f'transform="rotate(-90 16 {(mt + height - mb) / 2})">alpha_hat</text>'
-    )
-    parts.append("</svg>")
+        f'transform="rotate(-90 16 {(mt + height - mb) / 2})">alpha_hat</text>',
+        "</svg>",
+    ]
     return "\n".join(parts) + "\n"
 
 
@@ -345,7 +343,7 @@ def _cmd_fit(args) -> list[str] | dict:
     s = tandem_step_set(m)
     n_max = p * (args.m_max + 1)
     seq = count_excursions(s, n_max, args.mode, args.cell_budget)
-    result = estimate_alpha(seq, p, max_levels=args.richardson, alpha_reference=rep.alpha)
+    result = estimate_alpha(seq, p, max_levels=args.richardson)
     if args.plot is not None:
         _write(args.plot, _svg_chart(result, rep.alpha))
     if args.format == "csv":
@@ -364,9 +362,9 @@ def _cmd_fit(args) -> list[str] | dict:
         "level_used": result.level_used,
         "alpha_final": result.alpha_final,
         "mu_final": result.mu_final,
-        "alpha_reference": result.alpha_reference,
+        "alpha_reference": rep.alpha,
         "mu_reference": rep.mu,
-        "deviation": result.deviation,
+        "deviation": abs(result.alpha_final - rep.alpha),
     }
 
 
@@ -374,7 +372,7 @@ def _read_series(path: str) -> list[Fraction]:
     try:
         with open(path) as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     terms = []
     for k, line in enumerate(raw.splitlines(), start=1):
@@ -382,8 +380,8 @@ def _read_series(path: str) -> list[Fraction]:
         if not line:
             continue
         try:
-            terms.append(Fraction(line))
-        except (ValueError, ZeroDivisionError):
+            terms.append(_rational(line))
+        except ValidationError:
             raise ValidationError(f"{path}:{k}: not an integer or num/den rational: {line!r}") from None
     return terms
 

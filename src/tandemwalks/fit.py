@@ -29,7 +29,8 @@ on n_max: for (1,1,1), alpha_hat at m = 4 is -2.5884399226792425 with
 
 For periods p > 1 only the Theta bound is guaranteed; the fit assumes the
 subsequence itself behaves smoothly and consumes no terms off the
-progression.
+progression.  The fit knows no closed form: a caller measures its deviation
+against ``exponent_report(model).alpha``, as ``fit --format json`` does.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ class FitResult:
     level_used: int
     alpha_final: float
     mu_final: float
-    alpha_reference: float | None
-    deviation: float | None
 
 
 def _subsequence_logs(e: CountSequence, p: int) -> tuple[int, list[float]]:
@@ -117,12 +116,7 @@ def _log_mu(m_lo: int, u: list[float], p: int, alpha_hat: float, max_levels: int
     return _pick_stable(_richardson(ms, estimates, max_levels))[1]
 
 
-def estimate_alpha(
-    e: CountSequence,
-    p: int,
-    max_levels: int = MAX_RICHARDSON_LEVELS,
-    alpha_reference: float | None = None,
-) -> FitResult:
+def estimate_alpha(e: CountSequence, p: int, max_levels: int = MAX_RICHARDSON_LEVELS) -> FitResult:
     m_lo, u = _subsequence_logs(e, p)
     m_hi = m_lo + len(u) - 1
     ms = range(max(m_lo + 1, 2), m_hi)
@@ -140,6 +134,4 @@ def estimate_alpha(
         level_used=level_used,
         alpha_final=alpha_final,
         mu_final=exp(_log_mu(m_lo, u, p, alpha_final, max_levels)),
-        alpha_reference=alpha_reference,
-        deviation=None if alpha_reference is None else abs(alpha_final - alpha_reference),
     )

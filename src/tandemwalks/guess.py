@@ -11,7 +11,8 @@ system is homogeneous, so this changes no kernel and no residual.  It is then
 reduced once modulo one large prime p, next to a table of n^i mod p, and
 every cell's filter matrix is a product of slices of these two residue
 tables.  Full column rank mod p implies full rank over the rationals, so a
-full-rank cell can never hold a kernel and is skipped.  The first
+full-rank cell can never hold a kernel and is skipped.  The filter is one
+elimination mod p that stops at the first column without a pivot.  The first
 window - R rows of any cell (r, d) with r <= R, d <= D are a subset of the
 columns of the largest cell (R, D), so one full-rank largest cell certifies
 the whole grid empty with a single elimination.  Otherwise the cells are
@@ -116,7 +117,7 @@ def guess_recurrence(terms, max_order: int, max_degree: int) -> Recurrence | Non
         if vec is None:
             continue
         rec = _normalize(vec, r, d)
-        if rec is not None and verify_recurrence(rec, seq):
+        if verify_recurrence(rec, seq):
             return rec
     return None
 
@@ -157,34 +158,27 @@ def _grid_certified(
 
 
 def _full_rank_mod_p(mat: np.ndarray) -> bool:
-    """Full column rank mod p (which proves full column rank over Q)."""
+    """Full column rank mod p, which proves it over Q: elimination in place
+    that returns False at the first column without a pivot."""
     nrows, ncols = mat.shape
-    return nrows >= ncols and _rank_mod_p(mat, _FILTER_PRIME) == ncols
-
-
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    nrows, ncols = mat.shape
-    rank = 0
+    if nrows < ncols:
+        return False
+    p = _FILTER_PRIME
     for c in range(ncols):
-        if rank == nrows:
-            break
-        col = mat[rank:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.nonzero(mat[c:, c])[0]
         if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            mat[[rank, piv]] = mat[[piv, rank]]
-        inv = pow(int(mat[rank, c]), p - 2, p)
-        mat[rank, c:] = (mat[rank, c:] * inv) % p
-        below = mat[rank + 1:, c]
-        nzr = np.nonzero(below)[0]
+            return False
+        piv = c + int(nz[0])
+        if piv != c:
+            mat[[c, piv]] = mat[[piv, c]]
+        inv = pow(int(mat[c, c]), p - 2, p)
+        mat[c, c:] = (mat[c, c:] * inv) % p
+        nzr = np.nonzero(mat[c + 1:, c])[0]
         if nzr.size:
-            idx = rank + 1 + nzr
-            # eliminate in blocks to stay within int64 (entries < p < 2^31)
-            mat[idx, c:] = (mat[idx, c:] - np.outer(mat[idx, c], mat[rank, c:])) % p
-        rank += 1
-    return rank
+            idx = c + 1 + nzr
+            # entries < p < 2^31, so every product fits in int64
+            mat[idx, c:] = (mat[idx, c:] - np.outer(mat[idx, c], mat[c, c:])) % p
+    return True
 
 
 def _kernel_vector(rows: list[list[int]]) -> list[int] | None:
@@ -224,22 +218,16 @@ def _kernel_vector(rows: list[list[int]]) -> list[int] | None:
     return x
 
 
-def _normalize(vec: list[int], r: int, d: int) -> Recurrence | None:
-    """Primitive integer form with positive leading coefficient, trimmed."""
+def _normalize(vec: list[int], r: int, d: int) -> Recurrence:
+    """Primitive integer form with positive leading coefficient, trimmed.
+    _kernel_vector sets one entry to 1 and scales only by nonzero pivot
+    quotients, so vec is nonzero and some polynomial survives the trim."""
     content = gcd(*vec)
-    if content == 0:
-        return None
     ints = [v // content for v in vec]
     polys = [ints[k * (d + 1):(k + 1) * (d + 1)] for k in range(r + 1)]
-    while polys and not any(polys[-1]):
+    while not any(polys[-1]):
         polys.pop()
-    if not polys:
-        return None
-    degree = 0
-    for poly in polys:
-        nonzero = [i for i, c in enumerate(poly) if c]
-        if nonzero:
-            degree = max(degree, nonzero[-1])
+    degree = max(i for poly in polys for i, c in enumerate(poly) if c)
     polys = [poly[:degree + 1] for poly in polys]
     lead = next(c for c in reversed(polys[-1]) if c)
     if lead < 0:

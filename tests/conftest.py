@@ -128,12 +128,9 @@ def _generate_walks2(m, length, excursions_only, node_budget):
 def maybe_singular(rows):
     """The big-integer cell filter: False only when full column rank is
     certain (full rank mod the prime), each entry reduced on its own."""
-    ncols = len(rows[0])
-    if len(rows) < ncols:
-        return True
     p = guess._FILTER_PRIME
     mat = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-    return guess._rank_mod_p(mat, p) < ncols
+    return not guess._full_rank_mod_p(mat)
 
 
 def reference_guess(terms, max_order, max_degree):
@@ -149,7 +146,7 @@ def reference_guess(terms, max_order, max_degree):
         if vec is None:
             continue
         rec = guess._normalize(vec, r, d)
-        if rec is not None and guess.verify_recurrence(rec, seq):
+        if guess.verify_recurrence(rec, seq):
             return rec
     return None
 

@@ -3,7 +3,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from math import isclose, log
 
@@ -12,6 +14,7 @@ import pytest
 from tandemwalks import (
     CountSequence,
     TandemModel,
+    ValidationError,
     Walk2,
     count_excursions,
     exponent_report,
@@ -255,6 +258,44 @@ def test_guess_bad_series_line(capsys, tmp_path):
                        "--max-order", "1", "--max-degree", "0")
     assert code == 1
     assert "not an integer" in err
+
+
+def test_exponent_notation_rejected_fast(capsys, tmp_path):
+    # Fraction("1e-999999999") would build 10^999999999 before failing
+    series = tmp_path / "exp.csv"
+    series.write_text("1\n1e-999999999\n")
+    t0 = time.perf_counter()
+    code, _, err = cli(capsys, "guess", "--series", str(series),
+                       "--max-order", "1", "--max-degree", "0")
+    assert code == 1
+    assert err == (f"tandemwalks: error: {series}:2: not an integer or num/den rational: "
+                   "'1e-999999999'\n")
+    code, _, err = cli(capsys, "classify", "--gamma-sq", "1e-999999999", "--bound", "5")
+    assert code == 1
+    assert "expected a fraction like 1/4, got '1e-999999999'" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("text", ["1/0", "1e3", "1_000", "١", ".5", "1 / 4", "0x10", ""])
+def test_rational_rejects_all_but_plain_forms(text):
+    with pytest.raises(ValidationError, match="expected a fraction like 1/4"):
+        cli_module._rational(text)
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), ("-3/4", Fraction(-3, 4)), ("+0.25", Fraction(1, 4)),
+                                         (" 6/8 ", Fraction(3, 4))])
+def test_rational_plain_forms(text, value):
+    assert cli_module._rational(text) == value
+
+
+def test_guess_non_utf8_series(capsys, tmp_path):
+    series = tmp_path / "binary.csv"
+    series.write_bytes(b"1\n\xff\xfe\x00\x81\n")
+    code, out, err = cli(capsys, "guess", "--series", str(series),
+                         "--max-order", "1", "--max-degree", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("tandemwalks: error: ")
 
 
 def test_bijection_check(capsys):

@@ -1,8 +1,10 @@
-from math import factorial, isclose, log
+from math import factorial, gcd, isclose, log
 from time import perf_counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tandemwalks import (
     BallotModel,
@@ -172,13 +174,23 @@ def test_ballot_3d_examples():
     assert list(seq.values) == [1, 34, 164622]
 
 
-def test_ballot_3d_matches_excursions():
-    for a, b, c in [(1, 1, 1), (1, 2, 2), (1, 1, 2), (2, 3, 6)]:
-        m = BallotModel(a, b, c)
-        p = m.period
-        seq3 = count_ballot_3d(m, 3)
-        e = count_excursions(tandem_step_set(ballot_to_tandem(m)), 3 * p)
-        assert [e.values[p * n] for n in range(4)] == list(seq3.values)
+coprime_ballots = st.tuples(*[st.integers(1, 4)] * 3).filter(lambda t: gcd(*t) == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coprime_ballots, st.integers(0, 3))
+@example((1, 1, 1), 3)
+@example((1, 2, 2), 3)
+@example((1, 1, 2), 3)
+@example((2, 3, 6), 3)
+def test_ballot_3d_matches_excursions(abc, rounds):
+    # the 3D/2D bijection at count level: cone walks to (a*n, b*n, c*n) and
+    # tandem excursions of length p*n are equinumerous
+    m = BallotModel(*abc)
+    p = m.period
+    seq3 = count_ballot_3d(m, rounds)
+    e = count_excursions(tandem_step_set(ballot_to_tandem(m)), rounds * p)
+    assert list(seq3.values) == [e.values[p * n] for n in range(rounds + 1)]
 
 
 @pytest.mark.parametrize("abc, rounds", [((1, 1, 1), 6), ((1, 1, 3), 4), ((2, 3, 6), 2),

@@ -63,27 +63,27 @@ def test_richardson_levels_improve():
     # worst error over the last 20 indices; the capped deepest level is
     # noise-bound and excluded by the stability pick
     seq = count_excursions(tandem_step_set(TandemModel(1, 1, 1)), 363)
-    res = estimate_alpha(seq, 3, alpha_reference=-4.0)
+    res = estimate_alpha(seq, 3)
     errors = []
     for level in res.richardson_levels[: res.level_used + 1]:
         errors.append(max(abs(v + 4.0) for v in level[-20:]))
     assert all(errors[k + 1] < errors[k] for k in range(len(errors) - 1))
     assert res.level_used >= 1
-    assert res.deviation < 1e-3
+    assert abs(res.alpha_final - -4.0) < 1e-3
 
 
 def test_fit_accuracy_exact_unit_model():
     seq = count_excursions(tandem_step_set(TandemModel(1, 1, 1)), 363)
-    res = estimate_alpha(seq, 3, alpha_reference=-4.0)
-    assert res.deviation < 1e-3
+    res = estimate_alpha(seq, 3)
+    assert abs(res.alpha_final - -4.0) < 1e-3
     assert abs(res.mu_final - 3.0) < 1e-3
 
 
 def test_fit_accuracy_logfloat_211():
     m = TandemModel(2, 1, 1)
     seq = count_excursions(tandem_step_set(m), 505, "logfloat")
-    res = estimate_alpha(seq, 5, alpha_reference=-3.7312)
-    assert res.deviation < 0.01
+    res = estimate_alpha(seq, 5)
+    assert abs(res.alpha_final - -3.7312) < 0.01
     assert abs(res.mu_final - 2.5 * 2 ** 0.2) < 0.01
 
 

@@ -300,3 +300,39 @@ def test_full_rank_largest_cell_certifies_every_cell(case):
     if guess._grid_certified(residues, powers, window, R, D):
         for r, d in searched_grid(R, D):
             assert not maybe_singular(guess._integer_rows(seq, window, r, d)), (r, d)
+
+
+def rank_over_q(rows):
+    """Exact rank by Gaussian elimination over Fraction."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def small_matrices(draw):
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    row = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+# Hadamard: a minor of order <= 7 with entries in [-3, 3] is at most
+# (3 sqrt 7)^7 < 2e6 < p in size, so rank mod p equals rank over Q exactly
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+@example([[1, 2], [2, 4], [3, 6]])           # dependent columns: no pivot in column 1
+@example([[0, 1], [0, 2], [0, 3]])           # a zero column
+@example([[1, 0, 0], [0, 1, 0]])             # fewer rows than columns
+@example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])  # full rank only after a row swap
+def test_full_rank_mod_p_matches_exact_rank(rows):
+    mat = np.array(rows, dtype=np.int64) % P1
+    assert guess._full_rank_mod_p(mat) == (rank_over_q(rows) == len(rows[0]))

@@ -77,3 +77,52 @@ def unreached_names():
 def test_src_holds_only_what_the_cli_reaches():
     unreached = unreached_names()
     assert not unreached, "only tests reach these; move them to tests/: " + ", ".join(unreached)
+
+
+def one_value_parameters(package=PACKAGE):
+    """(function, parameter) pairs of private functions whose every call in
+    the package fills the parameter with the same literal or upper-case
+    module constant, given or defaulted: a constant in disguise."""
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    constants = {
+        t for tree in trees for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) for t in _targets(stmt) if t.isupper()
+    }
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+
+    def fixed(arg):
+        return isinstance(arg, ast.Constant) or (isinstance(arg, ast.Name) and arg.id in constants)
+
+    flagged = []
+    for fn in nodes:
+        if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_") or _is_dunder(fn.name):
+            continue
+        params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+        defaults = dict(zip(params[len(params) - len(fn.args.defaults):], fn.args.defaults))
+        calls = [n for n in nodes if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Name) and n.func.id == fn.name]
+        for i, name in enumerate(params):
+            values = set()
+            for call in calls:
+                if i < len(call.args) and not isinstance(call.args[i], ast.Starred):
+                    arg = call.args[i]
+                else:
+                    arg = {k.arg: k.value for k in call.keywords}.get(name, defaults.get(name))
+                values.add(ast.dump(arg) if arg is not None and fixed(arg) else None)
+            if len(values) == 1 and None not in values:
+                flagged.append((fn.name, name))
+    return sorted(flagged)
+
+
+def test_no_private_parameter_takes_one_value():
+    flagged = one_value_parameters()
+    assert not flagged, "every call passes the same value; make it a constant: " + repr(flagged)
+
+
+def test_one_value_guard_flags_a_constant_in_disguise(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "PRIME = 7\n"
+        "def _rank(mat, p, scale=1):\n    return mat % p * scale\n"
+        "def solve(mat, q):\n    return _rank(mat, PRIME) + _rank(q, PRIME, scale=1)\n"
+    )
+    assert one_value_parameters(tmp_path) == [("_rank", "p"), ("_rank", "scale")]
