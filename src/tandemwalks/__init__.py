@@ -7,7 +7,6 @@ whose excursion series cannot be differentially finite, numerical fits, and
 exact recurrence guessing.
 """
 
-from .bijection import Walk2, Walk3, generate_ballot_walks, map_walk_3to2
 from .classify import search_triples
 from .enumeration import (
     CountSequence,
@@ -52,8 +51,6 @@ __all__ = [
     "StepSet",
     "TandemModel",
     "ValidationError",
-    "Walk2",
-    "Walk3",
     "alpha_from_gamma",
     "ballot_to_tandem",
     "classify_rationality",
@@ -65,10 +62,8 @@ __all__ = [
     "estimate_alpha",
     "exponent_report",
     "gamma_exact_sq",
-    "generate_ballot_walks",
     "growth_constant",
     "guess_recurrence",
-    "map_walk_3to2",
     "parse_model",
     "search_triples",
     "searched_grid",

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from math import inf
 
-from .bijection import generate_ballot_walks, map_walk_3to2
+from .bijection import bijection_failure, generate_ballot_walks, map_walk_3to2
 from .classify import search_triples
 from .enumeration import (
     DEFAULT_CELL_BUDGET,
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ballot", type=_ballot, required=True, help="ballot triple a,b,c")
     p.add_argument("--rounds", type=_int_at_least(1), required=True, help="rounds to check")
     p.add_argument("--walk-cap", type=_int_at_least(1), default=2000,
-                   help="walk-level bijection check only when counts stay below this")
+                   help="walk-level bijection check only when counts are at most this")
     p.add_argument("--output", default=None, help="output path (default stdout)")
 
     return parser
@@ -416,23 +416,10 @@ def _cmd_bijection_check(args) -> list[str]:
             )
         note = ""
         if c3 <= args.walk_cap:
-            walks3 = generate_ballot_walks(ballot, n)
-            try:
-                images = [map_walk_3to2(w) for w in walks3]
-            except ValidationError as exc:  # an image left the quadrant
-                raise _CheckFailed(f"walk-level bijection failed at round {n}: {exc}") from None
-            distinct = len({image.steps for image in images})
-            if len(walks3) != c3 or distinct != c3:
-                raise _CheckFailed(
-                    f"walk-level bijection failed at round {n}: "
-                    f"{len(walks3)} walks, {distinct} distinct images, count {c3}"
-                )
-            for image in images:
-                if not image.is_excursion():
-                    raise _CheckFailed(
-                        f"walk-level bijection failed at round {n}: "
-                        f"image {image.steps} ends at {image.endpoint()}, not the origin"
-                    )
+            words = generate_ballot_walks(ballot, n)
+            failure = bijection_failure(ballot, words, map_walk_3to2(words), c3)
+            if failure:
+                raise _CheckFailed(f"walk-level bijection failed at round {n}: {failure}")
             note = ",mapped"
         lines.append(f"round {n}: count {c3} ok{note}")
     return lines

@@ -1,6 +1,8 @@
 """Shared test data, helpers, and the oracles the library is checked against."""
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import exp, gcd, hypot, sqrt
 
@@ -11,14 +13,13 @@ from tandemwalks import (
     BudgetExceededError,
     TandemModel,
     ValidationError,
-    Walk2,
-    Walk3,
     ballot_to_tandem,
     searched_grid,
     tandem_step_set,
     tandem_to_ballot,
 )
 from tandemwalks import fit, guess
+from tandemwalks.models import BALLOT_STEPS
 
 
 def coprime_triples(bound):
@@ -299,9 +300,112 @@ def family(kind, A):
     return model
 
 
-# Walk-level maps the command line does not use: the inverse of
-# map_walk_3to2, the projection behind it, and the reversal symmetry.
+# Walks one object at a time: the oracle of the array walk-level check in
+# tandemwalks.bijection, the inverse map, the projection behind it, and the
+# reversal symmetry.
+_3TO2 = str.maketrans("XYZ", "RDU")
 _2TO3 = str.maketrans("RDU", "XYZ")
+_UNIT_STEPS = dict(zip("XYZ", BALLOT_STEPS))
+
+
+@cache
+def _displacements(m):
+    """The letters R, D, U mapped to the tandem model's steps."""
+    return dict(zip("RDU", tandem_step_set(m).steps))
+
+
+@dataclass(frozen=True)
+class Walk3:
+    """A cone walk: a word over X, Y, Z whose every prefix stays in the cone."""
+
+    model: object
+    steps: str
+
+    def __post_init__(self):
+        T = ballot_to_tandem(self.model)
+        x = y = z = 0
+        for k, letter in enumerate(self.steps):
+            if letter not in _UNIT_STEPS:
+                raise ValidationError(f"step {k} is {letter!r}, expected one of X, Y, Z")
+            dx, dy, dz = _UNIT_STEPS[letter]
+            x, y, z = x + dx, y + dy, z + dz
+            if not (T.A * x >= T.B * y >= T.C * z >= 0):
+                raise ValidationError(
+                    f"prefix of length {k + 1} leaves the cone at ({x}, {y}, {z})"
+                )
+
+
+@dataclass(frozen=True)
+class Walk2:
+    """A quadrant walk: a word over R, D, U whose every prefix stays in x, y >= 0."""
+
+    model: object
+    steps: str
+
+    def __post_init__(self):
+        displacements = _displacements(self.model)
+        x = y = 0
+        for k, letter in enumerate(self.steps):
+            if letter not in displacements:
+                raise ValidationError(f"step {k} is {letter!r}, expected one of R, D, U")
+            dx, dy = displacements[letter]
+            x, y = x + dx, y + dy
+            if x < 0 or y < 0:
+                raise ValidationError(
+                    f"prefix of length {k + 1} leaves the quadrant at ({x}, {y})"
+                )
+
+    def endpoint(self):
+        x = y = 0
+        for letter, (dx, dy) in _displacements(self.model).items():
+            k = self.steps.count(letter)
+            x, y = x + k * dx, y + k * dy
+        return (x, y)
+
+    def is_excursion(self):
+        return self.endpoint() == (0, 0)
+
+
+def map_walk_3to2(w):
+    return Walk2(ballot_to_tandem(w.model), w.steps.translate(_3TO2))
+
+
+def search_ballot_walks(m, rounds, node_budget=10_000_000):
+    """Every cone walk ending at (a*n, b*n, c*n) with n = rounds, depth-first
+    and lexicographic in X < Y < Z, and the number of search-tree nodes.
+    Raises when the search tree exceeds the node budget."""
+    if not isinstance(rounds, int) or rounds < 0:
+        raise ValidationError(f"rounds must be a nonnegative integer, got {rounds!r}")
+    T = ballot_to_tandem(m)
+    tx, ty, tz = m.a * rounds, m.b * rounds, m.c * rounds
+    out = []
+    nodes = 0
+
+    def rec(x, y, z, word):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(f"search exceeded the node budget of {node_budget}")
+        if x == tx and y == ty and z == tz:
+            out.append(Walk3(m, "".join(word)))
+            return
+        for letter, (dx, dy, dz) in _UNIT_STEPS.items():
+            nx, ny, nz = x + dx, y + dy, z + dz
+            if nx > tx or ny > ty or nz > tz:
+                continue
+            if not (T.A * nx >= T.B * ny >= T.C * nz):
+                continue
+            word.append(letter)
+            rec(nx, ny, nz, word)
+            word.pop()
+
+    rec(0, 0, 0, [])
+    return out, nodes
+
+
+def generate_ballot_walks(m, rounds, node_budget=10_000_000):
+    """Every cone walk of ``rounds`` rounds, as Walk3 objects in lexicographic order."""
+    return search_ballot_walks(m, rounds, node_budget)[0]
 _REVERSE_SWAP = str.maketrans("RU", "UR")
 
 

@@ -15,6 +15,7 @@ from tandemwalks import (
     Recurrence,
     TandemModel,
     ballot_to_tandem,
+    bijection,
     classify_rationality,
     closed_form_critical_point,
     count_ballot_3d,
@@ -23,10 +24,8 @@ from tandemwalks import (
     estimate_alpha,
     exponent_report,
     gamma_exact_sq,
-    generate_ballot_walks,
     growth_constant,
     guess_recurrence,
-    map_walk_3to2,
     search_triples,
     tandem_step_set,
     verify_recurrence,
@@ -36,9 +35,12 @@ from tandemwalks.cli import run
 from conftest import (
     TABLE1_EXPECTED,
     TABLE2_QUINTUPLES,
+    Walk2,
     coprime_triples,
     empirical_period,
+    generate_ballot_walks,
     map_walk_2to3,
+    map_walk_3to2,
     solve_critical_point,
     step_polynomial,
     swapped,
@@ -123,10 +125,16 @@ def test_criterion_04_bijection_all_models():
             c3 = seq3.values[n]
             ok = ok and c3 == seq2.values[p * n]
             if c3 <= WALK_LEVEL_CAP:
+                # the array check the command line runs, and its rows against
+                # the one-object-per-walk oracle
+                words = bijection.generate_ballot_walks(ballot, n)
+                images = bijection.map_walk_3to2(words)
+                ok = ok and bijection.bijection_failure(ballot, words, images, c3) is None
                 walks3 = generate_ballot_walks(ballot, n)
                 walks2 = [map_walk_3to2(w) for w in walks3]
-                images = {w.steps for w in walks2}
-                ok = ok and len(walks3) == c3 and len(images) == c3
+                ok = ok and [row.tobytes().decode() for row in words] == [w.steps for w in walks3]
+                ok = ok and [row.tobytes().decode() for row in images] == [w.steps for w in walks2]
+                ok = ok and len({w.steps for w in walks2}) == c3
                 ok = ok and all(w.is_excursion() for w in walks2)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120.0
@@ -216,8 +224,14 @@ def test_criterion_10_property_bundle(tmp_path):
     t0 = time.perf_counter()
     # walk-level round trip
     ballot = BallotModel(2, 3, 6)
-    walks = generate_ballot_walks(ballot, 1)
-    ok = all(map_walk_2to3(map_walk_3to2(w)).steps == w.steps for w in walks)
+    words = bijection.generate_ballot_walks(ballot, 1)
+    images = bijection.map_walk_3to2(words)
+    tandem = ballot_to_tandem(ballot)
+    ok = len(words) == count_ballot_3d(ballot, 1).values[1]
+    ok = ok and all(
+        map_walk_2to3(Walk2(tandem, image.tobytes().decode())).steps == word.tobytes().decode()
+        for word, image in zip(words, images)
+    )
 
     # periodicity of the excursion support
     m = TandemModel(3, 2, 1)

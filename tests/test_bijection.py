@@ -1,5 +1,9 @@
+from itertools import product
+from math import gcd
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tandemwalks import (
@@ -7,22 +11,25 @@ from tandemwalks import (
     BudgetExceededError,
     TandemModel,
     ValidationError,
-    Walk2,
-    Walk3,
     ballot_to_tandem,
+    bijection,
+    count_ballot_3d,
     count_excursions,
-    generate_ballot_walks,
-    map_walk_3to2,
     tandem_step_set,
 )
 
 from conftest import (
+    Walk2,
+    Walk3,
     coprime_triples,
+    generate_ballot_walks,
     generate_excursions,
     generate_quadrant_walks,
     map_walk_2to3,
+    map_walk_3to2,
     phi,
     reverse_reflect,
+    search_ballot_walks,
     walk3_endpoint,
 )
 
@@ -186,3 +193,85 @@ def test_generators_are_sorted_and_capped():
         generate_quadrant_walks(TandemModel(1, 1, 1), 15, node_budget=100)
     with pytest.raises(BudgetExceededError):
         generate_ballot_walks(BallotModel(1, 1, 1), 8, node_budget=50)
+
+
+# every coprime ballot triple with entries <= 4 and rounds <= 3 whose walks the
+# command line maps at its default --walk-cap
+_BALLOT_CASES = [
+    (abc, rounds, count)
+    for abc in product(range(1, 5), repeat=3)
+    if gcd(*abc) == 1
+    for rounds, count in enumerate(count_ballot_3d(BallotModel(*abc), 3).values)
+    if count <= 2000
+]
+
+
+def _words(matrix):
+    return [row.tobytes().decode() for row in matrix]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_BALLOT_CASES))
+@example(((1, 1, 1), 3, 42))
+@example(((2, 3, 6), 1, 34))
+def test_array_walks_match_the_oracle(case):
+    abc, rounds, count = case
+    m = BallotModel(*abc)
+    walks, nodes = search_ballot_walks(m, rounds)
+    words = bijection.generate_ballot_walks(m, rounds)
+    assert words.dtype == np.uint8 and words.shape == (count, m.period * rounds)
+    assert _words(words) == [w.steps for w in walks]
+    assert _words(bijection.map_walk_3to2(words)) == [map_walk_3to2(w).steps for w in walks]
+    # one level per prefix length holds the distinct prefixes of the complete
+    # walks: together the oracle's nodes, none more than the walks
+    levels = [len({w[:k] for w in _words(words)}) for k in range(m.period * rounds + 1)]
+    assert sum(levels) == nodes and max(levels) == count
+    assert bijection.generate_ballot_walks(m, rounds, node_budget=nodes).tobytes() == words.tobytes()
+    with pytest.raises(BudgetExceededError, match=f"^search exceeded the node budget of {nodes - 1}$"):
+        bijection.generate_ballot_walks(m, rounds, node_budget=nodes - 1)
+    images = bijection.map_walk_3to2(words)
+    assert bijection.bijection_failure(m, words, images, count) is None
+    if count > 1:
+        # a repeated image stays in the quadrant and ends at the origin
+        images[-1] = images[0]
+        assert bijection.bijection_failure(m, words, images, count) == (
+            f"{count} walks, {count - 1} distinct images, count {count}"
+        )
+
+
+@pytest.mark.parametrize("abc, rounds", [((1, 1, 1), 4), ((1, 1, 3), 3), ((2, 3, 6), 1)])
+def test_node_budget_matches_the_depth_first_search(abc, rounds):
+    m = BallotModel(*abc)
+    walks, nodes = search_ballot_walks(m, rounds)
+    assert _words(bijection.generate_ballot_walks(m, rounds, node_budget=nodes)) == [
+        w.steps for w in walks
+    ]
+    with pytest.raises(BudgetExceededError) as oracle:
+        search_ballot_walks(m, rounds, node_budget=nodes - 1)
+    with pytest.raises(BudgetExceededError) as array:
+        bijection.generate_ballot_walks(m, rounds, node_budget=nodes - 1)
+    assert str(array.value) == str(oracle.value)
+
+
+def test_array_rounds_validated():
+    with pytest.raises(ValidationError, match="rounds must be a nonnegative integer"):
+        bijection.generate_ballot_walks(BallotModel(1, 1, 1), -1)
+    assert bijection.generate_ballot_walks(BallotModel(1, 1, 1), 0).shape == (1, 0)
+
+
+def test_failure_names_the_first_walk_at_its_shortest_prefix():
+    m = BallotModel(1, 1, 1)
+    words = bijection.generate_ballot_walks(m, 2)  # XXYYZZ, XXYZYZ, XYXYZZ, ...
+    bad = words.copy()
+    bad[2] = np.frombuffer(b"XYZZXY", dtype=np.uint8)
+    bad[3] = np.frombuffer(b"YXXYZZ", dtype=np.uint8)
+    assert bijection.bijection_failure(m, bad, bijection.map_walk_3to2(bad), 5) == (
+        "prefix of length 4 leaves the cone at (1, 1, 2)"
+    )
+    images = bijection.map_walk_3to2(words)[:, :-1]
+    assert bijection.bijection_failure(m, words, images, 5) == (
+        "image RRDDU ends at (0, 1), not the origin"
+    )
+    assert bijection.bijection_failure(m, words[1:], images[1:], 5) == (
+        "4 walks, 4 distinct images, count 5"
+    )

@@ -9,13 +9,13 @@ from fractions import Fraction
 from pathlib import Path
 from math import isclose, log
 
+import numpy as np
 import pytest
 
 from tandemwalks import (
     CountSequence,
     TandemModel,
     ValidationError,
-    Walk2,
     count_excursions,
     exponent_report,
     tandem_step_set,
@@ -311,6 +311,13 @@ def test_bijection_check_walk_cap(capsys):
     assert out == "round 1: count 1 ok,mapped\nround 2: count 5 ok\nround 3: count 42 ok\n"
 
 
+def test_bijection_check_walk_cap_is_inclusive(capsys):
+    code, out, _ = cli(capsys, "bijection-check", "--ballot", "1,1,1", "--rounds", "3",
+                       "--walk-cap", "42")
+    assert code == 0
+    assert out == "round 1: count 1 ok,mapped\nround 2: count 5 ok,mapped\nround 3: count 42 ok,mapped\n"
+
+
 def test_output_file_matches_stdout(capsys, tmp_path):
     path = tmp_path / "out.csv"
     code, out, _ = cli(capsys, "enumerate", "--model", "2,2,1", "--n-max", "10",
@@ -436,7 +443,8 @@ def test_bijection_check_count_mismatch_exit_code(capsys, monkeypatch):
 
 def test_bijection_check_walk_mismatch_exit_code(capsys, monkeypatch):
     # every 3D walk mapped to one image: the walk-level check must fail
-    monkeypatch.setattr(cli_module, "map_walk_3to2", lambda w: Walk2(TandemModel(3, 2, 1), "R"))
+    monkeypatch.setattr(cli_module, "map_walk_3to2",
+                        lambda words: np.full((len(words), 1), ord("R"), dtype=np.uint8))
     code, out, err = cli(capsys, "bijection-check", "--ballot", "2,3,6", "--rounds", "1")
     assert code == 4
     assert out == ""
@@ -449,8 +457,7 @@ def test_bijection_check_walk_mismatch_exit_code(capsys, monkeypatch):
 def test_bijection_check_image_leaves_quadrant_exit_code(capsys, monkeypatch):
     # a map that reads the word backwards sends a cone walk out of the quadrant
     real = cli_module.map_walk_3to2
-    monkeypatch.setattr(cli_module, "map_walk_3to2",
-                        lambda w: Walk2(TandemModel(3, 2, 1), real(w).steps[::-1]))
+    monkeypatch.setattr(cli_module, "map_walk_3to2", lambda words: real(words)[:, ::-1])
     code, out, err = cli(capsys, "bijection-check", "--ballot", "2,3,6", "--rounds", "1")
     assert code == 4
     assert out == ""
@@ -464,14 +471,33 @@ def test_bijection_check_image_not_an_excursion_exit_code(capsys, monkeypatch):
     # dropping each word's last letter is injective and stays in the quadrant,
     # but the images no longer end at the origin
     real = cli_module.map_walk_3to2
-    monkeypatch.setattr(cli_module, "map_walk_3to2",
-                        lambda w: Walk2(TandemModel(1, 1, 1), real(w).steps[:-1]))
+    monkeypatch.setattr(cli_module, "map_walk_3to2", lambda words: real(words)[:, :-1])
     code, out, err = cli(capsys, "bijection-check", "--ballot", "1,1,1", "--rounds", "3")
     assert code == 4
     assert out == ""
     assert err == (
         "tandemwalks: check failed: walk-level bijection failed at round 1: "
         "image RD ends at (0, 1), not the origin\n"
+    )
+
+
+def test_bijection_check_walk_outside_the_cone_exit_code(capsys, monkeypatch):
+    # a generator that swaps the first two letters of its last walk starts it
+    # with Y, which leaves the cone at once
+    real = cli_module.generate_ballot_walks
+
+    def swapped_start(m, rounds):
+        words = real(m, rounds)
+        words[-1, :2] = words[-1, 1::-1].copy()
+        return words
+
+    monkeypatch.setattr(cli_module, "generate_ballot_walks", swapped_start)
+    code, out, err = cli(capsys, "bijection-check", "--ballot", "1,1,1", "--rounds", "2")
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "tandemwalks: check failed: walk-level bijection failed at round 1: "
+        "prefix of length 1 leaves the cone at (0, 1, 0)\n"
     )
 
 
