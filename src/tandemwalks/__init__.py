@@ -16,16 +16,7 @@ from .enumeration import (
     count_walks_total,
 )
 from .errors import BudgetExceededError, ValidationError
-from .exponent import (
-    RATIONAL_ALPHA,
-    ExponentReport,
-    alpha_from_gamma,
-    classify_rationality,
-    closed_form_critical_point,
-    exponent_report,
-    gamma_exact_sq,
-    growth_constant,
-)
+from .exponent import RATIONAL_ALPHA, ExponentReport, exponent_report
 from .fit import FitResult, estimate_alpha
 from .guess import Recurrence, guess_recurrence, searched_grid, verify_recurrence
 from .models import (
@@ -51,18 +42,13 @@ __all__ = [
     "StepSet",
     "TandemModel",
     "ValidationError",
-    "alpha_from_gamma",
     "ballot_to_tandem",
-    "classify_rationality",
-    "closed_form_critical_point",
     "count_ballot_3d",
     "count_endpoint",
     "count_excursions",
     "count_walks_total",
     "estimate_alpha",
     "exponent_report",
-    "gamma_exact_sq",
-    "growth_constant",
     "guess_recurrence",
     "parse_model",
     "search_triples",

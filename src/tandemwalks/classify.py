@@ -3,7 +3,8 @@
 The exponent is rational exactly when gamma^2 = B^2/((A+B)(B+C)) is one of
 the three classes of ``exponent.RATIONAL_ALPHA`` (gamma^2 = 1/4, 1/2, 3/4,
 alpha = -4, -5, -7).  Fixing two of A, B, C determines the third, so the
-search below is quadratic in the bound rather than cubic.
+search below is quadratic in the bound rather than cubic, and it aborts
+before its first pair when the bound^2 pairs exceed the default cell budget.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import ValidationError
+from .enumeration import DEFAULT_CELL_BUDGET
+from .errors import BudgetExceededError, ValidationError
 from .models import TandemModel
 
 
@@ -27,6 +29,10 @@ def search_triples(r, bound: int) -> list[TandemModel]:
         raise ValidationError(f"gamma^2 must lie strictly between 0 and 1, got {r}")
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise ValidationError(f"bound must be a positive integer, got {bound!r}")
+    if bound * bound > DEFAULT_CELL_BUDGET:
+        raise BudgetExceededError(
+            f"triple search needs {bound * bound} pairs, budget is {DEFAULT_CELL_BUDGET}"
+        )
     out = []
     for A in range(1, bound + 1):
         for B in range(1, bound + 1):

@@ -16,22 +16,25 @@ with E = A*B + A*C + B*C,
     X = (B^C * C^B / A^(B+C))^(1/E),
     Y = (C^(A+B) / (A^B * B^A))^(1/E),
     mu = C * (A^B * B^A / C^(A+B))^(C/E) * (1/A + 1/B + 1/C),
-    gamma^2 = B^2 / ((A+B) * (B+C))     exactly, as a rational number.
+    gamma^2 = B^2 / ((A+B) * (B+C))     exactly, as a rational number,
+    alpha = -1 - pi/arctan(sqrt(E)/B),  since 1 - gamma^2 = E/((A+B)(B+C)).
 
-alpha is rational exactly when gamma^2 is 1/4, 1/2 or 3/4 (values -4, -5,
--7); for every other rational gamma^2 the exponent is irrational, which
-rules out a differentially finite excursion series.  The generic route (a
-Newton solve for (X, Y) and gamma from the Hessian, for any step set) is a
-test oracle in ``tests/conftest.py``.
+X, Y and mu are E-weighted sums of logs, and alpha comes from the integers
+without a float gamma, so a triple of any size gets a finite answer: every
+integer enters a float only after division by a power of four that brings it
+below 2^1002 (1 for integers below 2^1000).  alpha is rational exactly when
+gamma^2 is 1/4, 1/2 or 3/4 (values -4, -5, -7); for every other rational
+gamma^2 the exponent is irrational, which rules out a differentially finite
+excursion series.  The generic route (a Newton solve for (X, Y) and gamma
+from the Hessian, for any step set) is a test oracle in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import acos, exp, log, pi, sqrt
+from math import atan2, exp, isqrt, log, pi, sqrt
 
-from .errors import ValidationError
 from .models import TandemModel
 
 # gamma^2 -> alpha for the three rational-exponent classes, the one list of them
@@ -58,6 +61,11 @@ class ExponentReport:
     alpha_closed_form: str
 
 
+def _scale(n: int) -> int:
+    """The power of four that brings n below 2^1002; 1 below 2^1000."""
+    return 4 ** max(0, n.bit_length() // 2 - 500)
+
+
 def _closed_form_logs(m: TandemModel) -> tuple[float, float]:
     """(log X, log Y) as E-weighted sums of logs.
 
@@ -66,56 +74,47 @@ def _closed_form_logs(m: TandemModel) -> tuple[float, float]:
     """
     A, B, C = m.A, m.B, m.C
     E = A * B + A * C + B * C
+    q = _scale(E)
     la, lb, lc = log(A), log(B), log(C)
-    return (C * lb + B * lc - (B + C) * la) / E, ((A + B) * lc - B * la - A * lb) / E
+    return (
+        (C / q * lb + B / q * lc - (B + C) / q * la) / (E / q),
+        ((A + B) / q * lc - B / q * la - A / q * lb) / (E / q),
+    )
 
 
-def closed_form_critical_point(m: TandemModel) -> tuple[float, float]:
-    u, v = _closed_form_logs(m)
-    return exp(u), exp(v)
+def _alpha(m: TandemModel) -> float:
+    """-1 - pi/arccos(-gamma) as -1 - pi/arctan(sqrt(E)/B), with no float gamma.
 
-
-def growth_constant(m: TandemModel) -> float:
-    A, B, C = m.A, m.B, m.C
-    E = A * B + A * C + B * C
-    la, lb, lc = log(A), log(B), log(C)
-    return C * exp(C * (B * la + A * lb - (A + B) * lc) / E) * (1 / A + 1 / B + 1 / C)
-
-
-def gamma_exact_sq(m: TandemModel) -> Fraction:
-    A, B, C = m.A, m.B, m.C
-    return Fraction(B * B, (A + B) * (B + C))
-
-
-def alpha_from_gamma(gamma: float) -> float:
-    if not -1.0 < gamma < 1.0:
-        raise ValidationError(f"gamma must lie strictly between -1 and 1, got {gamma}")
-    return -1.0 - pi / acos(-gamma)
-
-
-def classify_rationality(gamma_sq: Fraction) -> tuple[str, Fraction | None]:
-    """('rational', alpha) for the three algebraic classes, else ('irrational', None)."""
-    gamma_sq = Fraction(gamma_sq)
-    if not Fraction(0) < gamma_sq < Fraction(1):
-        raise ValidationError(f"gamma^2 must lie strictly between 0 and 1, got {gamma_sq}")
-    if gamma_sq in RATIONAL_ALPHA:
-        return "rational", RATIONAL_ALPHA[gamma_sq]
-    return "irrational", None
+    B may exceed sqrt(E) by any factor, so both sides of the angle are scaled
+    by the root of the scale of E + B^2 = (A+B)(B+C).
+    """
+    B = m.B
+    E = m.A * B + m.A * m.C + B * m.C
+    q = _scale(E + B * B)
+    return -1.0 - pi / atan2(sqrt(E / q), B / isqrt(q))
 
 
 def exponent_report(m: TandemModel) -> ExponentReport:
-    x, y = closed_form_critical_point(m)
-    mu = growth_constant(m)
-    gsq = gamma_exact_sq(m)
-    gamma = -sqrt(float(gsq))
-    rationality, alpha_exact = classify_rationality(gsq)
+    A, B, C = m.A, m.B, m.C
+    E = A * B + A * C + B * C
+    x, y = (exp(t) for t in _closed_form_logs(m))
+    # mu = C e^w (1/A + 1/B + 1/C) with w = -C log Y.  C e^w lies within a
+    # factor 3 of min(A, B, C), and the weights of w are at most E/C, so
+    # dividing C, the weights and the sum's terms by the scales of C, E/C and
+    # the minimum keeps every factor finite and normal
+    qe, qc, qm = _scale(E), _scale(C), _scale(min(A, B, C))
+    qw = qe // qc
+    la, lb, lc = log(A), log(B), log(C)
+    w = C / qc * (B / qw * la + A / qw * lb - (A + B) / qw * lc) / (E / qe)
+    mu = C / qc * exp(w + log(qc // qm)) * (qm / A + qm / B + qm / C)
+    gsq = Fraction(B * B, (A + B) * (B + C))
+    alpha_exact = RATIONAL_ALPHA.get(gsq)
     if alpha_exact is not None:
-        alpha = float(alpha_exact)
-        closed = str(alpha_exact)
+        rationality, alpha, closed = "rational", float(alpha_exact), str(alpha_exact)
     else:
-        alpha = alpha_from_gamma(gamma)
+        rationality, alpha = "irrational", _alpha(m)
         closed = f"-1 - pi/arccos(sqrt({gsq.numerator}/{gsq.denominator}))"
-    if (m.A, m.B, m.C) == (1, 1, 1):
+    if (A, B, C) == (1, 1, 1):
         dfiniteness = "known_dfinite"
     elif rationality == "irrational":
         dfiniteness = "not_dfinite_proven"
@@ -125,7 +124,7 @@ def exponent_report(m: TandemModel) -> ExponentReport:
         x=x,
         y=y,
         mu=mu,
-        gamma=gamma,
+        gamma=-sqrt(float(gsq)),
         gamma_sq=gsq,
         alpha=alpha,
         alpha_exact=alpha_exact,

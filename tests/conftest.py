@@ -1,6 +1,7 @@
 """Shared test data, helpers, and the oracles the library is checked against."""
 
 from dataclasses import dataclass
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -436,6 +437,41 @@ def estimate_mu(e, p, alpha_hat, max_levels=fit.MAX_RICHARDSON_LEVELS):
     """exp of the stable Richardson level's tail mean of the log mu estimator."""
     m_lo, u = fit._subsequence_logs(e, p)
     return exp(fit._log_mu(m_lo, u, p, alpha_hat, max_levels))
+
+
+# The closed forms again, to 60 digits in stdlib decimal: the oracle that
+# tandemwalks.exponent's floats are checked against at any triple size.
+# log t = (BC log A + AC log B + AB log C)/E is the log of the common value
+# t = A X^A = B (Y/X)^B = C Y^-C of the three terms of S at its critical
+# point; every weight is at most E, so an absolute error in a log never
+# grows, and mu = t (1/A + 1/B + 1/C) = t E/(ABC).
+def _decimal_atan(z):
+    """arctan(z) for z >= 0: halve the angle to below 1e-3, then sum the Taylor series."""
+    halvings = 0
+    while z > Decimal("1e-3"):
+        z = z / (1 + (1 + z * z).sqrt())
+        halvings += 1
+    total, term, z2, k = Decimal(0), z, z * z, 1
+    while term > z.scaleb(-getcontext().prec):
+        total += term / k if k % 4 == 1 else -term / k
+        term *= z2
+        k += 2
+    return total * 2**halvings
+
+
+def decimal_closed_forms(m, digits=60):
+    """(X, Y, mu, alpha) of a tandem model as Decimals correct to about `digits` digits."""
+    A, B, C = m.A, m.B, m.C
+    E = A * B + A * C + B * C
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        la, lb, lc = Decimal(A).ln(), Decimal(B).ln(), Decimal(C).ln()
+        log_t = (B * C * la + A * C * lb + A * B * lc) / E
+        x = ((log_t - la) / A).exp()
+        y = ((lc - log_t) / C).exp()
+        mu = (log_t + Decimal(E).ln() - la - lb - lc).exp()
+        alpha = -1 - 4 * _decimal_atan(Decimal(1)) / _decimal_atan(Decimal(E).sqrt() / B)
+    return x, y, mu, alpha
 
 
 # The 15-model exponent table: ballot triple, tandem triple, exact gamma^2,

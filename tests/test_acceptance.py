@@ -16,15 +16,11 @@ from tandemwalks import (
     TandemModel,
     ballot_to_tandem,
     bijection,
-    classify_rationality,
-    closed_form_critical_point,
     count_ballot_3d,
     count_excursions,
     count_walks_total,
     estimate_alpha,
     exponent_report,
-    gamma_exact_sq,
-    growth_constant,
     guess_recurrence,
     search_triples,
     tandem_step_set,
@@ -103,8 +99,9 @@ def test_criterion_03_rational_classes():
                 ok = ok and triple in found
                 ok = ok and tuple(reversed(triple)) in found
         for m in hits:
-            ok = ok and gamma_exact_sq(m) == r
-            ok = ok and classify_rationality(r)[0] == "rational"
+            rep = exponent_report(m)
+            ok = ok and rep.gamma_sq == r
+            ok = ok and rep.rationality == "rational"
     wide = {(m.A, m.B, m.C) for m in search_triples(Fraction(3, 4), 60)}
     ok = ok and (4, 60, 15) in wide and (15, 60, 4) in wide
     elapsed = time.perf_counter() - t0
@@ -161,13 +158,14 @@ def test_criterion_06_critical_points():
     for triple in coprime_triples(10):
         m = TandemModel(*triple)
         s = tandem_step_set(m)
-        X, Y = closed_form_critical_point(m)
+        rep = exponent_report(m)
+        X, Y = rep.x, rep.y
         xs, ys = solve_critical_point(s)
         ok = ok and isclose(X, xs, rel_tol=1e-10) and isclose(Y, ys, rel_tol=1e-10)
         sx = sum(i * X ** (i - 1) * Y**j for i, j in s.steps)
         sy = sum(j * X**i * Y ** (j - 1) for i, j in s.steps)
         ok = ok and abs(sx) <= 1e-10 and abs(sy) <= 1e-10
-        ok = ok and isclose(step_polynomial(s, X, Y), growth_constant(m), rel_tol=1e-12)
+        ok = ok and isclose(step_polynomial(s, X, Y), rep.mu, rel_tol=1e-12)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 10.0
     _verdict(6, ok, f"numeric critical points match closed forms up to bound 10 in {elapsed:.1f}s")

@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from tandemwalks import (
+    BudgetExceededError,
     TandemModel,
     ValidationError,
-    classify_rationality,
-    gamma_exact_sq,
+    classify,
+    exponent_report,
     search_triples,
 )
 
@@ -44,10 +45,10 @@ def test_search_members_verify():
         members = search_triples(r, 60)
         assert members
         for m in members:
-            assert gamma_exact_sq(m) == r
-            rationality, alpha = classify_rationality(gamma_exact_sq(m))
-            assert rationality == "rational"
-            assert alpha == ALPHA_BY_R[r]
+            rep = exponent_report(m)
+            assert rep.gamma_sq == r
+            assert rep.rationality == "rational"
+            assert rep.alpha_exact == ALPHA_BY_R[r]
 
 
 def test_search_swap_closed_and_sorted():
@@ -78,6 +79,21 @@ def test_search_validation():
         search_triples(Fraction(1, 4), 0)
 
 
+def test_search_meter_admits_bound_14142(monkeypatch):
+    # 14142^2 pairs fit the default budget: the search gets to its loop
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(classify, "range", started, raising=False)
+    with pytest.raises(Started):
+        search_triples(Fraction(1, 2), 14142)
+    with pytest.raises(BudgetExceededError, match="needs 200024449 pairs"):
+        search_triples(Fraction(1, 2), 14143)
+
+
 def test_family_examples():
     assert family("quarter", 3) == TandemModel(3, 6, 10)
     assert family("half", 3) == TandemModel(3, 6, 2)
@@ -91,7 +107,7 @@ def test_family_members_pass_search_equality():
         r = FAMILIES[kind]
         for A in values:
             m = family(kind, A)
-            assert gamma_exact_sq(m) == r
+            assert exponent_report(m).gamma_sq == r
             # membership in the quadratic search, when within its bound
             bound = max(m.A, m.B, m.C)
             assert (m.A, m.B, m.C) in {(t.A, t.B, t.C) for t in search_triples(r, bound)}

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from tandemwalks import (
+    RATIONAL_ALPHA,
     CountSequence,
     TandemModel,
     ValidationError,
@@ -23,7 +24,7 @@ from tandemwalks import (
 from tandemwalks import cli as cli_module
 from tandemwalks.cli import TABLE1_BALLOT_TRIPLES, run
 
-from conftest import TABLE2_QUINTUPLES
+from conftest import TABLE2_QUINTUPLES, coprime_triples
 
 
 def cli(capsys, *argv):
@@ -397,6 +398,52 @@ def test_large_triples_exit_zero(capsys):
     code, out, _ = cli(capsys, "table2", "--bound", "160")
     assert code == 0
     assert "1/2,9,153,136,-5" in out.splitlines()
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_huge_triples_get_answers(capsys):
+    # a float gamma rounds to -1 at B = 10^20; entries above 10^308 overflow a float
+    code, out, err = cli(capsys, "exponent", "--model", "1,100000000000000000000,1")
+    assert (code, err) == (0, "")
+    assert "rationality: irrational" in out
+    big = str(10**400)
+    for model in (f"1,{big},1", f"ballot:{big},1,1"):
+        code, out, err = cli(capsys, "exponent", "--model", model, "--json")
+        assert (code, err) == (0, "")
+        doc = _strict_json(out)
+        assert doc["alpha"] <= -3.0 and 1.0 <= doc["mu"] <= 3.0
+    # the exponents no longer stop a fit before its budget does
+    code, out, err = cli(capsys, "fit", "--model", "1,100000000000000000000,1", "--m-max", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("tandemwalks: aborted: level sweep needs ")
+
+
+def test_search_budget_aborts_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, err = cli(capsys, "classify", "--gamma-sq", "1/2", "--bound", "14143")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == "tandemwalks: aborted: triple search needs 200024449 pairs, budget is 200000000\n"
+    assert cli(capsys, "table2", "--bound", "14143")[0] == 2
+
+
+def test_table2_matches_a_brute_force_search(capsys):
+    code, out, _ = cli(capsys, "table2", "--bound", "60")
+    assert code == 0
+    lines = ["gamma_sq,A,B,C,alpha"]
+    for r, alpha in RATIONAL_ALPHA.items():
+        lines += [
+            f"{r.numerator}/{r.denominator},{A},{B},{C},{float(alpha):.17g}"
+            for A, B, C in coprime_triples(60)
+            if B * B * r.denominator == (A + B) * (B + C) * r.numerator
+        ]
+    assert out == "\n".join(lines) + "\n"
 
 
 # valid arguments of every subcommand; a new subcommand must be added here

@@ -126,3 +126,19 @@ def test_one_value_guard_flags_a_constant_in_disguise(tmp_path):
         "def solve(mat, q):\n    return _rank(mat, PRIME) + _rank(q, PRIME, scale=1)\n"
     )
     assert one_value_parameters(tmp_path) == [("_rank", "p"), ("_rank", "scale")]
+
+
+def test_all_lists_every_imported_public_name_and_nothing_else():
+    # a stale entry breaks `from tandemwalks import *`; a missing one hides a name
+    import tandemwalks
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for stmt in tree.body if isinstance(stmt, ast.ImportFrom)
+        for alias in stmt.names
+    }
+    names = tandemwalks.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(tandemwalks, n)] == []
+    assert sorted(n for n in imported if not n.startswith("_") and n not in names) == []
