@@ -2,9 +2,10 @@
 
 Every subcommand is a thin adapter over the library and writes CSV or JSON
 to stdout (or a file); identical inputs produce byte-identical output.
-Exit codes: 0 success, 1 validation or usage error, 2 resource-budget abort,
-3 internal error (an unexpected exception, reported in one line on stderr),
-4 failed check (``bijection-check`` found a count or walk-level mismatch).
+Exit codes: 0 success, 1 validation or usage error (also a model whose alpha
+is below the float range), 2 resource-budget abort, 3 internal error (an
+unexpected exception, reported in one line on stderr), 4 failed check
+(``bijection-check`` found a count or walk-level mismatch).
 """
 
 from __future__ import annotations
@@ -339,10 +340,10 @@ def _svg_chart(result, reference: float) -> str:
 def _cmd_fit(args) -> list[str] | dict:
     m = args.model
     p = m.period
-    rep = exponent_report(m)
     s = tandem_step_set(m)
     n_max = p * (args.m_max + 1)
     seq = count_excursions(s, n_max, args.mode, args.cell_budget)
+    rep = exponent_report(m)
     result = estimate_alpha(seq, p, max_levels=args.richardson)
     if args.plot is not None:
         _write(args.plot, _svg_chart(result, rep.alpha))

@@ -10,12 +10,14 @@ target is still reachable in the remaining steps.  A pinned endpoint
 only the two boundary slabs from which a step leaves the quadrant, so their
 window is the reachable part of an L-shaped band along both axes; log-float
 totals keep every reachable cell.  A level's grid is the bounding box of its
-window, and a few column blocks of it cover the window.  Each transition is
-a shifted slice-add on a numpy array held in one of two buffers reused
-across levels.  With object dtype the arithmetic is exact big-integer
-arithmetic; with float64 the grid is rescaled to unit maximum after every
-level while a running log-offset keeps track of the true magnitude (never
-raw floats, which would overflow beyond a few hundred steps).
+window, and a few column blocks of it cover the window.  Each transition
+works on a numpy array held in one of two buffers reused across levels: in
+each block the first step that reaches it copies its shifted source slice
+in, and the later steps add theirs.  With object dtype the arithmetic is
+exact big-integer arithmetic; with float64 the grid is rescaled to unit
+maximum after every level while a running log-offset keeps track of the
+true magnitude (never raw floats, which would overflow beyond a few hundred
+steps).
 
 The sweep returns one reading per level from a callback on the level's grid
 (the count at the target, the grid sum, or the walks that would leave the
@@ -48,7 +50,7 @@ from .models import BALLOT_STEPS, BallotModel, StepSet, ballot_to_tandem
 DEFAULT_CELL_BUDGET = 200_000_000
 
 # column blocks covering a pinned or free window: more cut fewer cells, but
-# each costs a slice-add per step
+# each costs a slice copy and a slice-add per further step
 _BLOCKS = 2
 
 
@@ -148,6 +150,12 @@ def _sweep(
     window equals the full sweep's, and any other cell holds a value between
     0 and its true count.  The budget always meters the full rectangle.
 
+    The blocks are disjoint column ranges of a box zero-filled just before,
+    so in each block the first step whose rectangle is nonempty assigns its
+    source and only the later steps add theirs.  That is exact: 0 + v == v
+    for Python integers and for nonnegative float64, so every value and
+    every rounding is the same as adding all steps to zeros.
+
     Levels share two reused buffers, so ``read`` sees a view that the next
     level overwrites: a reading that keeps the grid must copy it.
     """
@@ -203,12 +211,17 @@ def _sweep(
             w0, h0 = cur.shape
             nxt = level_view(n)
             for x0, x1, y0, y1 in windows[n][2]:
+                first = True
                 for si, sj in scaled:
                     # destination cells whose source lies in the previous level
                     a, b = max(x0, si), min(x1, w0 + si)
                     c, d = max(y0, sj), min(y1, h0 + sj)
                     if a < b and c < d:
-                        nxt[a:b, c:d] += cur[a - si:b - si, c - sj:d - sj]
+                        if first:  # the block is still all zeros: 0 + v is v
+                            nxt[a:b, c:d] = cur[a - si:b - si, c - sj:d - sj]
+                            first = False
+                        else:
+                            nxt[a:b, c:d] += cur[a - si:b - si, c - sj:d - sj]
             if mode == "logfloat":
                 peak = nxt.max()
                 if peak > 0.0:

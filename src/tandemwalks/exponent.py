@@ -20,21 +20,25 @@ with E = A*B + A*C + B*C,
     alpha = -1 - pi/arctan(sqrt(E)/B),  since 1 - gamma^2 = E/((A+B)(B+C)).
 
 X, Y and mu are E-weighted sums of logs, and alpha comes from the integers
-without a float gamma, so a triple of any size gets a finite answer: every
-integer enters a float only after division by a power of four that brings it
-below 2^1002 (1 for integers below 2^1000).  alpha is rational exactly when
-gamma^2 is 1/4, 1/2 or 3/4 (values -4, -5, -7); for every other rational
-gamma^2 the exponent is irrational, which rules out a differentially finite
-excursion series.  The generic route (a Newton solve for (X, Y) and gamma
-from the Hessian, for any step set) is a test oracle in ``tests/conftest.py``.
+without a float gamma, so every integer enters a float only after division
+by a power of four that brings it below 2^1002 (1 for integers below 2^1000).
+X, Y and mu are finite for a triple of any size; alpha, about
+-pi*sqrt(B/(A+C)) when B is far larger than A and C, leaves the float range
+near B = 10^616.5 for A = C = 1, and there the report raises a
+ValidationError.  alpha is rational exactly when gamma^2 is 1/4, 1/2 or 3/4
+(values -4, -5, -7); for every other rational gamma^2 the exponent is
+irrational, which rules out a differentially finite excursion series.  The
+generic route (a Newton solve for (X, Y) and gamma from the Hessian, for any
+step set) is a test oracle in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import atan2, exp, isqrt, log, pi, sqrt
+from math import atan2, exp, inf, isfinite, isqrt, log, pi, sqrt
 
+from .errors import ValidationError
 from .models import TandemModel
 
 # gamma^2 -> alpha for the three rational-exponent classes, the one list of them
@@ -86,12 +90,14 @@ def _alpha(m: TandemModel) -> float:
     """-1 - pi/arccos(-gamma) as -1 - pi/arctan(sqrt(E)/B), with no float gamma.
 
     B may exceed sqrt(E) by any factor, so both sides of the angle are scaled
-    by the root of the scale of E + B^2 = (A+B)(B+C).
+    by the root of the scale of E + B^2 = (A+B)(B+C).  When alpha is below
+    the float range the result is -inf, also where the angle underflows to 0.
     """
     B = m.B
     E = m.A * B + m.A * m.C + B * m.C
     q = _scale(E + B * B)
-    return -1.0 - pi / atan2(sqrt(E / q), B / isqrt(q))
+    angle = atan2(sqrt(E / q), B / isqrt(q))
+    return -1.0 - pi / angle if angle else -inf
 
 
 def exponent_report(m: TandemModel) -> ExponentReport:
@@ -113,6 +119,10 @@ def exponent_report(m: TandemModel) -> ExponentReport:
         rationality, alpha, closed = "rational", float(alpha_exact), str(alpha_exact)
     else:
         rationality, alpha = "irrational", _alpha(m)
+        if not isfinite(alpha):
+            raise ValidationError(
+                "alpha is below the float range (about -pi*sqrt(B/(A+C)) for A, C much smaller than B)"
+            )
         closed = f"-1 - pi/arccos(sqrt({gsq.numerator}/{gsq.denominator}))"
     if (A, B, C) == (1, 1, 1):
         dfiniteness = "known_dfinite"

@@ -418,10 +418,29 @@ def test_huge_triples_get_answers(capsys):
         assert (code, err) == (0, "")
         doc = _strict_json(out)
         assert doc["alpha"] <= -3.0 and 1.0 <= doc["mu"] <= 3.0
-    # the exponents no longer stop a fit before its budget does
-    code, out, err = cli(capsys, "fit", "--model", "1,100000000000000000000,1", "--m-max", "5")
-    assert (code, out) == (2, "")
-    assert err.startswith("tandemwalks: aborted: level sweep needs ")
+    # the exponents no longer stop a fit before its budget does, not even
+    # where alpha is below the float range
+    for model in ("1,100000000000000000000,1", f"1,{10**620},1"):
+        code, out, err = cli(capsys, "fit", "--model", model, "--m-max", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith("tandemwalks: aborted: level sweep needs ")
+
+
+@pytest.mark.parametrize("form", [(), ("--json",)])
+def test_alpha_beyond_the_float_range_is_a_validation_error(capsys, form):
+    # alpha is about -pi*sqrt(B/2) for A = C = 1: finite at B = 10^615, past
+    # the float range at 10^620, and at 10^700 the scaled angle underflows to 0
+    code, out, err = cli(capsys, "exponent", "--model", f"1,{10**615},1", *form)
+    assert (code, err) == (0, "")
+    if form:
+        assert _strict_json(out)["alpha"] == -7.024814731308987e307
+    else:
+        assert "\nalpha = -7.0248147313089874e+307  [" in out
+    for exp10 in (620, 700):
+        code, out, err = cli(capsys, "exponent", "--model", f"1,{10**exp10},1", *form)
+        assert (code, out) == (1, "")
+        assert err.startswith("tandemwalks: error: alpha is below the float range")
+        assert err.count("\n") == 1
 
 
 def test_search_budget_aborts_at_once(capsys):

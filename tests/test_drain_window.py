@@ -124,12 +124,11 @@ def drain_sets(steps, target, n_max):
     return sets
 
 
-@settings(max_examples=100, deadline=None)
-@given(step_sets, st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(0, 12))
-def test_every_level_holds_reference_on_its_window(steps, q, n_max):
-    # in pinned, slab and free sweeps alike, every cell that holds walks after
-    # n steps and still matters to the sweep holds its true count, and every
-    # other cell of the grid holds a value between 0 and its true count
+def assert_levels_hold_reference(steps, q, n_max):
+    """In pinned (to ``q``), slab and free sweeps alike, every cell that holds
+    walks after n steps and still matters to the sweep holds its true count,
+    and every other cell of the grid holds a value between 0 and its true
+    count."""
     s = StepSet(tuple(steps))
     gx = gcd(*(i for i, _ in s.steps)) or 1
     gy = gcd(*(j for _, j in s.steps)) or 1
@@ -151,6 +150,36 @@ def test_every_level_holds_reference_on_its_window(steps, q, n_max):
                     assert i < w and j < h and grid[i, j] == v, (target, n, x, y)
             for (i, j), v in np.ndenumerate(grid):
                 assert 0 <= v <= levels[n].get((i * gx, j * gy), 0), (target, n, i, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_sets, st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(0, 12))
+def test_every_level_holds_reference_on_its_window(steps, q, n_max):
+    assert_levels_hold_reference(steps, q, n_max)
+
+
+# Each block of a level takes its first step whose rectangle is nonempty by
+# assignment and the later steps by addition; blocks are numbered from the
+# left, and a block is (columns, rows) of the lattice-compressed grid.
+
+
+def test_block_copy_falls_to_a_later_step():
+    # tandem (2,1,1): the step (2,0) has no source in the columns left of 2,
+    # so the block takes the step (-1,1) by assignment.  Pinned to (0,0):
+    # level 2, block 0 = (0..0, 0..1); level 4, block 1 = (1..1, 0..0), where
+    # (-1,1) has none either and the copy falls to (0,-1).  Slabs: level 5,
+    # block 0 = (0..1, 0..3).  Free: level 2, block 0 = (0..1, 0..1).
+    assert_levels_hold_reference([(2, 0), (-1, 1), (0, -1)], (0, 0), 6)
+
+
+def test_block_copy_covers_part_of_its_block():
+    # the step (1,1) has no source in column 0 or row 0.  At level 1 it
+    # fills only cell (1,1), strictly inside block 0 = (0..2, 0..6) of the
+    # sweeps pinned to (0,0) and free, and (0..6, 0..6) of the slab sweep,
+    # so the cells around it keep the fill's zeros.  At levels 2..5 its copy
+    # misses row 0 of every block and column 0 of block 0, and those cells
+    # take the step (-1,-1) by addition.
+    assert_levels_hold_reference([(1, 1), (-1, -1), (6, 6)], (0, 0), 8)
 
 
 @settings(max_examples=40, deadline=None)
