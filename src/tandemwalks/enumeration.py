@@ -14,15 +14,15 @@ window, and a few column blocks of it cover the window.  Each transition
 works on a numpy array held in one of two buffers reused across levels: in
 each block the first step that reaches it copies its shifted source slice
 in, and the later steps add theirs.  With object dtype the arithmetic is
-exact big-integer arithmetic; with float64 the grid is rescaled to unit
-maximum after every level while a running log-offset keeps track of the
-true magnitude (never raw floats, which would overflow beyond a few hundred
-steps).
+exact big-integer arithmetic; float64 levels are scaled by powers of two,
+which round nothing, and an integer shift keeps the true magnitude, so a
+log-float term depends on the steps and n alone (raw floats would overflow
+beyond a few hundred steps).
 
 The sweep returns one reading per level from a callback on the level's grid
 (the count at the target, the grid sum, or the walks that would leave the
 quadrant); in log-float mode it turns each reading into a log itself, so no
-caller sees the rescaling.
+caller sees the scaling.
 
 Coordinates are compressed by the lattice the steps actually span: every
 reachable x is a multiple of gcd of the horizontal displacements and likewise
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, log
+from math import frexp, gcd, log
 from typing import Any, Callable
 
 import numpy as np
@@ -49,8 +49,8 @@ from .models import BALLOT_STEPS, BallotModel, StepSet, ballot_to_tandem
 
 DEFAULT_CELL_BUDGET = 200_000_000
 
-# column blocks covering a pinned or free window: more cut fewer cells, but
-# each costs a slice copy and a slice-add per further step
+# column blocks covering a pinned or free window, for speed alone: more cut
+# fewer cells, but each costs a slice copy and a slice-add per further step
 _BLOCKS = 2
 
 
@@ -125,8 +125,8 @@ def _sweep(
     """Readings ``read(grid)`` of quadrant occupancy levels 0..n_max for walks
     started at the origin, where ``grid[i, j]`` counts walks ending at
     (i * gx, j * gy), (gx, gy) = ``_step_lattice(s)``.  An exact reading is
-    returned as it is; a log-float one (a number) as log(reading) plus the
-    running rescale offset, or -inf for zero.
+    returned as it is; a log-float one (a number) as log(mant) + (e + shift)
+    * ln 2, (mant, e) = frexp(reading), or -inf for zero.
 
     Level n updates only a window of cells cut out by linear bounds.  Each
     functional phi = (a, b) >= 0 among the axes and the normals of the step
@@ -155,6 +155,12 @@ def _sweep(
     source and only the later steps add theirs.  That is exact: 0 + v == v
     for Python integers and for nonnegative float64, so every value and
     every rounding is the same as adding all steps to zeros.
+
+    Log-float levels are multiplied by 2^-k, k = frexp(max)[1], and k joins
+    the integer shift.  The product is exact, so a window cell holds its
+    unpruned float64 sum (steps added in ``s.steps`` order) times 2^-shift,
+    whatever peak the slack cells set, unless it lies more than 2^1022 below
+    its level's maximum: then it is subnormal and rounds.
 
     Levels share two reused buffers, so ``read`` sees a view that the next
     level overwrites: a reading that keeps the grid must copy it.
@@ -204,7 +210,7 @@ def _sweep(
 
     cur = level_view(0)
     cur[0, 0] = 1
-    offset = 0.0
+    shift = 0
     readings = []
     for n in range(n_max + 1):
         if n > 0:
@@ -223,15 +229,14 @@ def _sweep(
                         else:
                             nxt[a:b, c:d] += cur[a - si:b - si, c - sj:d - sj]
             if mode == "logfloat":
-                peak = nxt.max()
-                if peak > 0.0:
-                    nxt /= peak
-                    offset += log(peak)
+                k = frexp(nxt.max())[1]  # 0 for an all-zero level
+                np.ldexp(nxt, -k, out=nxt)
+                shift += k
             cur = nxt
         v = read(cur)
         if mode == "logfloat":
-            v = float(v)
-            v = log(v) + offset if v > 0.0 else float("-inf")
+            mant, e = frexp(float(v))
+            v = log(mant) + (e + shift) * log(2.0) if mant else float("-inf")
         readings.append(v)
     return readings
 

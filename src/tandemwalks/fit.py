@@ -23,9 +23,7 @@ logs.
 
 Results print to 17 digits, but extrapolation amplifies the rounding of the
 input logs: logs moved by 1.2e-15 relative moved alpha_final of
-``fit --model 1,1,1 --m-max 60`` by 2.0e-6.  A log-float term also depends
-on n_max: for (1,1,1), alpha_hat at m = 4 is -2.5884399226792425 with
-``--m-max 5`` and -2.588439922679215 with ``--m-max 6``.
+``fit --model 1,1,1 --m-max 60`` by 2.0e-6.
 
 For periods p > 1 only the Theta bound is guaranteed; the fit assumes the
 subsequence itself behaves smoothly and consumes no terms off the

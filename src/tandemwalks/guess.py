@@ -10,15 +10,15 @@ The series is cleared to integers once, by the lcm of its denominators; the
 system is homogeneous, so this changes no kernel and no residual.  It is then
 reduced once modulo one large prime p, next to a table of n^i mod p, and
 every cell's filter matrix is a product of slices of these two residue
-tables.  Full column rank mod p implies full rank over the rationals, so a
-full-rank cell can never hold a kernel and is skipped.  The filter is one
-elimination mod p that stops at the first column without a pivot.  The first
-window - R rows of any cell (r, d) with r <= R, d <= D are a subset of the
-columns of the largest cell (R, D), so one full-rank largest cell certifies
-the whole grid empty with a single elimination.  Otherwise the cells are
-searched in turn, and the ones the filter passes go through fraction-free
-Bareiss elimination with integer back-substitution on big-integer rows.  No
-floating point anywhere.
+tables.  A verified recurrence annihilates all len - r rows of its cell, and
+full column rank mod p on them implies full rank over the rationals, so such
+a cell can never hold one and is skipped; the filter is one elimination mod p
+that stops at the first column without a pivot.  The first len - R rows of
+any cell (r, d) with r <= R, d <= D are a subset of the columns of the
+largest cell (R, D), so one full-rank largest cell certifies the whole grid
+empty with a single elimination.  Otherwise the cells are searched in turn;
+the ones the filter passes go through fraction-free Bareiss elimination with
+integer back-substitution on the window's rows.  No floating point anywhere.
 
 Cells are searched by increasing r + d with ties to smaller r, so the
 structurally simplest verified recurrence wins.
@@ -105,20 +105,18 @@ def guess_recurrence(terms, max_order: int, max_degree: int) -> Recurrence | Non
         raise ValidationError(
             f"need at least {needed} terms for the {max_order}x{max_degree} grid, got {len(seq)}"
         )
-    window = len(seq) - HELD_OUT
     residues = np.array([t % _FILTER_PRIME for t in seq], dtype=np.int64)
-    powers = _powers_mod_p(window, max_degree)
-    if _grid_certified(residues, powers, window, max_order, max_degree):
+    powers = _powers_mod_p(len(seq), max_degree)
+    if _grid_certified(residues, powers, len(seq), max_order, max_degree):
         return None
     for r, d in searched_grid(max_order, max_degree):
-        if _full_rank_mod_p(_residue_rows(residues, powers, window - r, r, d)):
+        if _full_rank_mod_p(_residue_rows(residues, powers, len(seq) - r, r, d)):
             continue
-        vec = _kernel_vector(_integer_rows(seq, window, r, d))
-        if vec is None:
-            continue
-        rec = _normalize(vec, r, d)
-        if verify_recurrence(rec, seq):
-            return rec
+        vec = _kernel_vector(_integer_rows(seq, len(seq) - HELD_OUT, r, d))
+        if vec is not None:
+            rec = _normalize(vec, r, d)
+            if verify_recurrence(rec, seq):
+                return rec
     return None
 
 
@@ -148,13 +146,12 @@ def _residue_rows(
 
 
 def _grid_certified(
-    residues: np.ndarray, powers: np.ndarray, window: int, max_order: int, max_degree: int
+    residues: np.ndarray, powers: np.ndarray, n_terms: int, max_order: int, max_degree: int
 ) -> bool:
-    """True when no cell of the grid can hold a kernel: the largest cell has
-    full column rank mod p on its window - max_order rows.  Those rows of any
-    smaller cell are a subset of its columns, hence of full rank too."""
-    n_rows = window - max_order
-    return _full_rank_mod_p(_residue_rows(residues, powers, n_rows, max_order, max_degree))
+    """True when the largest cell has full column rank mod p on its rows
+    n < n_terms - max_order; then so has every cell on its n_terms - r rows,
+    and with n_terms = len(seq) no cell can hold a verified recurrence."""
+    return _full_rank_mod_p(_residue_rows(residues, powers, n_terms - max_order, max_order, max_degree))
 
 
 def _full_rank_mod_p(mat: np.ndarray) -> bool:

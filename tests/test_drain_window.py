@@ -5,14 +5,17 @@ a pinned endpoint, those that can still reach the target; exact totals keep
 only the cells that can still reach a boundary slab.  All of it is checked
 here against a plain dictionary dynamic program over the whole quadrant, on
 random step sets (tandem and generic, with and without negative components)
-and random targets (on and off the step lattice).
+and random targets (on and off the step lattice).  Log-float levels are
+scaled by powers of two, which round nothing, so a log-float term is
+checked bit for bit: against an unpruned float64 dynamic program, and
+across the sweep lengths and block counts that move the window.
 """
 
-from math import gcd, log
+from math import frexp, gcd, log
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tandemwalks import (
@@ -24,6 +27,7 @@ from tandemwalks import (
     count_walks_total,
     tandem_step_set,
 )
+from tandemwalks import enumeration
 from tandemwalks.enumeration import _sweep
 
 
@@ -228,3 +232,85 @@ def test_total_budget_meters_full_rectangle(mode):
     count_walks_total(s, n_max, mode, cell_budget=dense)
     with pytest.raises(BudgetExceededError):
         count_walks_total(s, n_max, mode, cell_budget=dense - 1)
+
+
+def float_levels(steps, n_max):
+    """Unpruned float64 occupancy dicts of levels 0..n_max, each cell the
+    sum of its predecessors added in step order, as the sweep adds them."""
+    cur = {(0, 0): 1.0}
+    levels = [cur]
+    for _ in range(n_max):
+        cells = {(x + i, y + j) for x, y in cur for i, j in steps if x + i >= 0 and y + j >= 0}
+        nxt = {}
+        for x, y in cells:
+            v = 0.0
+            for i, j in steps:
+                v += cur.get((x - i, y - j), 0.0)
+            nxt[x, y] = v
+        cur = nxt
+        levels.append(cur)
+    return levels
+
+
+def frexp_log(v):
+    """log(v) read as the sweep reads a level: log(mant) + e * ln 2."""
+    mant, e = frexp(v)
+    return log(mant) + e * log(2.0) if mant else float("-inf")
+
+
+def logfloat_terms(s, n_max, target):
+    """Log-float endpoint counts to ``target`` and totals, levels 0..n_max."""
+    return (
+        count_endpoint(s, n_max, target, "logfloat").values,
+        count_walks_total(s, n_max, "logfloat").values,
+    )
+
+
+UNIT_STEPS = tandem_step_set(TandemModel(1, 1, 1)).steps
+
+# The (1,1,1) examples fail when each level is divided by its peak instead
+# of scaled by a power of two: 11 of the 61 terms differ from the float sums,
+# 7 of 301 excursion terms move when the sweep runs on to 600 steps, and 14
+# of 601 when it runs in 1 block instead of 2.
+
+
+@settings(max_examples=80, deadline=None)
+@given(step_sets, st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(0, 40))
+@example(UNIT_STEPS, (0, 0), 60)
+def test_logfloat_terms_equal_unpruned_float_sums(steps, target, n_max):
+    # at most 5 steps and 60 levels: every count stays far below 2^1000,
+    # so no scaled cell is subnormal and every term is exact to the bit
+    s = StepSet(tuple(steps))
+    levels = float_levels(s.steps, n_max)
+    expected = [frexp_log(level.get(target, 0.0)) for level in levels]
+    assert list(count_endpoint(s, n_max, target, "logfloat").values) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    step_sets,
+    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    st.integers(0, 40),
+    st.integers(1, 40),
+)
+@example(UNIT_STEPS, (0, 0), 300, 300)
+def test_logfloat_terms_do_not_depend_on_n_max(steps, target, n, extra):
+    # a longer sweep keeps a wider drain window at every level
+    s = StepSet(tuple(steps))
+    short, longer = logfloat_terms(s, n, target), logfloat_terms(s, n + extra, target)
+    for a, b in zip(short, longer):
+        assert a == b[: n + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(step_sets, st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(0, 40))
+@example(UNIT_STEPS, (0, 0), 600)
+def test_logfloat_terms_do_not_depend_on_block_count(steps, target, n_max):
+    # the block layout sets the slack cells, and so each level's maximum
+    s = StepSet(tuple(steps))
+    terms = []
+    for k in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enumeration, "_BLOCKS", k)
+            terms.append(logfloat_terms(s, n_max, target))
+    assert terms[0] == terms[1] == terms[2]

@@ -129,6 +129,21 @@ def test_random_rational_sequences_yield_nothing():
         assert guess_recurrence(terms, 3, 3) is None
 
 
+def test_exhausted_grid_at_minimum_length_skips_elimination(monkeypatch):
+    # 131 = 11 * 11 + 10 terms, the fewest a 10x10 grid accepts: the largest
+    # cell has 121 columns but only 111 window rows.  All 121 of its rows
+    # have full rank mod p, so no cell can hold a verified recurrence and
+    # none reaches Bareiss elimination.
+    rng = random.Random(131)
+    terms = [rng.randrange(10**29, 10**30) for _ in range(131)]
+
+    def no_elimination(rows):
+        raise AssertionError("a cell of full rank on all its rows reached elimination")
+
+    monkeypatch.setattr(guess, "_kernel_vector", no_elimination)
+    assert guess_recurrence(terms, 10, 10) is None
+
+
 def test_shifted_sequence_shifts_the_recurrence():
     terms = excursion_subsequence(TandemModel(1, 1, 1), 40)
     # substituting n -> n + 1 resp. n -> n + 5 in the diagonal recurrence
@@ -271,10 +286,17 @@ CATALAN = catalan_numbers(30)
 CATALAN_EDGE = CATALAN[:20] + [CATALAN[20] + 1] + CATALAN[21:]
 
 
+# random rationals at the fewest terms a 3x3 grid accepts, 4 * 4 + 10: the
+# largest cell has 16 columns, 13 window rows and 23 rows in all
+_rng = random.Random(26)
+RANDOM_3X3 = [Fraction(_rng.randrange(-30, 31), _rng.randrange(1, 98)) for _ in range(26)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(grid_series())
 @example((CATALAN, 2, 2))
 @example((CATALAN_EDGE, 1, 1))
+@example((RANDOM_3X3, 3, 3))
 def test_guess_matches_per_cell_reference(case):
     terms, R, D = case
     assert guess_recurrence(terms, R, D) == reference_guess(terms, R, D)
