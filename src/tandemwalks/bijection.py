@@ -43,7 +43,7 @@ def generate_ballot_walks(
     Raises when the cone prefixes of all lengths, the empty one included,
     exceed the node budget.
     """
-    if not isinstance(rounds, int) or rounds < 0:
+    if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 0:
         raise ValidationError(f"rounds must be a nonnegative integer, got {rounds!r}")
     T = ballot_to_tandem(m)
     A, B, C = T.A, T.B, T.C

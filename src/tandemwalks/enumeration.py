@@ -1,33 +1,30 @@
 """Exact and floating-point enumeration of quarter-plane and cone walks.
 
-The workhorse is a dense level-by-level dynamic program over the quadrant.
-Each level updates only a window cut out by linear bounds: functionals
-a*i + b*j with a, b >= 0 (the axes and the normals of the step differences)
-that rise and fall by a bounded amount per step.  Forward, they bound the
-cells reachable in n steps; backward, the cells from which the sweep's
-target is still reachable in the remaining steps.  A pinned endpoint
-(excursions, endpoint counts) keeps both; exact free-endpoint totals read
-only the two boundary slabs from which a step leaves the quadrant, so their
-window is the reachable part of an L-shaped band along both axes; log-float
-totals keep every reachable cell.  A level's grid is the bounding box of its
-window, and a few column blocks of it cover the window.  Each transition
-works on a numpy array held in one of two buffers reused across levels: in
-each block the first step that reaches it copies its shifted source slice
-in, and the later steps add theirs.  With object dtype the arithmetic is
-exact big-integer arithmetic; float64 levels are scaled by powers of two,
-which round nothing, and an integer shift keeps the true magnitude, so a
-log-float term depends on the steps and n alone (raw floats would overflow
-beyond a few hundred steps).
+Counting takes the tandem steps R = (A,0), D = (-B,B), U = (0,-C) of a
+coprime triple, in that order.  Every reachable x is a multiple of
+gx = gcd(A, B) and every y of gy = gcd(B, C), so the grid indexes those
+multiples.  The workhorse is a dense level-by-level dynamic program over the
+quadrant.  Each level updates only a window cut out by linear bounds along
+the two axes and the normals of R - D and D - U, which rise and fall by a
+bounded amount per step.  Forward, they bound the cells reachable in n
+steps; backward, the cells from which the sweep's target is still reachable
+in the remaining steps.  A pinned endpoint (excursions, endpoint counts)
+keeps both; exact free-endpoint totals read only the two boundary slabs
+from which D or U leaves the quadrant, so their window is the reachable part
+of an L-shaped band along both axes; log-float totals keep every reachable
+cell.  A level's grid is the bounding box of its window, and a few column
+blocks of it cover the window.  Each transition works on a numpy array held
+in one of two buffers reused across levels: in each block the first step
+that reaches it copies its shifted source slice in, and the later steps add
+theirs.  With object dtype the arithmetic is exact big-integer arithmetic;
+float64 levels are scaled by powers of two, which round nothing, and an
+integer shift keeps the true magnitude, so a log-float term depends on the
+model and n alone (raw floats would overflow beyond a few hundred steps).
 
 The sweep returns one reading per level from a callback on the level's grid
 (the count at the target, the grid sum, or the walks that would leave the
 quadrant); in log-float mode it turns each reading into a log itself, so no
 caller sees the scaling.
-
-Coordinates are compressed by the lattice the steps actually span: every
-reachable x is a multiple of gcd of the horizontal displacements and likewise
-for y, so the grid indexes multiples rather than raw coordinates.  For tandem
-steps (A,0), (-B,B), (0,-C) this cuts the cell count by gcd(A,B)*gcd(B,C).
 
 Work is metered as the cells of the full reachable rectangles, whatever the
 window, checked upfront against a budget, so a mistyped n_max fails fast
@@ -38,14 +35,14 @@ against the budget before its first step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import frexp, gcd, log
 from typing import Any, Callable
 
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .models import BALLOT_STEPS, BallotModel, StepSet, ballot_to_tandem
+from .models import BALLOT_STEPS, BallotModel, StepSet, TandemModel, ballot_to_tandem
+from .models import tandem_step_set
 
 DEFAULT_CELL_BUDGET = 200_000_000
 
@@ -84,17 +81,23 @@ def _validate_mode(mode: str) -> None:
         raise ValidationError(f"mode must be 'exact' or 'logfloat', got {mode!r}")
 
 
-def _step_lattice(s: StepSet) -> tuple[int, int]:
-    """Spacings (gx, gy) of the lattice the steps span."""
-    return gcd(*(i for i, _ in s.steps)) or 1, gcd(*(j for _, j in s.steps)) or 1
+def _tandem(s: StepSet) -> TandemModel:
+    """The model whose steps ``s`` are, in the order R = (A,0), D = (-B,B), U = (0,-C)."""
+    try:
+        (A, _), (_, B), (_, C) = s.steps
+        m = TandemModel(A, B, -C)
+    except ValueError:  # not three steps, or no coprime positive triple
+        m = None
+    if m is None or s != tandem_step_set(m):
+        raise ValidationError(f"counting takes tandem steps (A,0), (-B,B), (0,-C), got {s.steps!r}")
+    return m
 
 
-def _check_budget(scaled: list[tuple[int, int]], n_max: int, cell_budget: int) -> None:
-    """Meter the dense rectangles of levels 0..n_max of the lattice-compressed
-    steps against the budget: 1 + sum over k = 1..n of (k*dxm + 1)(k*dym + 1),
-    in closed form."""
-    dxm = max((i for i, _ in scaled if i > 0), default=0)
-    dym = max((j for _, j in scaled if j > 0), default=0)
+def _check_budget(m: TandemModel, n_max: int, cell_budget: int) -> None:
+    """Meter the dense rectangles of levels 0..n_max against the budget: a
+    step moves at most dxm = A/gx columns right and dym = B/gy rows up, so
+    1 + sum over k = 1..n of (k*dxm + 1)(k*dym + 1), in closed form."""
+    dxm, dym = m.A // gcd(m.A, m.B), m.B // gcd(m.B, m.C)
     n = n_max
     swept = dxm * dym * n * (n + 1) * (2 * n + 1) // 6 + (dxm + dym) * n * (n + 1) // 2 + n + 1
     if swept > cell_budget:
@@ -103,19 +106,8 @@ def _check_budget(scaled: list[tuple[int, int]], n_max: int, cell_budget: int) -
         )
 
 
-def _functionals(scaled: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The axes and the primitive nonnegative normals of the step differences."""
-    phis = {(1, 0), (0, 1)}
-    for (i1, j1), (i2, j2) in combinations(scaled, 2):
-        a, b = j1 - j2, i2 - i1
-        if a * b >= 0:  # one of the two normals lies in the closed first quadrant
-            g = gcd(a, b)
-            phis.add((abs(a) // g, abs(b) // g))
-    return sorted(phis)
-
-
 def _sweep(
-    s: StepSet,
+    m: TandemModel,
     n_max: int,
     mode: str,
     cell_budget: int,
@@ -123,24 +115,28 @@ def _sweep(
     read: Callable[[np.ndarray], Any],
 ) -> list:
     """Readings ``read(grid)`` of quadrant occupancy levels 0..n_max for walks
-    started at the origin, where ``grid[i, j]`` counts walks ending at
-    (i * gx, j * gy), (gx, gy) = ``_step_lattice(s)``.  An exact reading is
-    returned as it is; a log-float one (a number) as log(mant) + (e + shift)
-    * ln 2, (mant, e) = frexp(reading), or -inf for zero.
+    of the model ``m`` started at the origin, where ``grid[i, j]`` counts
+    walks ending at (i * gx, j * gy), gx = gcd(A, B), gy = gcd(B, C).  An
+    exact reading is returned as it is; a log-float one (a number) as
+    log(mant) + (e + shift) * ln 2, (mant, e) = frexp(reading), or -inf for
+    zero.
 
-    Level n updates only a window of cells cut out by linear bounds.  Each
-    functional phi = (a, b) >= 0 among the axes and the normals of the step
-    differences (lattice-compressed) rises by at most up = max(0, max phi.s)
-    and falls by at most dn = max(0, max -phi.s) per step, so:
+    In grid units the steps are R = (A/gx, 0), D = (-B/gx, B/gy) and
+    U = (0, -C/gy).  Level n updates only a window of cells cut out by
+    linear bounds.  Each functional phi = (a, b) among the two axes,
+    (B/gy, (A+B)/gx) normal to R - D and ((B+C)/gy, B/gx) normal to D - U
+    (R - U has no normal in the closed first quadrant) rises by at most
+    up = max phi.s and falls by at most dn = max -phi.s per step s, so:
 
     - reach: a cell c holds walks after n steps only if phi.c <= n*up;
     - drain: ``target`` is what the sweep must still reach after level
-      n_max.  For an endpoint q (lattice-compressed indices), c can reach q
-      in the remaining r = n_max - n steps only if phi.c <= phi.q + r*dn.
-      For ``"slabs"``, the boundary slabs i < nxm or j < nym from which a step
-      can leave the quadrant (nxm, nym the largest negative step
-      components), the drain window is the L-shaped union of the strips
-      i < (r+1)*nxm and j < (r+1)*nym.  None has no drain bound.
+      n_max.  For an endpoint q (grid indices), c can reach q in the
+      remaining r = n_max - n steps only if phi.c <= phi.q + r*dn.  For
+      ``"slabs"``, the boundary slabs i < nxm = B/gx (D leaves) and
+      j < nym = C/gy (U leaves), the drain window is the L-shaped union of
+      the strips i < (r+1)*nxm and j < (r+1)*nym.  None has no drain bound.
+
+    A multiple of a functional scales its limits alike, so none is reduced.
 
     The level's grid is the bounding box of the window, and the update
     covers the window with a few column blocks of the box, each as tall as
@@ -158,22 +154,22 @@ def _sweep(
 
     Log-float levels are multiplied by 2^-k, k = frexp(max)[1], and k joins
     the integer shift.  The product is exact, so a window cell holds its
-    unpruned float64 sum (steps added in ``s.steps`` order) times 2^-shift,
+    unpruned float64 sum (R, D, U added in that order) times 2^-shift,
     whatever peak the slack cells set, unless it lies more than 2^1022 below
     its level's maximum: then it is subnormal and rounds.
 
     Levels share two reused buffers, so ``read`` sees a view that the next
     level overwrites: a reading that keeps the grid must copy it.
     """
-    gx, gy = _step_lattice(s)
-    scaled = [(i // gx, j // gy) for i, j in s.steps]
-    _check_budget(scaled, n_max, cell_budget)
-    nxm = max((-i for i, _ in scaled if i < 0), default=0)
-    nym = max((-j for _, j in scaled if j < 0), default=0)
+    _check_budget(m, n_max, cell_budget)
+    A, B, C = m.A, m.B, m.C
+    gx, gy = gcd(A, B), gcd(B, C)
+    steps = ((A // gx, 0), (-B // gx, B // gy), (0, -C // gy))
+    nxm, nym = B // gx, C // gy
     rates = []  # (a, b, up, dn) per functional
-    for a, b in _functionals(scaled):
-        dots = [a * i + b * j for i, j in scaled]
-        rates.append((a, b, max(0, max(dots)), max(0, -min(dots))))
+    for a, b in ((1, 0), (0, 1), (B // gy, (A + B) // gx), ((B + C) // gy, B // gx)):
+        dots = [a * i + b * j for i, j in steps]
+        rates.append((a, b, max(dots), -min(dots)))
 
     def window(n: int) -> tuple[int, int, tuple[tuple[int, int, int, int], ...]]:
         """Box (w, h) of level n and its destination rectangles (x0, x1, y0, y1)."""
@@ -218,7 +214,7 @@ def _sweep(
             nxt = level_view(n)
             for x0, x1, y0, y1 in windows[n][2]:
                 first = True
-                for si, sj in scaled:
+                for si, sj in steps:
                     # destination cells whose source lies in the previous level
                     a, b = max(x0, si), min(x1, w0 + si)
                     c, d = max(y0, sj), min(y1, h0 + sj)
@@ -266,12 +262,12 @@ def count_endpoint(
         isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in point
     ):
         raise ValidationError(f"target must be a quadrant point, got {target!r}")
-    gx, gy = _step_lattice(s)
-    qi, ri = divmod(point[0], gx)
-    qj, rj = divmod(point[1], gy)
+    m = _tandem(s)
+    qi, ri = divmod(point[0], gcd(m.A, m.B))
+    qj, rj = divmod(point[1], gcd(m.B, m.C))
     if ri or rj:
         # off the step lattice: no walk gets there, but the same inputs still abort
-        _check_budget([(i // gx, j // gy) for i, j in s.steps], n_max, cell_budget)
+        _check_budget(m, n_max, cell_budget)
         zero = 0 if mode == "exact" else float("-inf")
         return CountSequence(mode, (zero,) * (n_max + 1))
 
@@ -279,7 +275,7 @@ def count_endpoint(
         w, h = grid.shape
         return grid[qi, qj] if qi < w and qj < h else 0
 
-    return CountSequence(mode, _sweep(s, n_max, mode, cell_budget, (qi, qj), at_target))
+    return CountSequence(mode, _sweep(m, n_max, mode, cell_budget, (qi, qj), at_target))
 
 
 def count_walks_total(
@@ -291,34 +287,28 @@ def count_walks_total(
     """Numbers q_0..q_{n_max} of quarter-plane walks with free endpoint.
 
     Exact mode avoids a full-grid big-integer sum per level by the recurrence
-    q_{n+1} = |S| * q_n - (walks that would step outside the quadrant), the
-    loss being a sum over two boundary slabs per step.  Only the slabs are
-    read, so the sweep updates only the cells that can still reach one: an
-    L-shaped window that narrows toward the last level.  Log-float mode sums
-    the whole reachable rectangle at every level.
+    q_{n+1} = 3 * q_n - (walks that would step outside the quadrant): D
+    leaves it from the columns x < B and U from the rows y < C, so the loss
+    is the sum over those two boundary slabs.  Only the slabs are read, so
+    the sweep updates only the cells that can still reach one: an L-shaped
+    window that narrows toward the last level.  Log-float mode sums the
+    whole reachable rectangle at every level.
     """
     _validate_n_max(n_max)
     _validate_mode(mode)
+    m = _tandem(s)
     if mode == "logfloat":
-        return CountSequence(mode, _sweep(s, n_max, mode, cell_budget, None, np.sum))
+        return CountSequence(mode, _sweep(m, n_max, mode, cell_budget, None, np.sum))
     if n_max == 0:
         return CountSequence(mode, (1,))
-    gx, gy = _step_lattice(s)
-    slabs = [(-(i // gx), -(j // gy)) for i, j in s.steps]
+    nxm, nym = m.B // gcd(m.A, m.B), m.C // gcd(m.B, m.C)
 
     def slab_loss(grid: np.ndarray) -> int:
-        loss = 0
-        for bx, by in slabs:
-            # x + i < 0  <=>  scaled index < -i/gx; then y-violations among the rest
-            if bx > 0:
-                loss += int(grid[:bx].sum())
-            if by > 0:
-                loss += int(grid[max(bx, 0):, :by].sum())
-        return loss
+        return int(grid[:nxm].sum()) + int(grid[:, :nym].sum())
 
     q = [1]
-    for loss in _sweep(s, n_max - 1, mode, cell_budget, "slabs", slab_loss):
-        q.append(len(s.steps) * q[-1] - loss)
+    for loss in _sweep(m, n_max - 1, mode, cell_budget, "slabs", slab_loss):
+        q.append(3 * q[-1] - loss)
     return CountSequence(mode, tuple(q))
 
 

@@ -77,7 +77,7 @@ def _subsequence_logs(e: CountSequence, p: int) -> tuple[int, list[float]]:
 
 def _richardson(ms: range, values: list[float], max_levels: int) -> list[list[float]]:
     """Levels 0..k of the extrapolation table; level k is aligned to ms[k:]."""
-    if not isinstance(max_levels, int) or max_levels < 0:
+    if not isinstance(max_levels, int) or isinstance(max_levels, bool) or max_levels < 0:
         raise ValidationError(f"max_levels must be a nonnegative integer, got {max_levels!r}")
     levels = [values]
     for k in range(1, min(max_levels, len(values) - 1) + 1):

@@ -1,24 +1,26 @@
 """Guessing and verifying P-recursive recurrences over exact rationals.
 
 A candidate of order r and degree d is a nontrivial kernel vector of the
-homogeneous system sum_k sum_i c_{k,i} n^i t_{n+k} = 0 over a solving
-window; the last 10 input terms are held out of the window and every
-candidate must annihilate the complete input before being returned, so a
-returned recurrence is never an artifact of an underdetermined system.
+homogeneous system sum_k sum_i c_{k,i} n^i t_{n+k} = 0, one row per
+n < len - r: every row the input gives the cell.  A grid up to order R and
+degree D needs (R+1)(D+1) + R + 10 terms, so every cell has at least 10
+more equations than unknowns, and every candidate must annihilate the
+complete input before being returned; a returned recurrence is never an
+artifact of an underdetermined system.
 
 The series is cleared to integers once, by the lcm of its denominators; the
 system is homogeneous, so this changes no kernel and no residual.  It is then
 reduced once modulo one large prime p, next to a table of n^i mod p, and
 every cell's filter matrix is a product of slices of these two residue
-tables.  A verified recurrence annihilates all len - r rows of its cell, and
-full column rank mod p on them implies full rank over the rationals, so such
-a cell can never hold one and is skipped; the filter is one elimination mod p
-that stops at the first column without a pivot.  The first len - R rows of
-any cell (r, d) with r <= R, d <= D are a subset of the columns of the
-largest cell (R, D), so one full-rank largest cell certifies the whole grid
-empty with a single elimination.  Otherwise the cells are searched in turn;
-the ones the filter passes go through fraction-free Bareiss elimination with
-integer back-substitution on the window's rows.  No floating point anywhere.
+tables.  Full column rank mod p on a cell's rows implies full rank over the
+rationals, so such a cell has no kernel and is skipped; the filter is one
+elimination mod p that stops at the first column without a pivot.  The
+first len - R rows of any cell (r, d) with r <= R, d <= D are a subset of
+the columns of the largest cell (R, D), so one full-rank largest cell
+certifies the whole grid empty with a single elimination.  Otherwise the
+cells are searched in turn; the ones the filter passes go through
+fraction-free Bareiss elimination with integer back-substitution on the
+same rows.  No floating point anywhere.
 
 Cells are searched by increasing r + d with ties to smaller r, so the
 structurally simplest verified recurrence wins.
@@ -100,7 +102,7 @@ def guess_recurrence(terms, max_order: int, max_degree: int) -> Recurrence | Non
     if max_order < 1:
         raise ValidationError("max_order must be at least 1")
     seq = _cleared(terms)
-    needed = (max_order + 1) * (max_degree + 1) + HELD_OUT
+    needed = (max_order + 1) * (max_degree + 1) + max_order + HELD_OUT
     if len(seq) < needed:
         raise ValidationError(
             f"need at least {needed} terms for the {max_order}x{max_degree} grid, got {len(seq)}"
@@ -112,7 +114,7 @@ def guess_recurrence(terms, max_order: int, max_degree: int) -> Recurrence | Non
     for r, d in searched_grid(max_order, max_degree):
         if _full_rank_mod_p(_residue_rows(residues, powers, len(seq) - r, r, d)):
             continue
-        vec = _kernel_vector(_integer_rows(seq, len(seq) - HELD_OUT, r, d))
+        vec = _kernel_vector(_integer_rows(seq, r, d))
         if vec is not None:
             rec = _normalize(vec, r, d)
             if verify_recurrence(rec, seq):
@@ -120,11 +122,11 @@ def guess_recurrence(terms, max_order: int, max_degree: int) -> Recurrence | Non
     return None
 
 
-def _integer_rows(seq: list[int], window: int, r: int, d: int) -> list[list[int]]:
-    """One row per n: entries n^i * t_{n+k}."""
+def _integer_rows(seq: list[int], r: int, d: int) -> list[list[int]]:
+    """One row per n < len(seq) - r: entries n^i * t_{n+k}."""
     return [
         [n**i * seq[n + k] for k in range(r + 1) for i in range(d + 1)]
-        for n in range(window - r)
+        for n in range(len(seq) - r)
     ]
 
 

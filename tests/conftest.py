@@ -139,9 +139,8 @@ def reference_guess(terms, max_order, max_degree):
     """guess_recurrence as a per-cell search: every cell's rows are built as
     big integers and filtered on their own, with no grid certificate."""
     seq = guess._cleared(terms)
-    window = len(seq) - guess.HELD_OUT
     for r, d in searched_grid(max_order, max_degree):
-        rows = guess._integer_rows(seq, window, r, d)
+        rows = guess._integer_rows(seq, r, d)
         if not maybe_singular(rows):
             continue
         vec = guess._kernel_vector(rows)

@@ -254,8 +254,10 @@ def test_node_budget_matches_the_depth_first_search(abc, rounds):
 
 
 def test_array_rounds_validated():
-    with pytest.raises(ValidationError, match="rounds must be a nonnegative integer"):
-        bijection.generate_ballot_walks(BallotModel(1, 1, 1), -1)
+    # a bool is an int to isinstance, but not a round count
+    for rounds in [-1, True, False]:
+        with pytest.raises(ValidationError, match="rounds must be a nonnegative integer"):
+            bijection.generate_ballot_walks(BallotModel(1, 1, 1), rounds)
     assert bijection.generate_ballot_walks(BallotModel(1, 1, 1), 0).shape == (1, 0)
 
 

@@ -244,12 +244,23 @@ def test_guess_negative(capsys, tmp_path):
 
 def test_guess_rational_series(capsys, tmp_path):
     series = tmp_path / "halves.csv"
-    series.write_text("1/2\n" * 12)
+    series.write_text("1/2\n" * 13)
     code, out, _ = cli(capsys, "guess", "--series", str(series),
                        "--max-order", "1", "--max-degree", "0")
     assert code == 0
     doc = json.loads(out)
     assert doc["coefficients"] == [["-1"], ["1"]]
+
+
+def test_guess_too_few_terms_exits_1(capsys, tmp_path):
+    # the Motzkin numbers M_0..M_15 on a 2x1 grid: 18 terms are needed
+    series = tmp_path / "motzkin.csv"
+    series.write_text("\n".join(map(str, [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798,
+                                          15511, 41835, 113634, 310572])))
+    code, out, err = cli(capsys, "guess", "--series", str(series),
+                         "--max-order", "2", "--max-degree", "1")
+    assert (code, out) == (1, "")
+    assert err == "tandemwalks: error: need at least 18 terms for the 2x1 grid, got 16\n"
 
 
 def test_guess_bad_series_line(capsys, tmp_path):

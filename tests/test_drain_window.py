@@ -4,11 +4,12 @@ Every level updates only the cells within the reach of the origin and, for
 a pinned endpoint, those that can still reach the target; exact totals keep
 only the cells that can still reach a boundary slab.  All of it is checked
 here against a plain dictionary dynamic program over the whole quadrant, on
-random step sets (tandem and generic, with and without negative components)
-and random targets (on and off the step lattice).  Log-float levels are
-scaled by powers of two, which round nothing, so a log-float term is
-checked bit for bit: against an unpruned float64 dynamic program, and
-across the sweep lengths and block counts that move the window.
+random coprime tandem triples (with examples whose step lattice is coarser
+than Z^2, and one with large steps) and random targets (on and off the step
+lattice).  Log-float levels are scaled by powers of two, which round
+nothing, so a log-float term is checked bit for bit: against an unpruned
+float64 dynamic program, and across the sweep lengths and block counts that
+move the window.
 """
 
 from math import frexp, gcd, log
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 
 from tandemwalks import (
     BudgetExceededError,
-    StepSet,
     TandemModel,
     count_endpoint,
     count_excursions,
@@ -47,34 +47,34 @@ def reference_levels(steps, n_max):
     return levels
 
 
-_component = st.integers(-3, 3)
+models = st.tuples(
+    st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)
+).filter(lambda t: gcd(*t) == 1).map(lambda t: TandemModel(*t))
 
-tandem_steps = st.tuples(
-    st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)
-).filter(lambda t: gcd(*t) == 1).map(lambda t: tandem_step_set(TandemModel(*t)).steps)
+# gx = gcd(A, B) > 1 or gy = gcd(B, C) > 1, so the grid indexes multiples;
+# (2,6,3) has both and steps as large as 6
+LATTICE_EXAMPLES = [(2, 2, 1), (3, 2, 2), (4, 2, 1), (3, 3, 2), (2, 6, 3)]
 
-generic_steps = st.lists(st.tuples(_component, _component), min_size=1, max_size=5, unique=True)
 
-# no step moves left (or down): the drain window then spans no extra rows (columns)
-no_negative_x = st.lists(
-    st.tuples(st.integers(0, 3), _component), min_size=1, max_size=5, unique=True
-)
-no_negative_y = st.lists(
-    st.tuples(_component, st.integers(0, 3)), min_size=1, max_size=5, unique=True
-)
+def lattice_examples(*rest):
+    """Hypothesis examples: each triple of LATTICE_EXAMPLES, then ``rest``."""
+    def apply(test):
+        for triple in LATTICE_EXAMPLES:
+            test = example(TandemModel(*triple), *rest)(test)
+        return test
+    return apply
 
-# no step leaves the quadrant: the slab window is empty and q_n = |S|^n
-no_negative = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5, unique=True
-)
 
-step_sets = st.one_of(tandem_steps, generic_steps, no_negative_x, no_negative_y, no_negative)
+def spacings(m):
+    """(gx, gy): every reachable x is a multiple of gx and every y of gy."""
+    return gcd(m.A, m.B), gcd(m.B, m.C)
 
 
 @settings(max_examples=150, deadline=None)
-@given(step_sets, st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(0, 12))
-def test_pinned_counts_match_unpruned_reference(steps, target, n_max):
-    s = StepSet(tuple(steps))
+@given(models, st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(0, 12))
+@lattice_examples((6, 6), 12)
+def test_pinned_counts_match_unpruned_reference(m, target, n_max):
+    s = tandem_step_set(m)
     expected = [level.get(target, 0) for level in reference_levels(s.steps, n_max)]
     assert list(count_endpoint(s, n_max, target).values) == expected
 
@@ -87,27 +87,26 @@ def test_pinned_counts_match_unpruned_reference(steps, target, n_max):
 
 
 @settings(max_examples=80, deadline=None)
-@given(step_sets, st.integers(0, 16))
-def test_excursions_and_totals_match_unpruned_reference(steps, n_max):
-    s = StepSet(tuple(steps))
+@given(models, st.integers(0, 16))
+@lattice_examples(16)
+def test_excursions_and_totals_match_unpruned_reference(m, n_max):
+    s = tandem_step_set(m)
     levels = reference_levels(s.steps, n_max)
     assert list(count_excursions(s, n_max).values) == [lv.get((0, 0), 0) for lv in levels]
     assert list(count_walks_total(s, n_max).values) == [sum(lv.values()) for lv in levels]
 
 
 @settings(max_examples=80, deadline=None)
-@given(step_sets, st.integers(0, 12))
-def test_slab_window_holds_reference_values(steps, n_max):
+@given(models, st.integers(0, 12))
+@lattice_examples(12)
+def test_slab_window_holds_reference_values(m, n_max):
     # level n of a slab sweep to n_max holds the true count on the L-shaped
     # window i < (r+1)*nxm or j < (r+1)*nym (r = n_max - n, compressed
-    # units) and zero everywhere else
-    s = StepSet(tuple(steps))
-    gx = gcd(*(i for i, _ in s.steps)) or 1
-    gy = gcd(*(j for _, j in s.steps)) or 1
-    nxm = max((-i // gx for i, _ in s.steps if i < 0), default=0)
-    nym = max((-j // gy for _, j in s.steps if j < 0), default=0)
-    levels = reference_levels(s.steps, n_max)
-    for n, grid in enumerate(_sweep(s, n_max, "exact", 10**7, "slabs", np.copy)):
+    # units, nxm = B/gx, nym = C/gy) and zero everywhere else
+    gx, gy = spacings(m)
+    nxm, nym = m.B // gx, m.C // gy
+    levels = reference_levels(tandem_step_set(m).steps, n_max)
+    for n, grid in enumerate(_sweep(m, n_max, "exact", 10**7, "slabs", np.copy)):
         r = n_max - n
         for (i, j), v in np.ndenumerate(grid):
             in_window = i < (r + 1) * nxm or j < (r + 1) * nym
@@ -128,25 +127,23 @@ def drain_sets(steps, target, n_max):
     return sets
 
 
-def assert_levels_hold_reference(steps, q, n_max):
+def assert_levels_hold_reference(m, q, n_max):
     """In pinned (to ``q``), slab and free sweeps alike, every cell that holds
     walks after n steps and still matters to the sweep holds its true count,
     and every other cell of the grid holds a value between 0 and its true
     count."""
-    s = StepSet(tuple(steps))
-    gx = gcd(*(i for i, _ in s.steps)) or 1
-    gy = gcd(*(j for _, j in s.steps)) or 1
-    nxm = max((-i // gx for i, _ in s.steps if i < 0), default=0)
-    nym = max((-j // gy for _, j in s.steps if j < 0), default=0)
-    levels = reference_levels(s.steps, n_max)
-    drain = drain_sets(s.steps, (q[0] * gx, q[1] * gy), n_max)
+    steps = tandem_step_set(m).steps
+    gx, gy = spacings(m)
+    nxm, nym = m.B // gx, m.C // gy
+    levels = reference_levels(steps, n_max)
+    drain = drain_sets(steps, (q[0] * gx, q[1] * gy), n_max)
     needed = {
         q: lambda r, x, y: (x, y) in drain[r],
         "slabs": lambda r, x, y: x < (r + 1) * nxm * gx or y < (r + 1) * nym * gy,
         None: lambda r, x, y: True,
     }
     for target, matters in needed.items():
-        for n, grid in enumerate(_sweep(s, n_max, "exact", 10**7, target, np.copy)):
+        for n, grid in enumerate(_sweep(m, n_max, "exact", 10**7, target, np.copy)):
             w, h = np.shape(grid)
             for (x, y), v in levels[n].items():
                 if matters(n_max - n, x, y):
@@ -157,9 +154,10 @@ def assert_levels_hold_reference(steps, q, n_max):
 
 
 @settings(max_examples=100, deadline=None)
-@given(step_sets, st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(0, 12))
-def test_every_level_holds_reference_on_its_window(steps, q, n_max):
-    assert_levels_hold_reference(steps, q, n_max)
+@given(models, st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(0, 12))
+@lattice_examples((1, 1), 12)
+def test_every_level_holds_reference_on_its_window(m, q, n_max):
+    assert_levels_hold_reference(m, q, n_max)
 
 
 # Each block of a level takes its first step whose rectangle is nonempty by
@@ -173,39 +171,30 @@ def test_block_copy_falls_to_a_later_step():
     # level 2, block 0 = (0..0, 0..1); level 4, block 1 = (1..1, 0..0), where
     # (-1,1) has none either and the copy falls to (0,-1).  Slabs: level 5,
     # block 0 = (0..1, 0..3).  Free: level 2, block 0 = (0..1, 0..1).
-    assert_levels_hold_reference([(2, 0), (-1, 1), (0, -1)], (0, 0), 6)
+    assert_levels_hold_reference(TandemModel(2, 1, 1), (0, 0), 6)
 
 
 def test_block_copy_covers_part_of_its_block():
-    # the step (1,1) has no source in column 0 or row 0.  At level 1 it
-    # fills only cell (1,1), strictly inside block 0 = (0..2, 0..6) of the
-    # sweeps pinned to (0,0) and free, and (0..6, 0..6) of the slab sweep,
-    # so the cells around it keep the fill's zeros.  At levels 2..5 its copy
-    # misses row 0 of every block and column 0 of block 0, and those cells
-    # take the step (-1,-1) by addition.
-    assert_levels_hold_reference([(1, 1), (-1, -1), (6, 6)], (0, 0), 8)
-
-
-@settings(max_examples=40, deadline=None)
-@given(no_negative, st.integers(0, 16))
-def test_totals_without_negative_steps_are_powers(steps, n_max):
-    s = StepSet(tuple(steps))
-    assert list(count_walks_total(s, n_max).values) == [len(steps) ** n for n in range(n_max + 1)]
-    # the window is empty: nothing past the initial level is ever written
-    for n, grid in enumerate(_sweep(s, n_max, "exact", 10**7, "slabs", np.copy)):
-        assert n == 0 or not grid.any()
+    # tandem (3,1,1): the step (3,0) has no source in columns 0..2, nor above
+    # the previous level's top row.  Free sweep, level 4: block 0 =
+    # (0..5, 0..3) and (3,0) copies only (3..5, 0..2); slab sweep, level 3:
+    # block 0 = (0..5, 0..2) and the copy is (3..5, 0..1).  Pinned to (0,0),
+    # level 4: block 1 = (1..2, 0..2) and (-1,1) copies only (1..1, 1..2).
+    # The cells around each copy keep the fill's zeros and take the later
+    # steps by addition.
+    assert_levels_hold_reference(TandemModel(3, 1, 1), (0, 0), 8)
 
 
 def test_window_shapes_unit_model():
     # (1,1,1) has the steps (1,0), (-1,1), (0,-1): after n steps every walk
     # has i + 2j <= n, and it can return to the origin in r = 20 - n more
     # steps only if 2i + j <= r.  A grid is the bounding box of its window.
-    s = tandem_step_set(TandemModel(1, 1, 1))
-    shapes = _sweep(s, 20, "exact", 10**6, (0, 0), np.shape)
+    m = TandemModel(1, 1, 1)
+    shapes = _sweep(m, 20, "exact", 10**6, (0, 0), np.shape)
     assert shapes == [(min(n, (20 - n) // 2) + 1, min(n // 2, 20 - n) + 1) for n in range(21)]
-    full = _sweep(s, 20, "exact", 10**6, None, np.shape)
+    full = _sweep(m, 20, "exact", 10**6, None, np.shape)
     assert full == [(n + 1, n // 2 + 1) for n in range(21)]
-    slabs = _sweep(s, 20, "exact", 10**6, "slabs", np.shape)
+    slabs = _sweep(m, 20, "exact", 10**6, "slabs", np.shape)
     assert slabs == full
 
 
@@ -266,7 +255,7 @@ def logfloat_terms(s, n_max, target):
     )
 
 
-UNIT_STEPS = tandem_step_set(TandemModel(1, 1, 1)).steps
+UNIT = TandemModel(1, 1, 1)
 
 # The (1,1,1) examples fail when each level is divided by its peak instead
 # of scaled by a power of two: 11 of the 61 terms differ from the float sums,
@@ -275,12 +264,13 @@ UNIT_STEPS = tandem_step_set(TandemModel(1, 1, 1)).steps
 
 
 @settings(max_examples=80, deadline=None)
-@given(step_sets, st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(0, 40))
-@example(UNIT_STEPS, (0, 0), 60)
-def test_logfloat_terms_equal_unpruned_float_sums(steps, target, n_max):
-    # at most 5 steps and 60 levels: every count stays far below 2^1000,
+@given(models, st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(0, 40))
+@example(UNIT, (0, 0), 60)
+@lattice_examples((6, 6), 40)
+def test_logfloat_terms_equal_unpruned_float_sums(m, target, n_max):
+    # 3 steps and at most 60 levels: every count stays below 3^60 < 2^96,
     # so no scaled cell is subnormal and every term is exact to the bit
-    s = StepSet(tuple(steps))
+    s = tandem_step_set(m)
     levels = float_levels(s.steps, n_max)
     expected = [frexp_log(level.get(target, 0.0)) for level in levels]
     assert list(count_endpoint(s, n_max, target, "logfloat").values) == expected
@@ -288,26 +278,28 @@ def test_logfloat_terms_equal_unpruned_float_sums(steps, target, n_max):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    step_sets,
+    models,
     st.tuples(st.integers(0, 9), st.integers(0, 9)),
     st.integers(0, 40),
     st.integers(1, 40),
 )
-@example(UNIT_STEPS, (0, 0), 300, 300)
-def test_logfloat_terms_do_not_depend_on_n_max(steps, target, n, extra):
+@example(UNIT, (0, 0), 300, 300)
+@lattice_examples((6, 6), 40, 40)
+def test_logfloat_terms_do_not_depend_on_n_max(m, target, n, extra):
     # a longer sweep keeps a wider drain window at every level
-    s = StepSet(tuple(steps))
+    s = tandem_step_set(m)
     short, longer = logfloat_terms(s, n, target), logfloat_terms(s, n + extra, target)
     for a, b in zip(short, longer):
         assert a == b[: n + 1]
 
 
 @settings(max_examples=60, deadline=None)
-@given(step_sets, st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(0, 40))
-@example(UNIT_STEPS, (0, 0), 600)
-def test_logfloat_terms_do_not_depend_on_block_count(steps, target, n_max):
+@given(models, st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(0, 40))
+@example(UNIT, (0, 0), 600)
+@lattice_examples((6, 6), 40)
+def test_logfloat_terms_do_not_depend_on_block_count(m, target, n_max):
     # the block layout sets the slack cells, and so each level's maximum
-    s = StepSet(tuple(steps))
+    s = tandem_step_set(m)
     terms = []
     for k in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:

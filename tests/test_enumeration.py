@@ -19,7 +19,7 @@ from tandemwalks import (
     count_walks_total,
     tandem_step_set,
 )
-from tandemwalks.enumeration import _step_lattice, _sweep
+from tandemwalks.enumeration import _sweep
 
 from conftest import (
     coprime_triples,
@@ -161,6 +161,37 @@ def test_bad_mode_and_target_fail_before_the_sweep(monkeypatch):
     for target in [(1,), None, (1, 0, 0), "10", (1.0, 0)]:
         with pytest.raises(ValidationError, match="target must be a quadrant point"):
             count_endpoint(s, 3, target)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        ((1, 1), (-1, -1)),  # not tandem at all
+        ((1, 0), (0, -1), (-1, 1)),  # the (1,1,1) steps out of order
+        ((2, 0), (-2, 2), (0, -2)),  # (2,2,2) is not coprime
+        ((1, 0), (-1, 2), (0, -1)),  # D = (-1,2) is not of the form (-B,B)
+        ((1, 0), (-1, 1), (0, -1), (1, 1)),  # an extra step
+        ((-1, 0), (1, -1), (0, 1)),  # negative (A, B, C)
+    ],
+    ids=["generic", "reordered", "not_coprime", "not_tandem", "extra_step", "negative"],
+)
+def test_non_tandem_steps_fail_before_the_sweep(monkeypatch, steps):
+    from tandemwalks import enumeration
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept a step set that is not tandem")
+
+    monkeypatch.setattr(enumeration, "_sweep", no_sweep)
+    s = StepSet(steps)
+    for mode in ["exact", "logfloat"]:
+        for count in [
+            lambda: count_excursions(s, 6, mode),
+            lambda: count_endpoint(s, 6, (1, 0), mode),  # off the lattice of (2,2,2)
+            lambda: count_walks_total(s, 6, mode),
+            lambda: count_walks_total(s, 0, mode),  # q_0 = 1 needs no sweep
+        ]:
+            with pytest.raises(ValidationError, match="tandem steps"):
+                count()
 
 
 def test_endpoint_rejects_bad_target():
@@ -311,9 +342,8 @@ def test_empirical_period_undefined():
 
 
 def test_level_states_well_formed():
-    s = steps_of(3, 2, 2)
-    gx, gy = _step_lattice(s)
-    for level, grid in enumerate(_sweep(s, 9, "exact", 10**6, None, np.copy)):
+    gx, gy = 1, 2  # gcd(3, 2), gcd(2, 2)
+    for level, grid in enumerate(_sweep(TandemModel(3, 2, 2), 9, "exact", 10**6, None, np.copy)):
         occ = occupancy(grid, gx, gy)
         assert sum(occ.values()) >= 1 or level > 0
         for (x, y), v in occ.items():

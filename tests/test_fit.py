@@ -135,7 +135,7 @@ def test_period_validation():
         estimate_mu(seq, -3, 0.0)
 
 
-@pytest.mark.parametrize("levels", [-1, 2.5])
+@pytest.mark.parametrize("levels", [-1, 2.5, True])
 def test_max_levels_validation(levels):
     seq = count_excursions(tandem_step_set(TandemModel(1, 1, 1)), 30)
     with pytest.raises(ValidationError, match="max_levels"):

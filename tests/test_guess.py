@@ -62,12 +62,12 @@ def test_verify_needs_more_terms_than_order():
 
 
 def test_constant_sequence():
-    rec = guess_recurrence([7] * 12, 1, 0)
+    rec = guess_recurrence([7] * 13, 1, 0)
     assert rec == Recurrence(1, 0, ((-1,), (1,)))
 
 
 def test_geometric_sequence_normalized_primitive():
-    rec = guess_recurrence([3**n for n in range(12)], 1, 0)
+    rec = guess_recurrence([3**n for n in range(13)], 1, 0)
     assert rec == Recurrence(1, 0, ((-3,), (1,)))
 
 
@@ -76,7 +76,7 @@ def test_factorials_found_at_minimal_cell():
     # (1,1) in the grid and must be filtered out, not returned.
     import math
 
-    rec = guess_recurrence([math.factorial(n) for n in range(20)], 2, 2)
+    rec = guess_recurrence([math.factorial(n) for n in range(21)], 2, 2)
     assert rec == Recurrence(1, 1, ((-1, -1), (1, 0)))
 
 
@@ -89,9 +89,37 @@ def test_searched_grid_degree_zero():
 
 
 def test_insufficient_terms_rejected():
-    # 3x3 grid needs (3+1)*(3+1) + 10 = 26 terms
-    with pytest.raises(ValidationError, match="26"):
-        guess_recurrence(list(range(20)), 3, 3)
+    # 3x3 grid needs (3+1)*(3+1) + 3 + 10 = 29 terms
+    with pytest.raises(ValidationError, match="29"):
+        guess_recurrence(list(range(28)), 3, 3)
+
+
+def motzkin_numbers(n_terms):
+    """M_0..M_{n_terms-1}, from (n+4) M_{n+2} = (2n+5) M_{n+1} + 3(n+1) M_n."""
+    m = [1, 1]
+    for n in range(n_terms - 2):
+        m.append(((2 * n + 5) * m[-1] + 3 * (n + 1) * m[-2]) // (n + 4))
+    return m[:n_terms]
+
+
+MOTZKIN_REC = Recurrence(2, 1, ((-3, -3), (-5, -2), (4, 1)))
+
+
+def test_minimum_length_gives_every_cell_more_rows_than_columns():
+    # the 2x1 grid needs 3 * 2 + 2 + 10 = 18 terms.  With 16, the largest
+    # cell would have 14 rows for its 6 columns in all, but a system on the
+    # first 16 - 10 - 2 rows alone has fewer rows than columns, and its
+    # kernel would be arbitrary
+    with pytest.raises(ValidationError, match="need at least 18 terms"):
+        guess_recurrence(motzkin_numbers(16), 2, 1)
+    assert guess_recurrence(motzkin_numbers(18), 2, 1) == MOTZKIN_REC
+    # the 11x1 grid needs 12 * 2 + 11 + 10 = 45 terms: at 34 a solve on all
+    # 34 - 11 rows of the largest cell would still leave a kernel
+    rng = random.Random(34)
+    terms = [rng.randrange(10**29, 10**30) for _ in range(45)]
+    with pytest.raises(ValidationError, match="need at least 45 terms"):
+        guess_recurrence(terms[:34], 11, 1)
+    assert guess_recurrence(terms, 11, 1) is None
 
 
 def test_grid_limit_validation():
@@ -113,9 +141,9 @@ def catalan_numbers(n_terms):
 
 
 def test_held_out_terms_block_spurious_fits():
-    # Catalan numbers for the solving window, garbage in the held out tail:
-    # the window admits (n+2) c_{n+1} = (4n+2) c_n but full verification
-    # must kill every candidate.
+    # Catalan numbers for the first 20 terms, garbage in the last 10: the
+    # first 20 admit (n+2) c_{n+1} = (4n+2) c_n, but every row of every
+    # cell must hold, so no candidate survives.
     catalan = catalan_numbers(30)
     corrupted = catalan[:20] + [c + 1 for c in catalan[20:]]
     assert guess_recurrence(catalan, 2, 2) == Recurrence(1, 1, ((-2, -4), (2, 1)))
@@ -130,12 +158,11 @@ def test_random_rational_sequences_yield_nothing():
 
 
 def test_exhausted_grid_at_minimum_length_skips_elimination(monkeypatch):
-    # 131 = 11 * 11 + 10 terms, the fewest a 10x10 grid accepts: the largest
-    # cell has 121 columns but only 111 window rows.  All 121 of its rows
-    # have full rank mod p, so no cell can hold a verified recurrence and
-    # none reaches Bareiss elimination.
+    # 141 = 11 * 11 + 10 + 10 terms, the fewest a 10x10 grid accepts: the
+    # largest cell has 121 columns and 131 rows.  They have full rank mod p,
+    # so no cell can hold a recurrence and none reaches Bareiss elimination.
     rng = random.Random(131)
-    terms = [rng.randrange(10**29, 10**30) for _ in range(131)]
+    terms = [rng.randrange(10**29, 10**30) for _ in range(141)]
 
     def no_elimination(rows):
         raise AssertionError("a cell of full rank on all its rows reached elimination")
@@ -155,14 +182,14 @@ def test_shifted_sequence_shifts_the_recurrence():
 
 
 def test_prime_denominators_cleared_before_filtering():
-    rec = guess_recurrence([Fraction(1, P1)] * 12, 1, 0)
+    rec = guess_recurrence([Fraction(1, P1)] * 13, 1, 0)
     assert rec == Recurrence(1, 0, ((-1,), (1,)))
 
 
 def test_filter_prime_power_sequence():
     # every row of the (1,0) system vanishes mod the filter prime,
     # so the exact path must still find t_{n+1} = P1 * t_n
-    rec = guess_recurrence([P1**n for n in range(12)], 1, 0)
+    rec = guess_recurrence([P1**n for n in range(13)], 1, 0)
     assert rec == Recurrence(1, 0, ((-P1,), (1,)))
 
 
@@ -243,10 +270,10 @@ def test_verify_is_invariant_under_rational_scaling(series, c, polys):
 def grid_series(draw):
     """(terms, max_order, max_degree) on a random grid up to 4x4, with enough
     terms for it: a random order <= 2, degree <= 1 recurrence (its leading
-    polynomial positive for n >= 0), the same with one term near the end of
-    the solving window changed, or random rationals."""
+    polynomial positive for n >= 0), the same with one term near the last
+    HELD_OUT changed, or random rationals."""
     R, D = draw(st.integers(1, 4)), draw(st.integers(0, 4))
-    n_terms = (R + 1) * (D + 1) + HELD_OUT + draw(st.integers(0, 12))
+    n_terms = (R + 1) * (D + 1) + R + HELD_OUT + draw(st.integers(0, 12))
     kind = draw(st.sampled_from(["recurrence", "corrupted", "random"]))
     if kind == "random":
         return [Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 97)))
@@ -264,8 +291,8 @@ def grid_series(draw):
 
 @st.composite
 def long_series(draw):
-    """(terms, max_order, max_degree) with n^max_degree > 2^63 inside the
-    solving window: c^n * Q(n) for a random polynomial Q of degree near
+    """(terms, max_order, max_degree) with n^max_degree > 2^63 in the rows of
+    every cell: c^n * Q(n) for a random polynomial Q of degree near
     max_degree (which has an order 1 recurrence of degree deg Q), or random
     rationals."""
     R, D = draw(st.integers(1, 2)), draw(st.integers(9, 10))
@@ -281,15 +308,15 @@ def long_series(draw):
 
 
 CATALAN = catalan_numbers(30)
-# t_20 is the first held-out term: the window's (1, 1) system keeps the
-# Catalan kernel, but a system that also read t_20 would lose it
+# t_20 is changed: the first 20 terms keep the Catalan kernel of the (1, 1)
+# cell, but its system on all 29 rows, which reads t_20, loses it
 CATALAN_EDGE = CATALAN[:20] + [CATALAN[20] + 1] + CATALAN[21:]
 
 
-# random rationals at the fewest terms a 3x3 grid accepts, 4 * 4 + 10: the
-# largest cell has 16 columns, 13 window rows and 23 rows in all
+# random rationals at the fewest terms a 3x3 grid accepts, 4 * 4 + 3 + 10:
+# the largest cell has 16 columns and 26 rows
 _rng = random.Random(26)
-RANDOM_3X3 = [Fraction(_rng.randrange(-30, 31), _rng.randrange(1, 98)) for _ in range(26)]
+RANDOM_3X3 = [Fraction(_rng.randrange(-30, 31), _rng.randrange(1, 98)) for _ in range(29)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -316,12 +343,11 @@ def test_guess_matches_reference_past_int64_powers(case):
 def test_full_rank_largest_cell_certifies_every_cell(case):
     terms, R, D = case
     seq = guess._cleared(terms)
-    window = len(seq) - HELD_OUT
     residues = np.array([t % P1 for t in seq], dtype=np.int64)
-    powers = guess._powers_mod_p(window, D)
-    if guess._grid_certified(residues, powers, window, R, D):
+    powers = guess._powers_mod_p(len(seq), D)
+    if guess._grid_certified(residues, powers, len(seq), R, D):
         for r, d in searched_grid(R, D):
-            assert not maybe_singular(guess._integer_rows(seq, window, r, d)), (r, d)
+            assert not maybe_singular(guess._integer_rows(seq, r, d)), (r, d)
 
 
 def rank_over_q(rows):
