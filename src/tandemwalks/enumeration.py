@@ -1,39 +1,50 @@
 """Exact and floating-point enumeration of quarter-plane and cone walks.
 
 Counting takes the tandem steps R = (A,0), D = (-B,B), U = (0,-C) of a
-coprime triple, in that order.  Every reachable x is a multiple of
-gx = gcd(A, B) and every y of gy = gcd(B, C), so the grid indexes those
-multiples.  The workhorse is a dense level-by-level dynamic program over the
-quadrant.  Each level updates only a window cut out by linear bounds along
-the two axes and the normals of R - D and D - U, which rise and fall by a
-bounded amount per step.  Forward, they bound the cells reachable in n
-steps; backward, the cells from which the sweep's target is still reachable
-in the remaining steps.  A pinned endpoint (excursions, endpoint counts)
-keeps both; exact free-endpoint totals read only the two boundary slabs
-from which D or U leaves the quadrant, so their window is the reachable part
-of an L-shaped band along both axes; log-float totals keep every reachable
-cell.  A level's grid is the bounding box of its window, and a few column
-blocks of it cover the window.  Each transition works on a numpy array held
-in one of two buffers reused across levels: in each block the first step
-that reaches it copies its shifted source slice in, and the later steps add
+coprime triple, in that order.  The workhorse is a dense level-by-level
+dynamic program, in one of two coordinate systems chosen by what it reads.
+
+- Pinned sweeps (excursions, endpoint counts) run in ballot coordinates: a
+  walk with n1 R, n2 D and n3 U steps ends at (A*n1 - B*n2, B*n2 - C*n3),
+  so at level n the cell (n1, n2) is one quadrant point, every cell of the
+  quadrant cone is live, and the steps are the shifts (1,0), (0,1), (0,0).
+  The target is one ballot point (N1, N2, N3), and the cells that can still
+  reach it are those with n1 <= N1, n2 <= N2 and n3 <= N3: each level keeps
+  a box of whole columns, computed in closed form, and zeroes the one cell
+  per column just across each cone line after its update.
+- Totals run on the quadrant grid: every reachable x is a multiple of
+  gx = gcd(A, B) and every y of gy = gcd(B, C), so the grid indexes those
+  multiples, and a window cut out by linear bounds along the two axes and
+  the normals of R - D and D - U holds the cells reachable in n steps.
+  Exact totals read only the two boundary slabs from which D or U leaves
+  the quadrant, so their window is the reachable part of an L-shaped band
+  along both axes; log-float totals keep every reachable cell, covered by a
+  few column blocks.  Totals stay on this grid: there the slabs are
+  axis-aligned strips, and `np.sum` adds a log-float level in an order that
+  follows the grid's layout.
+
+Each transition works on a numpy array held in one of two buffers reused
+across levels: in each rectangle of the level's box the first step that
+reaches it copies its shifted source slice in, and the later steps add
 theirs.  With object dtype the arithmetic is exact big-integer arithmetic;
 float64 levels are scaled by powers of two, which round nothing, and an
 integer shift keeps the true magnitude, so a log-float term depends on the
 model and n alone (raw floats would overflow beyond a few hundred steps).
 
-The sweep returns one reading per level from a callback on the level's grid
+The sweep returns one reading per level from a callback on the level's box
 (the count at the target, the grid sum, or the walks that would leave the
 quadrant); in log-float mode it turns each reading into a log itself, so no
 caller sees the scaling.
 
-Work is metered as the cells of the full reachable rectangles, whatever the
-window, checked upfront against a budget, so a mistyped n_max fails fast
-instead of thrashing; the 3D cone sweep likewise counts its cone points
-against the budget before its first step.
+Work is metered as the cells of the full reachable (x, y) rectangles,
+whatever the coordinates and the window, checked upfront against a budget,
+so a mistyped n_max fails fast instead of thrashing; the 3D cone sweep
+likewise counts its cone points against the budget before its first step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import frexp, gcd, log
 from typing import Any, Callable
@@ -42,13 +53,18 @@ import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .models import BALLOT_STEPS, BallotModel, StepSet, TandemModel, ballot_to_tandem
-from .models import tandem_step_set
+from .models import tandem_step_set, tandem_to_ballot
 
 DEFAULT_CELL_BUDGET = 200_000_000
 
-# column blocks covering a pinned or free window, for speed alone: more cut
-# fewer cells, but each costs a slice copy and a slice-add per further step
+# column blocks covering the window of a log-float totals sweep, for speed
+# alone: more cut fewer cells, but each costs a slice copy and a slice-add
+# per further step
 _BLOCKS = 2
+
+# log-float levels between two power-of-two rescalings: 3^32 < 2^51, so no
+# level in between nears the float64 range
+_RESCALE = 32
 
 
 @dataclass(frozen=True)
@@ -71,9 +87,9 @@ class CountSequence:
         return len(self.values) - 1
 
 
-def _validate_n_max(n_max: int) -> None:
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
-        raise ValidationError(f"n_max must be a nonnegative integer, got {n_max!r}")
+def _validate_count(name: str, value: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def _validate_mode(mode: str) -> None:
@@ -111,50 +127,39 @@ def _sweep(
     n_max: int,
     mode: str,
     cell_budget: int,
-    target: tuple[int, int] | str | None,
-    read: Callable[[np.ndarray], Any],
+    target: tuple[int, int, int] | str | None,
+    read: Callable[[int, np.ndarray, tuple[int, int]], Any],
 ) -> list:
-    """Readings ``read(grid)`` of quadrant occupancy levels 0..n_max for walks
-    of the model ``m`` started at the origin, where ``grid[i, j]`` counts
-    walks ending at (i * gx, j * gy), gx = gcd(A, B), gy = gcd(B, C).  An
+    """Readings ``read(n, grid, origin)`` of the occupancy levels n of walks
+    of the model ``m`` started at the origin, where ``grid`` is level n's box
+    and ``grid[i, j]`` counts walks ending at the cell (i, j) + origin.  An
     exact reading is returned as it is; a log-float one (a number) as
     log(mant) + (e + shift) * ln 2, (mant, e) = frexp(reading), or -inf for
     zero.
 
-    In grid units the steps are R = (A/gx, 0), D = (-B/gx, B/gy) and
-    U = (0, -C/gy).  Level n updates only a window of cells cut out by
-    linear bounds.  Each functional phi = (a, b) among the two axes,
-    (B/gy, (A+B)/gx) normal to R - D and ((B+C)/gy, B/gx) normal to D - U
-    (R - U has no normal in the closed first quadrant) rises by at most
-    up = max phi.s and falls by at most dn = max -phi.s per step s, so:
+    The kind of ``target`` picks the coordinates; `_ballot_boxes` and
+    `_quadrant_windows` describe them.  A ballot point (N1, N2, N3) pins the
+    sweep: it runs in ballot coordinates to level N1 + N2 + N3 and keeps only
+    the cells that can still reach that point.  ``"slabs"`` (the boundary
+    slabs of exact totals) and None (every cell, for log-float totals) sweep
+    the quadrant grid to n_max.  The budget always meters the full (x, y)
+    rectangle of n_max levels.
 
-    - reach: a cell c holds walks after n steps only if phi.c <= n*up;
-    - drain: ``target`` is what the sweep must still reach after level
-      n_max.  For an endpoint q (grid indices), c can reach q in the
-      remaining r = n_max - n steps only if phi.c <= phi.q + r*dn.  For
-      ``"slabs"``, the boundary slabs i < nxm = B/gx (D leaves) and
-      j < nym = C/gy (U leaves), the drain window is the L-shaped union of
-      the strips i < (r+1)*nxm and j < (r+1)*nym.  None has no drain bound.
+    A plan gives each level as (ox, oy, w, h, rects): the origin and shape
+    of its box and disjoint rectangles (x0, x1, y0, y1) of it, in the plan's
+    coordinates.  The box is zero-filled just before its update; in each
+    rectangle the first step whose part of it is nonempty assigns its
+    shifted source and only the later steps add theirs.  That is exact:
+    0 + v == v for Python integers and for nonnegative float64, so every
+    value and every rounding is the same as adding all steps, R, D, U in
+    that order, to zeros.  Every predecessor of a cell that the sweep keeps
+    lies in the previous level's kept cells, so a kept cell holds its true
+    count and any other cell of the box a value between 0 and its true
+    count.
 
-    A multiple of a functional scales its limits alike, so none is reduced.
-
-    The level's grid is the bounding box of the window, and the update
-    covers the window with a few column blocks of the box, each as tall as
-    the window at its left edge; the slab L is covered by its two strips,
-    each cut to the reach bound.  Every predecessor of a walk counted in the
-    window of level n+1 lies in the window of level n, so every value in the
-    window equals the full sweep's, and any other cell holds a value between
-    0 and its true count.  The budget always meters the full rectangle.
-
-    The blocks are disjoint column ranges of a box zero-filled just before,
-    so in each block the first step whose rectangle is nonempty assigns its
-    source and only the later steps add theirs.  That is exact: 0 + v == v
-    for Python integers and for nonnegative float64, so every value and
-    every rounding is the same as adding all steps to zeros.
-
-    Log-float levels are multiplied by 2^-k, k = frexp(max)[1], and k joins
-    the integer shift.  The product is exact, so a window cell holds its
-    unpruned float64 sum (R, D, U added in that order) times 2^-shift,
+    Log-float levels are multiplied by 2^-k, k = frexp(max)[1], every
+    ``_RESCALE`` levels, and k joins the integer shift.  The product is
+    exact, so a kept cell holds its unpruned float64 sum times 2^-shift,
     whatever peak the slack cells set, unless it lies more than 2^1022 below
     its level's maximum: then it is subnormal and rounds.
 
@@ -162,44 +167,16 @@ def _sweep(
     level overwrites: a reading that keeps the grid must copy it.
     """
     _check_budget(m, n_max, cell_budget)
-    A, B, C = m.A, m.B, m.C
-    gx, gy = gcd(A, B), gcd(B, C)
-    steps = ((A // gx, 0), (-B // gx, B // gy), (0, -C // gy))
-    nxm, nym = B // gx, C // gy
-    rates = []  # (a, b, up, dn) per functional
-    for a, b in ((1, 0), (0, 1), (B // gy, (A + B) // gx), ((B + C) // gy, B // gx)):
-        dots = [a * i + b * j for i, j in steps]
-        rates.append((a, b, max(dots), -min(dots)))
-
-    def window(n: int) -> tuple[int, int, tuple[tuple[int, int, int, int], ...]]:
-        """Box (w, h) of level n and its destination rectangles (x0, x1, y0, y1)."""
-        r = n_max - n
-        lims = []
-        for a, b, up, dn in rates:
-            lim = n * up
-            if isinstance(target, tuple):
-                lim = min(lim, a * target[0] + b * target[1] + r * dn)
-            lims.append((a, b, lim))
-        w = min(lim // a for a, _, lim in lims if a) + 1
-
-        def height(x: int) -> int:
-            return min((lim - a * x) // b for a, b, lim in lims if b) + 1
-
-        h = height(0)
-        if target == "slabs":
-            split = min((r + 1) * nxm, w)
-            rest = min((r + 1) * nym, height(split)) if split < w else 0
-            return w, h, ((0, split, 0, h), (split, w, 0, rest))
-        edges = sorted({k * w // _BLOCKS for k in range(_BLOCKS + 1)})
-        return w, h, tuple((x0, x1, 0, height(x0)) for x0, x1 in zip(edges, edges[1:]))
-
-    windows = [window(n) for n in range(n_max + 1)]
-    size = max(w * h for w, h, _ in windows)
+    if isinstance(target, tuple):
+        steps, levels, cut = _ballot_boxes(m, target)
+    else:
+        steps, levels, cut = _quadrant_windows(m, n_max, target)
+    size = max(w * h for _, _, w, h, _ in levels)
     dtype = object if mode == "exact" else np.float64
     bufs = (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
 
     def level_view(n: int) -> np.ndarray:
-        w, h, _ = windows[n]
+        _, _, w, h, _ = levels[n]
         view = bufs[n % 2][: w * h].reshape(w, h)
         view.fill(0)
         return view
@@ -208,33 +185,170 @@ def _sweep(
     cur[0, 0] = 1
     shift = 0
     readings = []
-    for n in range(n_max + 1):
+    for n, (ox, oy, _, _, rects) in enumerate(levels):
         if n > 0:
             w0, h0 = cur.shape
             nxt = level_view(n)
-            for x0, x1, y0, y1 in windows[n][2]:
+            for x0, x1, y0, y1 in rects:
                 first = True
                 for si, sj in steps:
-                    # destination cells whose source lies in the previous level
-                    a, b = max(x0, si), min(x1, w0 + si)
-                    c, d = max(y0, sj), min(y1, h0 + sj)
+                    # destination cells whose source lies in the previous box
+                    a, b = max(x0, px + si), min(x1, px + w0 + si)
+                    c, d = max(y0, py + sj), min(y1, py + h0 + sj)
                     if a < b and c < d:
-                        if first:  # the block is still all zeros: 0 + v is v
-                            nxt[a:b, c:d] = cur[a - si:b - si, c - sj:d - sj]
+                        src = cur[a - si - px:b - si - px, c - sj - py:d - sj - py]
+                        if first:  # the rectangle is still all zeros: 0 + v is v
+                            nxt[a - ox:b - ox, c - oy:d - oy] = src
                             first = False
                         else:
-                            nxt[a:b, c:d] += cur[a - si:b - si, c - sj:d - sj]
-            if mode == "logfloat":
+                            nxt[a - ox:b - ox, c - oy:d - oy] += src
+            if cut is not None:
+                cut(n, nxt, ox, oy)
+            if mode == "logfloat" and n % _RESCALE == 0:
                 k = frexp(nxt.max())[1]  # 0 for an all-zero level
                 np.ldexp(nxt, -k, out=nxt)
                 shift += k
             cur = nxt
-        v = read(cur)
+        px, py = ox, oy
+        v = read(n, cur, (ox, oy))
         if mode == "logfloat":
             mant, e = frexp(float(v))
             v = log(mant) + (e + shift) * log(2.0) if mant else float("-inf")
         readings.append(v)
     return readings
+
+
+def _quadrant_windows(m: TandemModel, n_max: int, target: str | None):
+    """Steps, levels 0..n_max and no cut of a sweep over the quadrant grid.
+
+    A cell (i, j) of the grid holds walks ending at (i * gx, j * gy),
+    gx = gcd(A, B), gy = gcd(B, C), and its origin is always (0, 0).  In
+    grid units the steps are R = (A/gx, 0), D = (-B/gx, B/gy) and
+    U = (0, -C/gy).  Each functional phi = (a, b) among the two axes,
+    (B/gy, (A+B)/gx) normal to R - D and ((B+C)/gy, B/gx) normal to D - U
+    (R - U has no normal in the closed first quadrant) rises by at most
+    up = max phi.s per step s, so a cell c holds walks after n steps only if
+    phi.c <= n*up; a multiple of a functional scales its limits alike, so
+    none is reduced.  The level's box is the bounding box of that window.
+
+    For ``"slabs"``, the boundary slabs i < nxm = B/gx (D leaves) and
+    j < nym = C/gy (U leaves), a cell can still reach a slab in the
+    remaining r = n_max - n steps only if i < (r+1)*nxm or j < (r+1)*nym,
+    so the level is covered by those two strips, each cut to the reach
+    bound.  For None, ``_BLOCKS`` column blocks of the box, each as tall as
+    the window at its left edge, cover the window.
+    """
+    A, B, C = m.A, m.B, m.C
+    gx, gy = gcd(A, B), gcd(B, C)
+    steps = ((A // gx, 0), (-B // gx, B // gy), (0, -C // gy))
+    nxm, nym = B // gx, C // gy
+    ups = [
+        (a, b, max(a * i + b * j for i, j in steps))
+        for a, b in ((1, 0), (0, 1), (B // gy, (A + B) // gx), ((B + C) // gy, B // gx))
+    ]
+
+    def window(n: int):
+        lims = [(a, b, n * up) for a, b, up in ups]
+        w = min(lim // a for a, _, lim in lims if a) + 1
+
+        def height(x: int) -> int:
+            return min((lim - a * x) // b for a, b, lim in lims if b) + 1
+
+        h = height(0)
+        if target == "slabs":
+            r = n_max - n
+            split = min((r + 1) * nxm, w)
+            rest = min((r + 1) * nym, height(split)) if split < w else 0
+            rects = ((0, split, 0, h), (split, w, 0, rest))
+        else:
+            edges = sorted({k * w // _BLOCKS for k in range(_BLOCKS + 1)})
+            rects = tuple((x0, x1, 0, height(x0)) for x0, x1 in zip(edges, edges[1:]))
+        return 0, 0, w, h, rects
+
+    return steps, [window(n) for n in range(n_max + 1)], None
+
+
+def _ballot_boxes(m: TandemModel, target: tuple[int, int, int]):
+    """Steps, levels 0..N1+N2+N3 and cut of a sweep pinned to the ballot
+    point ``target`` = (N1, N2, N3).
+
+    A walk with n1 R, n2 D and n3 U steps ends at (A*n1 - B*n2, B*n2 - C*n3),
+    so at level n = n1 + n2 + n3 the cell (n1, n2) is one point of the
+    quadrant, and the steps are the shifts (1, 0), (0, 1) and (0, 0).  The
+    quadrant is the cone A*n1 >= B*n2, (B+C)*n2 >= C*(n - n1), whose every
+    lattice point is reachable, and the cells that can still reach the
+    target are those with n1 <= N1, n2 <= N2 and n3 <= N3.  So column n1
+    keeps the rows lo(n1) <= n2 <= hi(n1) with
+
+        lo = max(ceil(C*(n - n1)/(B+C)), n - n1 - N3, 0),
+        hi = min(floor(A*n1/B), n - n1, N2).
+
+    The lower bounds fall as n1 grows, and each upper bound but n - n1
+    rises or stays, so the columns where lo <= hi run from one column c0 to
+    min(n, N1).  c0 is the largest of three closed-form columns (where
+    n - n1 - N3 <= hi and ceil(C*(n - n1)/(B+C)) <= N2 begin to hold) and
+    of the first column that the cone meets, found by bisection.  The box is
+    those columns times the rows from lo(min(n, N1)) to the largest hi,
+    which lies where floor(A*n1/B) and n - n1 cross.  Within the box only
+    the one cell per column just across each cone line can become nonzero
+    (a cell further out has every source out too), and ``cut`` zeroes both
+    after each update; cells with n3 < 0 have only such sources and stay
+    zero.
+    """
+    A, B, C = m.A, m.B, m.C
+    E = A * B + A * C + B * C
+    N1, N2, N3 = target
+    n_last = N1 + N2 + N3
+
+    def hi(n: int, k: int) -> int:
+        return min(A * k // B, n - k, N2)
+
+    def box(n: int):
+        # the cone meets column k only if B*C*n <= E*k, and always once the
+        # rows between its lines span B*(B+C)/E or more
+        first = -(-B * C * n // E)
+        first += bisect_left(range(first, -(-(B * C * n + B * (B + C)) // E)), True,
+                             key=lambda k: -(-C * (n - k) // (B + C)) <= A * k // B)
+        c0 = max(first, n - N2 - N3, n - (B + C) * N2 // C, -(-B * (n - N3) // (A + B)))
+        c1 = min(n, N1) + 1
+        r0 = max(-(-C * (n - c1 + 1) // (B + C)), n - c1 + 1 - N3, 0)
+        top = -(-B * (n + 1) // (A + B)) - 1  # the last column with A*k // B <= n - k
+        r1 = max(hi(n, min(max(k, c0), c1 - 1)) for k in (top, top + 1)) + 1
+        return c0, r0, c1 - c0, r1 - r0, ((c0, c1, r0, r1),)
+
+    # the row just across each cone line: above A*n1 >= B*n2 by column, and
+    # below (B+C)*n2 >= C*(n - n1) by d = n - n1, in exact integers
+    above = (np.minimum(np.arange(N1 + 1, dtype=object) * A // B, N2) + 1).astype(np.intp)
+    below = (-(-C * np.arange(n_last + 1, dtype=object) // (B + C)) - 1).astype(np.intp)
+    cols = np.arange(N1 + 1)
+
+    def cut(n: int, grid: np.ndarray, c0: int, r0: int) -> None:
+        # each line's cells lie in the box for a first run of its columns:
+        # the row above rises with n1 and the row below falls
+        w, h = grid.shape
+        k = max(c0, min(c0 + w, -(-B * (r0 + h - 1) // A)))
+        grid[cols[: k - c0], above[c0:k] - r0] = 0
+        k = max(c0, min(c0 + w, n - r0 * (B + C) // C))
+        grid[cols[: k - c0], below[n - k + 1:n - c0 + 1][::-1] - r0] = 0
+
+    return ((1, 0), (0, 1), (0, 0)), [box(n) for n in range(n_last + 1)], cut
+
+
+def _ballot_point(m: TandemModel, target: tuple[int, int], n_max: int):
+    """The numbers (n1, n2, n3) of R, D and U steps of a walk ending at
+    ``target`` at the last level n <= n_max where they are integers, or None
+    if there is no such level or one of them is negative then.  Integral
+    levels differ by multiples of the period, as the solutions differ by
+    multiples of the ballot triple."""
+    A, B, C = m.A, m.B, m.C
+    E = A * B + A * C + B * C
+    x, y = target
+    for n in range(n_max, max(n_max - m.period, -1), -1):
+        n1, r1 = divmod((B + C) * x + B * (y + C * n), E)
+        n2, r2 = divmod(A * (y + C * n) - C * x, E)
+        if r1 == r2 == 0:
+            return (n1, n2, n - n1 - n2) if min(n1, n2, n - n1 - n2) >= 0 else None
+    return None
 
 
 def count_excursions(
@@ -255,7 +369,8 @@ def count_endpoint(
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> CountSequence:
     """Numbers of quarter-plane walks from the origin to ``target``."""
-    _validate_n_max(n_max)
+    _validate_count("n_max", n_max)
+    _validate_count("cell_budget", cell_budget)
     _validate_mode(mode)
     point = tuple(target) if isinstance(target, (tuple, list)) else ()
     if len(point) != 2 or not all(
@@ -263,19 +378,23 @@ def count_endpoint(
     ):
         raise ValidationError(f"target must be a quadrant point, got {target!r}")
     m = _tandem(s)
-    qi, ri = divmod(point[0], gcd(m.A, m.B))
-    qj, rj = divmod(point[1], gcd(m.B, m.C))
-    if ri or rj:
-        # off the step lattice: no walk gets there, but the same inputs still abort
-        _check_budget(m, n_max, cell_budget)
-        zero = 0 if mode == "exact" else float("-inf")
+    # before the search for the target's level, which tries up to n_max
+    # levels, and also when no walk gets there
+    _check_budget(m, n_max, cell_budget)
+    zero = 0 if mode == "exact" else float("-inf")
+    N = _ballot_point(m, point, n_max)
+    if N is None:
         return CountSequence(mode, (zero,) * (n_max + 1))
+    t, n_last = tandem_to_ballot(m), sum(N)
 
-    def at_target(grid: np.ndarray):
-        w, h = grid.shape
-        return grid[qi, qj] if qi < w and qj < h else 0
+    def at_target(n: int, grid: np.ndarray, origin: tuple[int, int]):
+        # the target is the ballot point N - k*(a, b, c) at level n_last - k*p
+        k, rem = divmod(n_last - n, t.period)
+        n1, n2, n3 = N[0] - k * t.a, N[1] - k * t.b, N[2] - k * t.c
+        return grid[n1 - origin[0], n2 - origin[1]] if not rem and min(n1, n2, n3) >= 0 else 0
 
-    return CountSequence(mode, _sweep(m, n_max, mode, cell_budget, (qi, qj), at_target))
+    values = _sweep(m, n_max, mode, cell_budget, N, at_target)
+    return CountSequence(mode, tuple(values) + (zero,) * (n_max - n_last))
 
 
 def count_walks_total(
@@ -294,16 +413,18 @@ def count_walks_total(
     window that narrows toward the last level.  Log-float mode sums the
     whole reachable rectangle at every level.
     """
-    _validate_n_max(n_max)
+    _validate_count("n_max", n_max)
+    _validate_count("cell_budget", cell_budget)
     _validate_mode(mode)
     m = _tandem(s)
     if mode == "logfloat":
-        return CountSequence(mode, _sweep(m, n_max, mode, cell_budget, None, np.sum))
+        total = _sweep(m, n_max, mode, cell_budget, None, lambda n, grid, origin: np.sum(grid))
+        return CountSequence(mode, total)
     if n_max == 0:
         return CountSequence(mode, (1,))
     nxm, nym = m.B // gcd(m.A, m.B), m.C // gcd(m.B, m.C)
 
-    def slab_loss(grid: np.ndarray) -> int:
+    def slab_loss(n: int, grid: np.ndarray, origin: tuple[int, int]) -> int:
         return int(grid[:nxm].sum()) + int(grid[:, :nym].sum())
 
     q = [1]
@@ -323,7 +444,8 @@ def count_ballot_3d(
     reaching (a*N, b*N, c*N) never exceeds those coordinates because each
     coordinate is nondecreasing, which bounds the state space.
     """
-    _validate_n_max(rounds_max)
+    _validate_count("rounds_max", rounds_max)
+    _validate_count("cell_budget", cell_budget)
     T = ballot_to_tandem(m)
     A, B, C = T.A, T.B, T.C
     xm, ym, zm = m.a * rounds_max, m.b * rounds_max, m.c * rounds_max

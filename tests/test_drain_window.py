@@ -1,15 +1,17 @@
 """The level windows of the sweep against an unpruned reference.
 
-Every level updates only the cells within the reach of the origin and, for
-a pinned endpoint, those that can still reach the target; exact totals keep
-only the cells that can still reach a boundary slab.  All of it is checked
-here against a plain dictionary dynamic program over the whole quadrant, on
-random coprime tandem triples (with examples whose step lattice is coarser
-than Z^2, and one with large steps) and random targets (on and off the step
-lattice).  Log-float levels are scaled by powers of two, which round
-nothing, so a log-float term is checked bit for bit: against an unpruned
-float64 dynamic program, and across the sweep lengths and block counts that
-move the window.
+A pinned sweep runs in ballot coordinates (n1, n2), the numbers of R and D
+steps, and keeps the cells of the quadrant cone from which the target's
+ballot point is still reachable; totals run on the quadrant grid, within the
+reach of the origin, and exact totals keep only the cells that can still
+reach a boundary slab.  All of it is checked here against a plain
+dictionary dynamic program over the whole quadrant, on random coprime
+tandem triples (with examples whose step lattice is coarser than Z^2, and
+one with large steps) and random targets (on and off the step lattice).
+Log-float levels are scaled by powers of two, which round nothing, so a
+log-float term is checked bit for bit: against an unpruned float64 dynamic
+program, and across the sweep lengths and block counts that move the
+window.
 """
 
 from math import frexp, gcd, log
@@ -20,8 +22,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tandemwalks import (
+    BallotModel,
     BudgetExceededError,
     TandemModel,
+    count_ballot_3d,
     count_endpoint,
     count_excursions,
     count_walks_total,
@@ -70,6 +74,35 @@ def spacings(m):
     return gcd(m.A, m.B), gcd(m.B, m.C)
 
 
+def copy_grid(n, grid, origin):
+    return origin, grid.copy()
+
+
+def box_shape(n, grid, origin):
+    return origin, grid.shape
+
+
+def ballot_point(m, target, n_max):
+    """(N1, N2, N3), the numbers of R, D and U steps of a walk ending at
+    ``target`` at the last level <= n_max where nonnegative such numbers
+    exist, found by search; None if there is no such level."""
+    for n in range(n_max, -1, -1):
+        for n1 in range(n + 1):
+            for n2 in range(n + 1 - n1):
+                if (m.A * n1 - m.B * n2, m.B * n2 - m.C * (n - n1 - n2)) == target:
+                    return n1, n2, n - n1 - n2
+    return None
+
+
+def ballot_count(m, levels, n, n1, n2):
+    """True count of the ballot cell (n1, n2) at level n: the quadrant cell
+    that n1 R, n2 D and n - n1 - n2 U steps reach, or 0 if one is negative."""
+    n3 = n - n1 - n2
+    if min(n1, n2, n3) < 0:
+        return 0
+    return levels[n].get((m.A * n1 - m.B * n2, m.B * n2 - m.C * n3), 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(models, st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(0, 12))
 @lattice_examples((6, 6), 12)
@@ -106,7 +139,7 @@ def test_slab_window_holds_reference_values(m, n_max):
     gx, gy = spacings(m)
     nxm, nym = m.B // gx, m.C // gy
     levels = reference_levels(tandem_step_set(m).steps, n_max)
-    for n, grid in enumerate(_sweep(m, n_max, "exact", 10**7, "slabs", np.copy)):
+    for n, (_, grid) in enumerate(_sweep(m, n_max, "exact", 10**7, "slabs", copy_grid)):
         r = n_max - n
         for (i, j), v in np.ndenumerate(grid):
             in_window = i < (r + 1) * nxm or j < (r + 1) * nym
@@ -114,36 +147,22 @@ def test_slab_window_holds_reference_values(m, n_max):
             assert v == (true if in_window or n == 0 else 0), (n, i, j)
 
 
-def drain_sets(steps, target, n_max):
-    """Quadrant cells from which ``target`` is reachable in at most r steps, r = 0..n_max."""
-    sets = [{target}]
-    for _ in range(n_max):
-        grown = set(sets[-1])
-        for x, y in sets[-1]:
-            for i, j in steps:
-                if x - i >= 0 and y - j >= 0:
-                    grown.add((x - i, y - j))
-        sets.append(grown)
-    return sets
-
-
 def assert_levels_hold_reference(m, q, n_max):
     """In pinned (to ``q``), slab and free sweeps alike, every cell that holds
     walks after n steps and still matters to the sweep holds its true count,
     and every other cell of the grid holds a value between 0 and its true
-    count."""
+    count.  A pinned level's box is the bounding box of the cells it keeps:
+    the ballot cells of the cone with n1 <= N1, n2 <= N2 and n3 <= N3."""
     steps = tandem_step_set(m).steps
     gx, gy = spacings(m)
     nxm, nym = m.B // gx, m.C // gy
     levels = reference_levels(steps, n_max)
-    drain = drain_sets(steps, (q[0] * gx, q[1] * gy), n_max)
     needed = {
-        q: lambda r, x, y: (x, y) in drain[r],
         "slabs": lambda r, x, y: x < (r + 1) * nxm * gx or y < (r + 1) * nym * gy,
         None: lambda r, x, y: True,
     }
     for target, matters in needed.items():
-        for n, grid in enumerate(_sweep(m, n_max, "exact", 10**7, target, np.copy)):
+        for n, (_, grid) in enumerate(_sweep(m, n_max, "exact", 10**7, target, copy_grid)):
             w, h = np.shape(grid)
             for (x, y), v in levels[n].items():
                 if matters(n_max - n, x, y):
@@ -151,6 +170,29 @@ def assert_levels_hold_reference(m, q, n_max):
                     assert i < w and j < h and grid[i, j] == v, (target, n, x, y)
             for (i, j), v in np.ndenumerate(grid):
                 assert 0 <= v <= levels[n].get((i * gx, j * gy), 0), (target, n, i, j)
+
+    N = ballot_point(m, (q[0] * gx, q[1] * gy), n_max)
+    if N is None:
+        return
+    boxes = _sweep(m, n_max, "exact", 10**7, N, copy_grid)
+    assert len(boxes) == sum(N) + 1
+    for n, ((c0, r0), grid) in enumerate(boxes):
+        kept = [
+            (n1, n2)
+            for n1 in range(N[0] + 1)
+            for n2 in range(N[1] + 1)
+            if 0 <= n - n1 - n2 <= N[2]
+            and m.A * n1 >= m.B * n2 >= m.C * (n - n1 - n2)
+        ]
+        cols, rows = zip(*kept)
+        w, h = np.shape(grid)
+        assert (c0, r0, w, h) == (
+            min(cols), min(rows), max(cols) - min(cols) + 1, max(rows) - min(rows) + 1
+        ), n
+        for n1, n2 in kept:
+            assert grid[n1 - c0, n2 - r0] == ballot_count(m, levels, n, n1, n2), (N, n, n1, n2)
+        for (i, j), v in np.ndenumerate(grid):
+            assert 0 <= v <= ballot_count(m, levels, n, c0 + i, r0 + j), (N, n, i, j)
 
 
 @settings(max_examples=100, deadline=None)
@@ -161,16 +203,19 @@ def test_every_level_holds_reference_on_its_window(m, q, n_max):
 
 
 # Each block of a level takes its first step whose rectangle is nonempty by
-# assignment and the later steps by addition; blocks are numbered from the
-# left, and a block is (columns, rows) of the lattice-compressed grid.
+# assignment and the later steps by addition.  A quadrant block is (columns,
+# rows) of the lattice-compressed grid, numbered from the left; a pinned
+# level is one box of ballot cells (n1 columns, n2 rows), whose steps are
+# R = (1,0), D = (0,1) and U = (0,0).
 
 
 def test_block_copy_falls_to_a_later_step():
     # tandem (2,1,1): the step (2,0) has no source in the columns left of 2,
-    # so the block takes the step (-1,1) by assignment.  Pinned to (0,0):
-    # level 2, block 0 = (0..0, 0..1); level 4, block 1 = (1..1, 0..0), where
-    # (-1,1) has none either and the copy falls to (0,-1).  Slabs: level 5,
+    # so the block takes the step (-1,1) by assignment.  Slabs: level 5,
     # block 0 = (0..1, 0..3).  Free: level 2, block 0 = (0..1, 0..1).
+    # Pinned to (0,0) at n_max = 6, the sweep ends at N = (1,2,2), level 5:
+    # at level 2 the box is the cell (1, 1), where R has no source and D
+    # copies; at level 5 it is (1, 2), where only U has one.
     assert_levels_hold_reference(TandemModel(2, 1, 1), (0, 0), 6)
 
 
@@ -178,24 +223,68 @@ def test_block_copy_covers_part_of_its_block():
     # tandem (3,1,1): the step (3,0) has no source in columns 0..2, nor above
     # the previous level's top row.  Free sweep, level 4: block 0 =
     # (0..5, 0..3) and (3,0) copies only (3..5, 0..2); slab sweep, level 3:
-    # block 0 = (0..5, 0..2) and the copy is (3..5, 0..1).  Pinned to (0,0),
-    # level 4: block 1 = (1..2, 0..2) and (-1,1) copies only (1..1, 1..2).
-    # The cells around each copy keep the fill's zeros and take the later
-    # steps by addition.
+    # block 0 = (0..5, 0..2) and the copy is (3..5, 0..1).  Pinned to (0,0)
+    # at n_max = 8, the sweep ends at N = (1,3,3), level 7; at level 3 the
+    # box is (1, 1..2) and D copies only (1, 2), at level 5 it is (1, 2..3)
+    # and D copies only (1, 3).  The cells around each copy keep the fill's
+    # zeros and take the later steps by addition.
     assert_levels_hold_reference(TandemModel(3, 1, 1), (0, 0), 8)
 
 
 def test_window_shapes_unit_model():
     # (1,1,1) has the steps (1,0), (-1,1), (0,-1): after n steps every walk
-    # has i + 2j <= n, and it can return to the origin in r = 20 - n more
-    # steps only if 2i + j <= r.  A grid is the bounding box of its window.
+    # has i + 2j <= n.  A grid is the bounding box of its window.
     m = TandemModel(1, 1, 1)
-    shapes = _sweep(m, 20, "exact", 10**6, (0, 0), np.shape)
-    assert shapes == [(min(n, (20 - n) // 2) + 1, min(n // 2, 20 - n) + 1) for n in range(21)]
-    full = _sweep(m, 20, "exact", 10**6, None, np.shape)
-    assert full == [(n + 1, n // 2 + 1) for n in range(21)]
-    slabs = _sweep(m, 20, "exact", 10**6, "slabs", np.shape)
+    full = _sweep(m, 20, "exact", 10**6, None, box_shape)
+    assert full == [((0, 0), (n + 1, n // 2 + 1)) for n in range(21)]
+    slabs = _sweep(m, 20, "exact", 10**6, "slabs", box_shape)
     assert slabs == full
+    # Pinned to the origin at n_max = 20, not a multiple of the period 3:
+    # the sweep ends at N = (6,6,6), level 18.  The cone is n1 >= n2 >= n3,
+    # so level n keeps the columns n1 >= n/3, n1 >= (n - 6)/2 (as n3 <= 6)
+    # and n1 >= n - 12, up to min(n, 6); the rows run from the lowest n2 of
+    # the last column to min(n // 2, 6).
+    pinned = _sweep(m, 20, "exact", 10**6, (6, 6, 6), box_shape)
+    expected = []
+    for n in range(19):
+        c0, c1 = max(-(-n // 3), -(-(n - 6) // 2), n - 12), min(n, 6)
+        r0 = max(-(-(n - c1) // 2), n - c1 - 6, 0)
+        expected.append(((c0, r0), (c1 - c0 + 1, min(n // 2, 6) - r0 + 1)))
+    assert pinned == expected
+
+
+def test_pinned_sweep_ends_at_the_last_ballot_level():
+    # (1,1,1) has period 3.  Excursions to n_max = 20 sweep to level 18; the
+    # endpoint (1,0) is a ballot point only at levels n = 1 mod 3, so at
+    # n_max = 12 the sweep ends at N = (4,3,3), level 10.  The levels past
+    # the sweep read zero in both modes.
+    m = TandemModel(1, 1, 1)
+    s = tandem_step_set(m)
+    levels = reference_levels(s.steps, 20)
+    for target, n_max, N in [((0, 0), 20, (6, 6, 6)), ((1, 0), 12, (4, 3, 3))]:
+        assert ballot_point(m, target, n_max) == N
+        assert len(_sweep(m, n_max, "exact", 10**6, N, box_shape)) == sum(N) + 1
+        expected = [lv.get(target, 0) for lv in levels[: n_max + 1]]
+        assert list(count_endpoint(s, n_max, target).values) == expected
+        logs = count_endpoint(s, n_max, target, "logfloat").values
+        assert logs == tuple(frexp_log(float(v)) for v in expected)
+
+
+@pytest.mark.parametrize("mode", ["exact", "logfloat"])
+def test_large_step_excursions_equal_the_cone_walks(mode):
+    # tandem (5,7,3) is the ballot triple (21,15,35), period 71; its (x, y)
+    # grid holds one live cell in E = AB + AC + BC = 71
+    rounds = 3
+    cone = count_ballot_3d(BallotModel(21, 15, 35), rounds).values
+    e = count_excursions(tandem_step_set(TandemModel(5, 7, 3)), 71 * rounds + 5, mode).values
+    assert len(e) == 71 * rounds + 6
+    zero = 0 if mode == "exact" else float("-inf")
+    assert all(v == zero for n, v in enumerate(e) if n % 71)
+    if mode == "exact":
+        assert e[::71] == cone
+    else:
+        for lf, exact in zip(e[::71], cone):
+            assert abs(lf - log(exact)) <= 1e-12 * max(1.0, log(exact))
 
 
 @pytest.mark.parametrize("mode", ["exact", "logfloat"])

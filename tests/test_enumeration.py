@@ -144,6 +144,12 @@ def test_budget_meter_is_closed_form():
     with pytest.raises(BudgetExceededError, match=f"needs {needed} cells,"):
         count_excursions(steps_of(1, 1, 1), N)
     assert perf_counter() - start < 0.5
+    # (1, 10**20, 1) has a period above 10**20: the target's level is
+    # searched for only after the budget check
+    start = perf_counter()
+    with pytest.raises(BudgetExceededError):
+        count_endpoint(steps_of(1, 10**20, 1), N, (1, 0))
+    assert perf_counter() - start < 0.5
 
 
 def test_bad_mode_and_target_fail_before_the_sweep(monkeypatch):
@@ -161,6 +167,28 @@ def test_bad_mode_and_target_fail_before_the_sweep(monkeypatch):
     for target in [(1,), None, (1, 0, 0), "10", (1.0, 0)]:
         with pytest.raises(ValidationError, match="target must be a quadrant point"):
             count_endpoint(s, 3, target)
+
+
+@pytest.mark.parametrize("budget", [None, True, -5, 2.5])
+def test_cell_budget_must_be_a_nonnegative_integer(budget):
+    s = steps_of(1, 1, 1)
+    for count in [
+        lambda: count_excursions(s, 5, cell_budget=budget),
+        lambda: count_endpoint(s, 5, (1, 0), cell_budget=budget),
+        lambda: count_walks_total(s, 5, cell_budget=budget),
+        lambda: count_walks_total(s, 0, cell_budget=budget),  # q_0 = 1 needs no sweep
+        lambda: count_ballot_3d(BallotModel(1, 1, 1), 2, cell_budget=budget),
+    ]:
+        with pytest.raises(ValidationError, match="^cell_budget must be a nonnegative integer"):
+            count()
+    # 0 is a budget, which every sweep exceeds
+    with pytest.raises(BudgetExceededError):
+        count_excursions(s, 5, cell_budget=0)
+
+
+def test_ballot_3d_rejects_a_bool_rounds_max_by_name():
+    with pytest.raises(ValidationError, match="^rounds_max must be a nonnegative integer, got True$"):
+        count_ballot_3d(BallotModel(1, 1, 1), True)
 
 
 @pytest.mark.parametrize(
@@ -343,7 +371,10 @@ def test_empirical_period_undefined():
 
 def test_level_states_well_formed():
     gx, gy = 1, 2  # gcd(3, 2), gcd(2, 2)
-    for level, grid in enumerate(_sweep(TandemModel(3, 2, 2), 9, "exact", 10**6, None, np.copy)):
+    def copy_grid(n, grid, origin):
+        return grid.copy()
+
+    for level, grid in enumerate(_sweep(TandemModel(3, 2, 2), 9, "exact", 10**6, None, copy_grid)):
         occ = occupancy(grid, gx, gy)
         assert sum(occ.values()) >= 1 or level > 0
         for (x, y), v in occ.items():
