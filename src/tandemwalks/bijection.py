@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, check_integer
 from .models import BallotModel, ballot_to_tandem, tandem_step_set
 
 _LETTERS3 = np.frombuffer(b"XYZ", dtype=np.uint8)
@@ -43,8 +43,8 @@ def generate_ballot_walks(
     Raises when the cone prefixes of all lengths, the empty one included,
     exceed the node budget.
     """
-    if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 0:
-        raise ValidationError(f"rounds must be a nonnegative integer, got {rounds!r}")
+    check_integer("rounds", rounds)
+    check_integer("node_budget", node_budget)
     T = ballot_to_tandem(m)
     A, B, C = T.A, T.B, T.C
     tx, ty, tz = m.a * rounds, m.b * rounds, m.c * rounds

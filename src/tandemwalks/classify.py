@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .enumeration import DEFAULT_CELL_BUDGET
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, ValidationError, check_integer
 from .models import TandemModel
 
 
@@ -27,8 +27,7 @@ def search_triples(r, bound: int) -> list[TandemModel]:
     r = Fraction(r)
     if not Fraction(0) < r < Fraction(1):
         raise ValidationError(f"gamma^2 must lie strictly between 0 and 1, got {r}")
-    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
-        raise ValidationError(f"bound must be a positive integer, got {bound!r}")
+    check_integer("bound", bound, 1)
     if bound * bound > DEFAULT_CELL_BUDGET:
         raise BudgetExceededError(
             f"triple search needs {bound * bound} pairs, budget is {DEFAULT_CELL_BUDGET}"

@@ -16,12 +16,13 @@ dynamic program, in one of two coordinate systems chosen by what it reads.
   gx = gcd(A, B) and every y of gy = gcd(B, C), so the grid indexes those
   multiples, and a window cut out by linear bounds along the two axes and
   the normals of R - D and D - U holds the cells reachable in n steps.
-  Exact totals read only the two boundary slabs from which D or U leaves
-  the quadrant, so their window is the reachable part of an L-shaped band
-  along both axes; log-float totals keep every reachable cell, covered by a
-  few column blocks.  Totals stay on this grid: there the slabs are
-  axis-aligned strips, and `np.sum` adds a log-float level in an order that
-  follows the grid's layout.
+  Each level is covered by two strips, split at one column: exact totals
+  read only the two boundary slabs from which D or U leaves the quadrant,
+  so their strips run along both axes, each cut to the cells that can
+  still reach its slab; log-float totals keep every reachable cell, split
+  at half the window's width.  Totals stay on this grid: there the slabs
+  are axis-aligned strips, and `np.sum` adds a log-float level in an order
+  that follows the grid's layout.
 
 Each transition works on a numpy array held in one of two buffers reused
 across levels: in each rectangle of the level's box the first step that
@@ -31,13 +32,13 @@ float64 levels are scaled by powers of two, which round nothing, and an
 integer shift keeps the true magnitude, so a log-float term depends on the
 model and n alone (raw floats would overflow beyond a few hundred steps).
 
-The sweep returns one reading per level from a callback on the level's box
-(the count at the target, the grid sum, or the walks that would leave the
-quadrant); in log-float mode it turns each reading into a log itself, so no
-caller sees the scaling.
+The sweep runs the plan it is handed and returns one reading per level
+from a callback on the level's box (the count at the target, the grid sum,
+or the walks that would leave the quadrant); in log-float mode it turns each
+reading into a log itself, so no caller sees the scaling.
 
-Work is metered as the cells of the full reachable (x, y) rectangles,
-whatever the coordinates and the window, checked upfront against a budget,
+Each count meters its work once, before anything else, as the cells of the
+full reachable (x, y) rectangles, whatever the coordinates and the window,
 so a mistyped n_max fails fast instead of thrashing; the 3D cone sweep
 likewise counts its cone points against the budget before its first step.
 """
@@ -51,16 +52,11 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, ValidationError, check_integer, is_integer
 from .models import BALLOT_STEPS, BallotModel, StepSet, TandemModel, ballot_to_tandem
 from .models import tandem_step_set, tandem_to_ballot
 
 DEFAULT_CELL_BUDGET = 200_000_000
-
-# column blocks covering the window of a log-float totals sweep, for speed
-# alone: more cut fewer cells, but each costs a slice copy and a slice-add
-# per further step
-_BLOCKS = 2
 
 # log-float levels between two power-of-two rescalings: 3^32 < 2^51, so no
 # level in between nears the float64 range
@@ -85,11 +81,6 @@ class CountSequence:
     @property
     def n_max(self) -> int:
         return len(self.values) - 1
-
-
-def _validate_count(name: str, value: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def _validate_mode(mode: str) -> None:
@@ -123,33 +114,24 @@ def _check_budget(m: TandemModel, n_max: int, cell_budget: int) -> None:
 
 
 def _sweep(
-    m: TandemModel,
-    n_max: int,
+    plan: tuple,
     mode: str,
-    cell_budget: int,
-    target: tuple[int, int, int] | str | None,
     read: Callable[[int, np.ndarray, tuple[int, int]], Any],
 ) -> list:
     """Readings ``read(n, grid, origin)`` of the occupancy levels n of walks
-    of the model ``m`` started at the origin, where ``grid`` is level n's box
-    and ``grid[i, j]`` counts walks ending at the cell (i, j) + origin.  An
-    exact reading is returned as it is; a log-float one (a number) as
+    started at the origin, where ``grid`` is level n's box and ``grid[i, j]``
+    counts walks ending at the cell (i, j) + origin.  An exact reading is
+    returned as it is; a log-float one (a number) as
     log(mant) + (e + shift) * ln 2, (mant, e) = frexp(reading), or -inf for
     zero.
 
-    The kind of ``target`` picks the coordinates; `_ballot_boxes` and
-    `_quadrant_windows` describe them.  A ballot point (N1, N2, N3) pins the
-    sweep: it runs in ballot coordinates to level N1 + N2 + N3 and keeps only
-    the cells that can still reach that point.  ``"slabs"`` (the boundary
-    slabs of exact totals) and None (every cell, for log-float totals) sweep
-    the quadrant grid to n_max.  The budget always meters the full (x, y)
-    rectangle of n_max levels.
-
-    A plan gives each level as (ox, oy, w, h, rects): the origin and shape
-    of its box and disjoint rectangles (x0, x1, y0, y1) of it, in the plan's
-    coordinates.  The box is zero-filled just before its update; in each
-    rectangle the first step whose part of it is nonempty assigns its
-    shifted source and only the later steps add theirs.  That is exact:
+    The ``plan`` (steps, levels, cut) comes from `_ballot_boxes` or
+    `_quadrant_windows`, which describe its coordinates.  It gives each level
+    as (ox, oy, w, h, rects): the origin and shape of its box and disjoint
+    rectangles (x0, x1, y0, y1) of it, in the plan's coordinates.  The box
+    is zero-filled just before its update; in each rectangle the first step
+    whose part of it is nonempty assigns its shifted source and only the
+    later steps add theirs.  That is exact:
     0 + v == v for Python integers and for nonnegative float64, so every
     value and every rounding is the same as adding all steps, R, D, U in
     that order, to zeros.  Every predecessor of a cell that the sweep keeps
@@ -166,11 +148,7 @@ def _sweep(
     Levels share two reused buffers, so ``read`` sees a view that the next
     level overwrites: a reading that keeps the grid must copy it.
     """
-    _check_budget(m, n_max, cell_budget)
-    if isinstance(target, tuple):
-        steps, levels, cut = _ballot_boxes(m, target)
-    else:
-        steps, levels, cut = _quadrant_windows(m, n_max, target)
+    steps, levels, cut = plan
     size = max(w * h for _, _, w, h, _ in levels)
     dtype = object if mode == "exact" else np.float64
     bufs = (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
@@ -218,7 +196,7 @@ def _sweep(
     return readings
 
 
-def _quadrant_windows(m: TandemModel, n_max: int, target: str | None):
+def _quadrant_windows(m: TandemModel, n_max: int, slabs: bool):
     """Steps, levels 0..n_max and no cut of a sweep over the quadrant grid.
 
     A cell (i, j) of the grid holds walks ending at (i * gx, j * gy),
@@ -231,12 +209,15 @@ def _quadrant_windows(m: TandemModel, n_max: int, target: str | None):
     phi.c <= n*up; a multiple of a functional scales its limits alike, so
     none is reduced.  The level's box is the bounding box of that window.
 
-    For ``"slabs"``, the boundary slabs i < nxm = B/gx (D leaves) and
-    j < nym = C/gy (U leaves), a cell can still reach a slab in the
-    remaining r = n_max - n steps only if i < (r+1)*nxm or j < (r+1)*nym,
-    so the level is covered by those two strips, each cut to the reach
-    bound.  For None, ``_BLOCKS`` column blocks of the box, each as tall as
-    the window at its left edge, cover the window.
+    Two strips cover the window: the columns left of a split, as tall as
+    the box, and the columns from the split on, as tall as the window at
+    the split and no taller than a reach.  For ``slabs``, the boundary slabs
+    i < nxm = B/gx (D leaves) and j < nym = C/gy (U leaves), a cell can
+    still reach a slab in the remaining r = n_max - n steps only if
+    i < (r+1)*nxm or j < (r+1)*nym, so the split and the reach are those
+    bounds.  Otherwise every cell is kept, split at half the box's width,
+    for speed alone: the split skips the empty cells above the window's
+    slope but costs a slice copy or add per step.
     """
     A, B, C = m.A, m.B, m.C
     gx, gy = gcd(A, B), gcd(B, C)
@@ -255,15 +236,10 @@ def _quadrant_windows(m: TandemModel, n_max: int, target: str | None):
             return min((lim - a * x) // b for a, b, lim in lims if b) + 1
 
         h = height(0)
-        if target == "slabs":
-            r = n_max - n
-            split = min((r + 1) * nxm, w)
-            rest = min((r + 1) * nym, height(split)) if split < w else 0
-            rects = ((0, split, 0, h), (split, w, 0, rest))
-        else:
-            edges = sorted({k * w // _BLOCKS for k in range(_BLOCKS + 1)})
-            rects = tuple((x0, x1, 0, height(x0)) for x0, x1 in zip(edges, edges[1:]))
-        return 0, 0, w, h, rects
+        r = n_max - n
+        split, reach = ((r + 1) * nxm, (r + 1) * nym) if slabs else (w // 2, h)
+        split = min(split, w)
+        return 0, 0, w, h, ((0, split, 0, h), (split, w, 0, min(reach, height(split))))
 
     return steps, [window(n) for n in range(n_max + 1)], None
 
@@ -369,13 +345,11 @@ def count_endpoint(
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> CountSequence:
     """Numbers of quarter-plane walks from the origin to ``target``."""
-    _validate_count("n_max", n_max)
-    _validate_count("cell_budget", cell_budget)
+    check_integer("n_max", n_max)
+    check_integer("cell_budget", cell_budget)
     _validate_mode(mode)
     point = tuple(target) if isinstance(target, (tuple, list)) else ()
-    if len(point) != 2 or not all(
-        isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in point
-    ):
+    if len(point) != 2 or not all(is_integer(v) for v in point):
         raise ValidationError(f"target must be a quadrant point, got {target!r}")
     m = _tandem(s)
     # before the search for the target's level, which tries up to n_max
@@ -393,7 +367,7 @@ def count_endpoint(
         n1, n2, n3 = N[0] - k * t.a, N[1] - k * t.b, N[2] - k * t.c
         return grid[n1 - origin[0], n2 - origin[1]] if not rem and min(n1, n2, n3) >= 0 else 0
 
-    values = _sweep(m, n_max, mode, cell_budget, N, at_target)
+    values = _sweep(_ballot_boxes(m, N), mode, at_target)
     return CountSequence(mode, tuple(values) + (zero,) * (n_max - n_last))
 
 
@@ -413,22 +387,28 @@ def count_walks_total(
     window that narrows toward the last level.  Log-float mode sums the
     whole reachable rectangle at every level.
     """
-    _validate_count("n_max", n_max)
-    _validate_count("cell_budget", cell_budget)
+    check_integer("n_max", n_max)
+    check_integer("cell_budget", cell_budget)
     _validate_mode(mode)
     m = _tandem(s)
-    if mode == "logfloat":
-        total = _sweep(m, n_max, mode, cell_budget, None, lambda n, grid, origin: np.sum(grid))
-        return CountSequence(mode, total)
+    exact = mode == "exact"
+    # exact totals sweep levels 0..n_max-1, and level 0 alone at n_max = 0
+    _check_budget(m, n_max - 1 if exact and n_max else n_max, cell_budget)
+    if not exact:
+        plan = _quadrant_windows(m, n_max, slabs=False)
+        return CountSequence(mode, _sweep(plan, mode, lambda n, grid, origin: np.sum(grid)))
     if n_max == 0:
         return CountSequence(mode, (1,))
-    nxm, nym = m.B // gcd(m.A, m.B), m.C // gcd(m.B, m.C)
+    plan = _quadrant_windows(m, n_max - 1, slabs=True)
+    # D leaves the quadrant from the columns i < nxm, U from the rows j < nym
+    _, (nx, _), (_, ny) = plan[0]
+    nxm, nym = -nx, -ny
 
     def slab_loss(n: int, grid: np.ndarray, origin: tuple[int, int]) -> int:
         return int(grid[:nxm].sum()) + int(grid[:, :nym].sum())
 
     q = [1]
-    for loss in _sweep(m, n_max - 1, mode, cell_budget, "slabs", slab_loss):
+    for loss in _sweep(plan, mode, slab_loss):
         q.append(3 * q[-1] - loss)
     return CountSequence(mode, tuple(q))
 
@@ -444,8 +424,8 @@ def count_ballot_3d(
     reaching (a*N, b*N, c*N) never exceeds those coordinates because each
     coordinate is nondecreasing, which bounds the state space.
     """
-    _validate_count("rounds_max", rounds_max)
-    _validate_count("cell_budget", cell_budget)
+    check_integer("rounds_max", rounds_max)
+    check_integer("cell_budget", cell_budget)
     T = ballot_to_tandem(m)
     A, B, C = T.A, T.B, T.C
     xm, ym, zm = m.a * rounds_max, m.b * rounds_max, m.c * rounds_max

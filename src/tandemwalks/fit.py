@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from math import exp, log, log1p
 
 from .enumeration import CountSequence
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 
 MAX_RICHARDSON_LEVELS = 3
 STABILITY_TOL = 1e-3
@@ -56,8 +56,7 @@ class FitResult:
 
 def _subsequence_logs(e: CountSequence, p: int) -> tuple[int, list[float]]:
     """(m_lo, [u_{m_lo}, ...]) over the contiguous nonzero support of e_{pm}."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise ValidationError(f"period must be a positive integer, got {p!r}")
+    check_integer("period", p, 1)
     zero_log = float("-inf")
     if e.mode == "exact":
         logs = [log(v) if v != 0 else zero_log for v in e.values[::p]]
@@ -77,8 +76,7 @@ def _subsequence_logs(e: CountSequence, p: int) -> tuple[int, list[float]]:
 
 def _richardson(ms: range, values: list[float], max_levels: int) -> list[list[float]]:
     """Levels 0..k of the extrapolation table; level k is aligned to ms[k:]."""
-    if not isinstance(max_levels, int) or isinstance(max_levels, bool) or max_levels < 0:
-        raise ValidationError(f"max_levels must be a nonnegative integer, got {max_levels!r}")
+    check_integer("max_levels", max_levels)
     levels = [values]
     for k in range(1, min(max_levels, len(values) - 1) + 1):
         prev, m = levels[-1], ms[k - 1:]

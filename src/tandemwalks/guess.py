@@ -34,7 +34,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 
 HELD_OUT = 10
 _FILTER_PRIME = 2147483647
@@ -96,11 +96,8 @@ def searched_grid(max_order: int, max_degree: int) -> list[tuple[int, int]]:
 
 
 def guess_recurrence(terms, max_order: int, max_degree: int) -> Recurrence | None:
-    for v in (max_order, max_degree):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ValidationError(f"grid limits must be nonnegative integers, got {v!r}")
-    if max_order < 1:
-        raise ValidationError("max_order must be at least 1")
+    check_integer("max_order", max_order, 1)
+    check_integer("max_degree", max_degree)
     seq = _cleared(terms)
     needed = (max_order + 1) * (max_degree + 1) + max_order + HELD_OUT
     if len(seq) < needed:

@@ -261,6 +261,12 @@ def test_array_rounds_validated():
     assert bijection.generate_ballot_walks(BallotModel(1, 1, 1), 0).shape == (1, 0)
 
 
+@pytest.mark.parametrize("budget", [None, True, -1, 2.5])
+def test_array_node_budget_validated(budget):
+    with pytest.raises(ValidationError, match="^node_budget must be a nonnegative integer"):
+        bijection.generate_ballot_walks(BallotModel(1, 1, 1), 2, node_budget=budget)
+
+
 def test_failure_names_the_first_walk_at_its_shortest_prefix():
     m = BallotModel(1, 1, 1)
     words = bijection.generate_ballot_walks(m, 2)  # XXYYZZ, XXYZYZ, XYXYZZ, ...

@@ -31,8 +31,7 @@ from tandemwalks import (
     count_walks_total,
     tandem_step_set,
 )
-from tandemwalks import enumeration
-from tandemwalks.enumeration import _sweep
+from tandemwalks.enumeration import _ballot_boxes, _quadrant_windows, _sweep
 
 
 def reference_levels(steps, n_max):
@@ -139,7 +138,8 @@ def test_slab_window_holds_reference_values(m, n_max):
     gx, gy = spacings(m)
     nxm, nym = m.B // gx, m.C // gy
     levels = reference_levels(tandem_step_set(m).steps, n_max)
-    for n, (_, grid) in enumerate(_sweep(m, n_max, "exact", 10**7, "slabs", copy_grid)):
+    plan = _quadrant_windows(m, n_max, slabs=True)
+    for n, (_, grid) in enumerate(_sweep(plan, "exact", copy_grid)):
         r = n_max - n
         for (i, j), v in np.ndenumerate(grid):
             in_window = i < (r + 1) * nxm or j < (r + 1) * nym
@@ -157,12 +157,14 @@ def assert_levels_hold_reference(m, q, n_max):
     gx, gy = spacings(m)
     nxm, nym = m.B // gx, m.C // gy
     levels = reference_levels(steps, n_max)
+    # the slab sweep (target True) and the free one (False)
     needed = {
-        "slabs": lambda r, x, y: x < (r + 1) * nxm * gx or y < (r + 1) * nym * gy,
-        None: lambda r, x, y: True,
+        True: lambda r, x, y: x < (r + 1) * nxm * gx or y < (r + 1) * nym * gy,
+        False: lambda r, x, y: True,
     }
     for target, matters in needed.items():
-        for n, (_, grid) in enumerate(_sweep(m, n_max, "exact", 10**7, target, copy_grid)):
+        plan = _quadrant_windows(m, n_max, slabs=target)
+        for n, (_, grid) in enumerate(_sweep(plan, "exact", copy_grid)):
             w, h = np.shape(grid)
             for (x, y), v in levels[n].items():
                 if matters(n_max - n, x, y):
@@ -174,7 +176,7 @@ def assert_levels_hold_reference(m, q, n_max):
     N = ballot_point(m, (q[0] * gx, q[1] * gy), n_max)
     if N is None:
         return
-    boxes = _sweep(m, n_max, "exact", 10**7, N, copy_grid)
+    boxes = _sweep(_ballot_boxes(m, N), "exact", copy_grid)
     assert len(boxes) == sum(N) + 1
     for n, ((c0, r0), grid) in enumerate(boxes):
         kept = [
@@ -235,16 +237,16 @@ def test_window_shapes_unit_model():
     # (1,1,1) has the steps (1,0), (-1,1), (0,-1): after n steps every walk
     # has i + 2j <= n.  A grid is the bounding box of its window.
     m = TandemModel(1, 1, 1)
-    full = _sweep(m, 20, "exact", 10**6, None, box_shape)
+    full = _sweep(_quadrant_windows(m, 20, slabs=False), "exact", box_shape)
     assert full == [((0, 0), (n + 1, n // 2 + 1)) for n in range(21)]
-    slabs = _sweep(m, 20, "exact", 10**6, "slabs", box_shape)
+    slabs = _sweep(_quadrant_windows(m, 20, slabs=True), "exact", box_shape)
     assert slabs == full
     # Pinned to the origin at n_max = 20, not a multiple of the period 3:
     # the sweep ends at N = (6,6,6), level 18.  The cone is n1 >= n2 >= n3,
     # so level n keeps the columns n1 >= n/3, n1 >= (n - 6)/2 (as n3 <= 6)
     # and n1 >= n - 12, up to min(n, 6); the rows run from the lowest n2 of
     # the last column to min(n // 2, 6).
-    pinned = _sweep(m, 20, "exact", 10**6, (6, 6, 6), box_shape)
+    pinned = _sweep(_ballot_boxes(m, (6, 6, 6)), "exact", box_shape)
     expected = []
     for n in range(19):
         c0, c1 = max(-(-n // 3), -(-(n - 6) // 2), n - 12), min(n, 6)
@@ -263,7 +265,7 @@ def test_pinned_sweep_ends_at_the_last_ballot_level():
     levels = reference_levels(s.steps, 20)
     for target, n_max, N in [((0, 0), 20, (6, 6, 6)), ((1, 0), 12, (4, 3, 3))]:
         assert ballot_point(m, target, n_max) == N
-        assert len(_sweep(m, n_max, "exact", 10**6, N, box_shape)) == sum(N) + 1
+        assert len(_sweep(_ballot_boxes(m, N), "exact", box_shape)) == sum(N) + 1
         expected = [lv.get(target, 0) for lv in levels[: n_max + 1]]
         assert list(count_endpoint(s, n_max, target).values) == expected
         logs = count_endpoint(s, n_max, target, "logfloat").values
@@ -310,6 +312,29 @@ def test_total_budget_meters_full_rectangle(mode):
     count_walks_total(s, n_max, mode, cell_budget=dense)
     with pytest.raises(BudgetExceededError):
         count_walks_total(s, n_max, mode, cell_budget=dense - 1)
+
+
+def metered_cells(m, levels):
+    """Cells of the full reachable rectangles of levels 0..``levels``, added
+    level by level: a step moves at most A/gx columns right and B/gy rows
+    up, so level k spans k*A/gx + 1 columns and k*B/gy + 1 rows."""
+    gx, gy = spacings(m)
+    return sum((k * m.A // gx + 1) * (k * m.B // gy + 1) for k in range(levels + 1))
+
+
+@pytest.mark.parametrize("mode", ["exact", "logfloat"])
+@pytest.mark.parametrize("triple", [(1, 1, 1), (3, 2, 2)])
+def test_total_budget_boundary(triple, mode):
+    # exact totals meter levels 0..n_max-1, log-float totals levels
+    # 0..n_max: each runs at exactly those cells and aborts one cell below
+    m = TandemModel(*triple)
+    s = tandem_step_set(m)
+    for n_max in [1, 2, 9, 25]:
+        cells = metered_cells(m, n_max - 1 if mode == "exact" else n_max)
+        assert count_walks_total(s, n_max, mode, cells) == count_walks_total(s, n_max, mode)
+        message = f"needs {cells} cells, budget is {cells - 1}$"
+        with pytest.raises(BudgetExceededError, match=message):
+            count_walks_total(s, n_max, mode, cells - 1)
 
 
 def float_levels(steps, n_max):
@@ -382,16 +407,26 @@ def test_logfloat_terms_do_not_depend_on_n_max(m, target, n, extra):
         assert a == b[: n + 1]
 
 
+def column_blocks(plan, k):
+    """``plan`` with each level's box covered by k full-height column blocks
+    instead of its own rectangles."""
+    steps, levels, cut = plan
+    blocked = []
+    for ox, oy, w, h, _ in levels:
+        edges = sorted({i * w // k for i in range(k + 1)})
+        blocked.append((ox, oy, w, h, tuple((x0, x1, 0, h) for x0, x1 in zip(edges, edges[1:]))))
+    return steps, blocked, cut
+
+
 @settings(max_examples=60, deadline=None)
-@given(models, st.tuples(st.integers(0, 9), st.integers(0, 9)), st.integers(0, 40))
-@example(UNIT, (0, 0), 600)
-@lattice_examples((6, 6), 40)
-def test_logfloat_terms_do_not_depend_on_block_count(m, target, n_max):
-    # the block layout sets the slack cells, and so each level's maximum
-    s = tandem_step_set(m)
-    terms = []
-    for k in (1, 2, 3):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(enumeration, "_BLOCKS", k)
-            terms.append(logfloat_terms(s, n_max, target))
-    assert terms[0] == terms[1] == terms[2]
+@given(models, st.integers(0, 40))
+@example(UNIT, 600)
+@lattice_examples(40)
+def test_logfloat_terms_do_not_depend_on_block_count(m, n_max):
+    # full-height blocks also sweep the empty cells above the window's slope;
+    # any cover of each box by column blocks must give the same terms
+    total = count_walks_total(tandem_step_set(m), n_max, "logfloat").values
+    plan = _quadrant_windows(m, n_max, slabs=False)
+    for k in (1, 3):
+        terms = _sweep(column_blocks(plan, k), "logfloat", lambda n, grid, origin: np.sum(grid))
+        assert tuple(terms) == total

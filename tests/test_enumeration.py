@@ -19,7 +19,7 @@ from tandemwalks import (
     count_walks_total,
     tandem_step_set,
 )
-from tandemwalks.enumeration import _sweep
+from tandemwalks.enumeration import _quadrant_windows, _sweep
 
 from conftest import (
     coprime_triples,
@@ -184,6 +184,17 @@ def test_cell_budget_must_be_a_nonnegative_integer(budget):
     # 0 is a budget, which every sweep exceeds
     with pytest.raises(BudgetExceededError):
         count_excursions(s, 5, cell_budget=0)
+
+
+def test_exact_totals_meter_level_zero():
+    # q_0 = 1 needs no sweep, but it is metered as one cell in both modes,
+    # as the excursions are
+    s = steps_of(1, 1, 1)
+    for mode in ["exact", "logfloat"]:
+        for count in [count_walks_total, count_excursions]:
+            with pytest.raises(BudgetExceededError, match="needs 1 cells, budget is 0$"):
+                count(s, 0, mode, cell_budget=0)
+    assert count_walks_total(s, 0, cell_budget=1).values == (1,)
 
 
 def test_ballot_3d_rejects_a_bool_rounds_max_by_name():
@@ -374,7 +385,8 @@ def test_level_states_well_formed():
     def copy_grid(n, grid, origin):
         return grid.copy()
 
-    for level, grid in enumerate(_sweep(TandemModel(3, 2, 2), 9, "exact", 10**6, None, copy_grid)):
+    plan = _quadrant_windows(TandemModel(3, 2, 2), 9, slabs=False)
+    for level, grid in enumerate(_sweep(plan, "exact", copy_grid)):
         occ = occupancy(grid, gx, gy)
         assert sum(occ.values()) >= 1 or level > 0
         for (x, y), v in occ.items():

@@ -128,6 +128,43 @@ def test_one_value_guard_flags_a_constant_in_disguise(tmp_path):
     assert one_value_parameters(tmp_path) == [("_rank", "p"), ("_rank", "scale")]
 
 
+# the functions that may test for bool themselves: the one integer check, and
+# the model checks, whose messages name the whole triple or step
+BOOL_CHECKS = {"errors.is_integer", "models._check_triple", "models.StepSet.__post_init__"}
+
+
+def bool_checks(package=PACKAGE):
+    """Qualified names of the functions that call isinstance(..., bool) in
+    their own body: a hand-copied integer check."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                    and child.func.id == "isinstance" and "bool" in _references(child.args[1:]):
+                found.add(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return sorted(found)
+
+
+def test_bool_is_tested_only_by_the_integer_check():
+    extra = sorted(set(bool_checks()) - BOOL_CHECKS)
+    assert not extra, "use errors.is_integer or errors.check_integer in: " + ", ".join(extra)
+
+
+def test_bool_guard_flags_a_hand_copied_check(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Box:\n    def size(self, v):\n"
+        "        return isinstance(v, (int, bool)) and v\n"
+        "def rounds(n):\n    return isinstance(n, int) and n >= 0\n"
+    )
+    assert bool_checks(tmp_path) == ["mod.Box.size"]
+
+
 def test_all_lists_every_imported_public_name_and_nothing_else():
     # a stale entry breaks `from tandemwalks import *`; a missing one hides a name
     import tandemwalks
