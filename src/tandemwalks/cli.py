@@ -141,9 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tandemwalks", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="count walks of one model, exactly or in log-floats")
-    p.add_argument("--model", type=_model, required=True,
-                   help="tandem triple A,B,C or ballot:a,b,c")
+    def command(name: str, summary: str, model: bool = False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        if model:
+            p.add_argument("--model", type=_model, required=True,
+                           help="tandem triple A,B,C or ballot:a,b,c")
+        return p
+
+    p = command("enumerate", "count walks of one model, exactly or in log-floats", model=True)
     p.add_argument("--what", choices=("excursions", "total", "endpoint"), default="excursions",
                    help="which counting sequence to produce")
     p.add_argument("--n-max", type=_int_at_least(0), required=True, help="largest walk length")
@@ -151,33 +156,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exact big integers or rescaled float64 logs")
     p.add_argument("--target", type=_pair, default=None, help="endpoint i,j (endpoint only)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--cell-budget", type=_int_at_least(1), default=DEFAULT_CELL_BUDGET,
-                   help="abort if the sweep would exceed this many cells")
-    p.add_argument("--threads", type=_int_at_least(1), default=1,
-                   help="accepted and ignored: counting runs on one thread")
 
-    p = sub.add_parser("exponent", help="growth constant and critical exponent of one model")
-    p.add_argument("--model", type=_model, required=True,
-                   help="tandem triple A,B,C or ballot:a,b,c")
+    p = command("exponent", "growth constant and critical exponent of one model", model=True)
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("table1", help="the 15-model exponent table as CSV")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
+    command("table1", "the 15-model exponent table as CSV")
 
-    p = sub.add_parser("table2", help="models with rational exponent, by exceptional class")
+    p = command("table2", "models with rational exponent, by exceptional class")
     p.add_argument("--bound", type=_int_at_least(1), default=50, help="search bound on A, B, C")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("classify", help="search triples with a prescribed gamma^2")
+    p = command("classify", "search triples with a prescribed gamma^2")
     p.add_argument("--gamma-sq", type=_fraction, required=True, help="target gamma^2 as num/den")
     p.add_argument("--bound", type=_int_at_least(1), required=True, help="search bound on A, B, C")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("fit", help="estimate alpha and mu from enumerated excursions")
-    p.add_argument("--model", type=_model, required=True,
-                   help="tandem triple A,B,C or ballot:a,b,c")
+    p = command("fit", "estimate alpha and mu from enumerated excursions", model=True)
     p.add_argument("--m-max", type=_int_at_least(1), required=True,
                    help="largest subsequence index m (walk length p*m)")
     p.add_argument("--richardson", type=_int_at_least(0), default=MAX_RICHARDSON_LEVELS,
@@ -187,25 +179,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", default=None, help="write an SVG convergence chart here")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="csv: m,alpha_hat table; json: summary")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--cell-budget", type=_int_at_least(1), default=DEFAULT_CELL_BUDGET,
-                   help="abort if the sweep would exceed this many cells")
-    p.add_argument("--threads", type=_int_at_least(1), default=1,
-                   help="accepted and ignored: counting runs on one thread")
 
-    p = sub.add_parser("guess", help="guess a P-recursive recurrence from a series file")
+    p = command("guess", "guess a P-recursive recurrence from a series file")
     p.add_argument("--series", required=True,
                    help="CSV file: one integer or num/den rational per line")
     p.add_argument("--max-order", type=_int_at_least(1), required=True, help="largest order tried")
     p.add_argument("--max-degree", type=_int_at_least(0), required=True, help="largest degree tried")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("bijection-check", help="compare 3D ballot counts with 2D excursions")
+    p = command("bijection-check", "compare 3D ballot counts with 2D excursions")
     p.add_argument("--ballot", type=_ballot, required=True, help="ballot triple a,b,c")
     p.add_argument("--rounds", type=_int_at_least(1), required=True, help="rounds to check")
     p.add_argument("--walk-cap", type=_int_at_least(1), default=2000,
                    help="walk-level bijection check only when counts are at most this")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
+
+    # the options every subcommand, or every counting one, ends with
+    for name, p in sub.choices.items():
+        p.add_argument("--output", default=None, help="output path (default stdout)")
+        if name in ("enumerate", "fit"):
+            p.add_argument("--cell-budget", type=_int_at_least(1), default=DEFAULT_CELL_BUDGET,
+                           help="abort if the sweep would exceed this many cells")
+            p.add_argument("--threads", type=_int_at_least(1), default=1,
+                           help="accepted and ignored: counting runs on one thread")
 
     return parser
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ValidationError, check_integer, is_integer
 from .models import BALLOT_STEPS, BallotModel, StepSet, TandemModel, ballot_to_tandem
-from .models import tandem_step_set, tandem_to_ballot
+from .models import tandem_step_set
 
 DEFAULT_CELL_BUDGET = 200_000_000
 
@@ -310,20 +310,16 @@ def _ballot_boxes(m: TandemModel, target: tuple[int, int, int]):
     return ((1, 0), (0, 1), (0, 0)), [box(n) for n in range(n_last + 1)], cut
 
 
-def _ballot_point(m: TandemModel, target: tuple[int, int], n_max: int):
-    """The numbers (n1, n2, n3) of R, D and U steps of a walk ending at
-    ``target`` at the last level n <= n_max where they are integers, or None
-    if there is no such level or one of them is negative then.  Integral
-    levels differ by multiples of the period, as the solutions differ by
-    multiples of the ballot triple."""
+def _ballot_point(m: TandemModel, target: tuple[int, int], n: int):
+    """The numbers (n1, n2, n3) of R, D and U steps of a walk of length n
+    ending at ``target``, or None if they are not all nonnegative integers."""
     A, B, C = m.A, m.B, m.C
     E = A * B + A * C + B * C
     x, y = target
-    for n in range(n_max, max(n_max - m.period, -1), -1):
-        n1, r1 = divmod((B + C) * x + B * (y + C * n), E)
-        n2, r2 = divmod(A * (y + C * n) - C * x, E)
-        if r1 == r2 == 0:
-            return (n1, n2, n - n1 - n2) if min(n1, n2, n - n1 - n2) >= 0 else None
+    n1, r1 = divmod((B + C) * x + B * (y + C * n), E)
+    n2, r2 = divmod(A * (y + C * n) - C * x, E)
+    if r1 == r2 == 0 and min(n1, n2, n - n1 - n2) >= 0:
+        return n1, n2, n - n1 - n2
     return None
 
 
@@ -344,7 +340,11 @@ def count_endpoint(
     mode: str = "exact",
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> CountSequence:
-    """Numbers of quarter-plane walks from the origin to ``target``."""
+    """Numbers of quarter-plane walks from the origin to ``target``.
+
+    The sweep is pinned to the target's ballot point at the last level
+    n <= n_max that has one (`_ballot_point`); with none, every term is zero.
+    """
     check_integer("n_max", n_max)
     check_integer("cell_budget", cell_budget)
     _validate_mode(mode)
@@ -352,20 +352,21 @@ def count_endpoint(
     if len(point) != 2 or not all(is_integer(v) for v in point):
         raise ValidationError(f"target must be a quadrant point, got {target!r}")
     m = _tandem(s)
-    # before the search for the target's level, which tries up to n_max
-    # levels, and also when no walk gets there
+    # before the scan for the target's level, and also when no walk gets there
     _check_budget(m, n_max, cell_budget)
     zero = 0 if mode == "exact" else float("-inf")
-    N = _ballot_point(m, point, n_max)
+    # levels where the step numbers are integers differ by the period, as the
+    # solutions differ by the ballot triple, so one period down from n_max
+    # holds the last of them; a number negative there is negative below it too
+    levels = range(n_max, max(n_max - m.period, -1), -1)
+    N = next(filter(None, (_ballot_point(m, point, n) for n in levels)), None)
     if N is None:
         return CountSequence(mode, (zero,) * (n_max + 1))
-    t, n_last = tandem_to_ballot(m), sum(N)
+    n_last = sum(N)
 
     def at_target(n: int, grid: np.ndarray, origin: tuple[int, int]):
-        # the target is the ballot point N - k*(a, b, c) at level n_last - k*p
-        k, rem = divmod(n_last - n, t.period)
-        n1, n2, n3 = N[0] - k * t.a, N[1] - k * t.b, N[2] - k * t.c
-        return grid[n1 - origin[0], n2 - origin[1]] if not rem and min(n1, n2, n3) >= 0 else 0
+        P = _ballot_point(m, point, n)
+        return grid[P[0] - origin[0], P[1] - origin[1]] if P else 0
 
     values = _sweep(_ballot_boxes(m, N), mode, at_target)
     return CountSequence(mode, tuple(values) + (zero,) * (n_max - n_last))

@@ -88,6 +88,8 @@ def verify_recurrence(rec: Recurrence, terms) -> bool:
 
 def searched_grid(max_order: int, max_degree: int) -> list[tuple[int, int]]:
     """(r, d) cells in search order: increasing r + d, ties to smaller r."""
+    check_integer("max_order", max_order, 1)
+    check_integer("max_degree", max_degree)
     grid = []
     for total in range(1, max_order + max_degree + 1):
         for r in range(max(1, total - max_degree), min(total, max_order) + 1):
@@ -96,8 +98,7 @@ def searched_grid(max_order: int, max_degree: int) -> list[tuple[int, int]]:
 
 
 def guess_recurrence(terms, max_order: int, max_degree: int) -> Recurrence | None:
-    check_integer("max_order", max_order, 1)
-    check_integer("max_degree", max_degree)
+    cells = searched_grid(max_order, max_degree)
     seq = _cleared(terms)
     needed = (max_order + 1) * (max_degree + 1) + max_order + HELD_OUT
     if len(seq) < needed:
@@ -106,10 +107,10 @@ def guess_recurrence(terms, max_order: int, max_degree: int) -> Recurrence | Non
         )
     residues = np.array([t % _FILTER_PRIME for t in seq], dtype=np.int64)
     powers = _powers_mod_p(len(seq), max_degree)
-    if _grid_certified(residues, powers, len(seq), max_order, max_degree):
-        return None
-    for r, d in searched_grid(max_order, max_degree):
-        if _full_rank_mod_p(_residue_rows(residues, powers, len(seq) - r, r, d)):
+    if _full_rank_mod_p(_residue_rows(residues, powers, max_order, max_degree)):
+        return None  # the largest cell certifies every cell empty
+    for r, d in cells:
+        if _full_rank_mod_p(_residue_rows(residues, powers, r, d)):
             continue
         vec = _kernel_vector(_integer_rows(seq, r, d))
         if vec is not None:
@@ -136,21 +137,12 @@ def _powers_mod_p(n_rows: int, max_degree: int) -> np.ndarray:
     return powers
 
 
-def _residue_rows(
-    residues: np.ndarray, powers: np.ndarray, n_rows: int, r: int, d: int
-) -> np.ndarray:
-    """Rows n < n_rows of the (r, d) system mod p, columns in _integer_rows order."""
-    shifted = np.lib.stride_tricks.sliding_window_view(residues, r + 1)[:n_rows]
+def _residue_rows(residues: np.ndarray, powers: np.ndarray, r: int, d: int) -> np.ndarray:
+    """The (r, d) system mod p: one row per n < len(residues) - r, columns in
+    _integer_rows order."""
+    n_rows = len(residues) - r
+    shifted = np.lib.stride_tricks.sliding_window_view(residues, r + 1)
     return (shifted[:, :, None] * powers[:n_rows, None, :d + 1] % _FILTER_PRIME).reshape(n_rows, -1)
-
-
-def _grid_certified(
-    residues: np.ndarray, powers: np.ndarray, n_terms: int, max_order: int, max_degree: int
-) -> bool:
-    """True when the largest cell has full column rank mod p on its rows
-    n < n_terms - max_order; then so has every cell on its n_terms - r rows,
-    and with n_terms = len(seq) no cell can hold a verified recurrence."""
-    return _full_rank_mod_p(_residue_rows(residues, powers, n_terms - max_order, max_order, max_degree))
 
 
 def _full_rank_mod_p(mat: np.ndarray) -> bool:

@@ -17,7 +17,6 @@ and an excursion of the planar model has length p = a + b + c per round.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import gcd, lcm
 
 from .errors import ValidationError
@@ -81,7 +80,6 @@ class TandemModel:
         return m // self.A + m // self.B + m // self.C
 
 
-@cache
 def ballot_to_tandem(m: BallotModel) -> TandemModel:
     big = m.M
     return TandemModel(big // m.a, big // m.b, big // m.c)

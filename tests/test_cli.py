@@ -401,6 +401,31 @@ def test_subcommand_help_lists_flags(capsys):
         assert flag in out
 
 
+# each parser's arguments in order: its option strings, or a positional's dest
+PARSER_ARGUMENTS = [
+    ("tandemwalks", ["-h --help", "command"]),
+    ("enumerate", ["-h --help", "--model", "--what", "--n-max", "--mode", "--target",
+                   "--format", "--output", "--cell-budget", "--threads"]),
+    ("exponent", ["-h --help", "--model", "--json", "--output"]),
+    ("table1", ["-h --help", "--output"]),
+    ("table2", ["-h --help", "--bound", "--output"]),
+    ("classify", ["-h --help", "--gamma-sq", "--bound", "--output"]),
+    ("fit", ["-h --help", "--model", "--m-max", "--richardson", "--mode", "--plot",
+             "--format", "--output", "--cell-budget", "--threads"]),
+    ("guess", ["-h --help", "--series", "--max-order", "--max-degree", "--output"]),
+    ("bijection-check", ["-h --help", "--ballot", "--rounds", "--walk-cap", "--output"]),
+]
+
+
+def test_each_parser_takes_its_arguments_in_order():
+    parser = cli_module.build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    parsers = [("tandemwalks", parser), *sub.choices.items()]
+    assert [
+        (name, [" ".join(a.option_strings) or a.dest for a in p._actions]) for name, p in parsers
+    ] == PARSER_ARGUMENTS
+
+
 def test_large_triples_exit_zero(capsys):
     # (9,153,136) is the first table2 model whose closed forms overflow integer powers
     code, out, _ = cli(capsys, "exponent", "--model", "9,153,136")

@@ -132,6 +132,12 @@ def test_grid_limit_validation():
         guess_recurrence(terms, True, 2)
 
 
+@pytest.mark.parametrize("limits", [(None, 2), (2.5, 1), (-1, 3), (0, 3), (2, -1), (True, 1)])
+def test_searched_grid_validates_its_limits(limits):
+    with pytest.raises(ValidationError, match=r"^max_(order|degree) must be a"):
+        searched_grid(*limits)
+
+
 def catalan_numbers(n_terms):
     """c_0..c_{n_terms-1}, from (n+2) c_{n+1} = (4n+2) c_n."""
     c = [1]
@@ -345,7 +351,7 @@ def test_full_rank_largest_cell_certifies_every_cell(case):
     seq = guess._cleared(terms)
     residues = np.array([t % P1 for t in seq], dtype=np.int64)
     powers = guess._powers_mod_p(len(seq), D)
-    if guess._grid_certified(residues, powers, len(seq), R, D):
+    if guess._full_rank_mod_p(guess._residue_rows(residues, powers, R, D)):
         for r, d in searched_grid(R, D):
             assert not maybe_singular(guess._integer_rows(seq, r, d)), (r, d)
 

@@ -1,6 +1,7 @@
 """The package holds only what the command line reaches; test-only code lives in tests/."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tandemwalks"
@@ -126,6 +127,47 @@ def test_one_value_guard_flags_a_constant_in_disguise(tmp_path):
         "def solve(mat, q):\n    return _rank(mat, PRIME) + _rank(q, PRIME, scale=1)\n"
     )
     assert one_value_parameters(tmp_path) == [("_rank", "p"), ("_rank", "scale")]
+
+
+def one_call_wrappers(package=PACKAGE):
+    """Qualified names of the private, undecorated functions with one call
+    site in the package whose body, past its docstring, is one
+    ``return <call>``: a wrapper that its one caller can do without.  A
+    decorated one (a cache) does something of its own."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    calls = Counter(
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    )
+    flagged = []
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_") \
+                    or _is_dunder(fn.name) or fn.decorator_list or calls[fn.name] != 1:
+                continue
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            if len(body) == 1 and isinstance(body[0], ast.Return) \
+                    and isinstance(body[0].value, ast.Call):
+                flagged.append(f"{module}.{fn.name}")
+    return sorted(flagged)
+
+
+def test_no_private_function_wraps_one_call_for_one_caller():
+    flagged = one_call_wrappers()
+    assert not flagged, "call what these return from their one caller: " + ", ".join(flagged)
+
+
+def test_wrapper_guard_flags_a_one_caller_wrapper(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import functools\n"
+        "def _rank(m):\n    return len(m)\n"
+        "def _wrap(m):\n    \"\"\"The rank.\"\"\"\n    return _rank(m)\n"
+        "def _twice(m):\n    return _rank(m)\n"
+        "@functools.cache\ndef _cached():\n    return build()\n"
+        "def build():\n    return _wrap([]) + _twice([]) + _twice([1]) + _cached()\n"
+    )
+    assert one_call_wrappers(tmp_path) == ["mod._wrap"]
 
 
 # the functions that may test for bool themselves: the one integer check, and
