@@ -23,7 +23,12 @@ def search_triples(r, bound: int) -> list[TandemModel]:
     For fixed A and B the equality B^2 * den(r) = (A+B)(B+C) * num(r) has at
     most one integer solution C, checked with exact integer arithmetic.
     Sorted lexicographically; a triple and its (C, B, A) swap both appear.
+    ``r`` is an exact rational such as ``Fraction(1, 3)``; a float is
+    rejected, since it holds a binary fraction near the rational meant (a
+    bool reads as 0 or 1, outside the range).
     """
+    if isinstance(r, float):
+        raise ValidationError(f"gamma^2 must be an exact rational such as Fraction(1, 3), got {r!r}")
     r = Fraction(r)
     if not Fraction(0) < r < Fraction(1):
         raise ValidationError(f"gamma^2 must lie strictly between 0 and 1, got {r}")

@@ -22,15 +22,21 @@ dynamic program, in one of two coordinate systems chosen by what it reads.
   still reach its slab; log-float totals keep every reachable cell, split
   at half the window's width.  Totals stay on this grid: there the slabs
   are axis-aligned strips, and `np.sum` adds a log-float level in an order
-  that follows the grid's layout.
+  that follows the grid's layout.  The cells reachable at level n form one
+  coset of a lattice of index d = E/(gx*gy), E = AB + AC + BC: one residue
+  of the row mod d for each residue of the column.  On a level whose box
+  holds d^3 cells or more, exact totals update only those d classes, each
+  a strided view of a strip; log-float totals stay dense, since a float
+  add costs less than the extra slicing.
 
 Each transition works on a numpy array held in one of two buffers reused
-across levels: in each rectangle of the level's box the first step that
-reaches it copies its shifted source slice in, and the later steps add
-theirs.  With object dtype the arithmetic is exact big-integer arithmetic;
-float64 levels are scaled by powers of two, which round nothing, and an
-integer shift keeps the true magnitude, so a log-float term depends on the
-model and n alone (raw floats would overflow beyond a few hundred steps).
+across levels: in each view of the level's box (a rectangle, or one
+residue class of its cells) the first step that reaches it copies its
+shifted source slice in, and the later steps add theirs.  With object
+dtype the arithmetic is exact big-integer arithmetic; float64 levels are
+scaled by powers of two, which round nothing, and an integer shift keeps
+the true magnitude, so a log-float term depends on the model and n alone
+(raw floats would overflow beyond a few hundred steps).
 
 The sweep runs the plan it is handed and returns one reading per level
 from a callback on the level's box (the count at the target, the grid sum,
@@ -67,8 +73,8 @@ _RESCALE = 32
 class CountSequence:
     """Terms t_0..t_n of a counting sequence.
 
-    ``values`` holds exact integers in ``exact`` mode and natural logs
-    (``-inf`` for zero counts) in ``logfloat`` mode.
+    ``values`` holds exact nonnegative integers in ``exact`` mode and
+    natural logs as floats (``-inf`` for zero counts) in ``logfloat`` mode.
     """
 
     mode: str
@@ -76,7 +82,16 @@ class CountSequence:
 
     def __post_init__(self) -> None:
         _validate_mode(self.mode)
-        object.__setattr__(self, "values", tuple(self.values))
+        try:
+            values = tuple(self.values)
+        except TypeError:
+            raise ValidationError(f"values must be a sequence, got {self.values!r}") from None
+        exact = self.mode == "exact"
+        for v in values:
+            if not (is_integer(v) if exact else isinstance(v, float)):
+                kind = "nonnegative integers" if exact else "floats"
+                raise ValidationError(f"{self.mode} values must be {kind}, got {v!r}")
+        object.__setattr__(self, "values", values)
 
     @property
     def n_max(self) -> int:
@@ -127,11 +142,15 @@ def _sweep(
 
     The ``plan`` (steps, levels, cut) comes from `_ballot_boxes` or
     `_quadrant_windows`, which describe its coordinates.  It gives each level
-    as (ox, oy, w, h, rects): the origin and shape of its box and disjoint
-    rectangles (x0, x1, y0, y1) of it, in the plan's coordinates.  The box
-    is zero-filled just before its update; in each rectangle the first step
-    whose part of it is nonempty assigns its shifted source and only the
-    later steps add theirs.  That is exact:
+    as (ox, oy, w, h, rects, p, classes): the origin and shape of its box,
+    disjoint rectangles (x0, x1, y0, y1) of it, in the plan's coordinates,
+    and the residue classes (k, l) mod p of the cells it updates: in each
+    rectangle, the view of stride p of the cells (x, y) with x = k and
+    y = l (mod p).  An unsplit level has p = 1 and the one class (0, 0).
+    The box is zero-filled just before its update, so a cell of no class
+    stays zero; in each view the first step whose part of it is nonempty
+    assigns its shifted source and only the later steps add theirs.  That
+    is exact:
     0 + v == v for Python integers and for nonnegative float64, so every
     value and every rounding is the same as adding all steps, R, D, U in
     that order, to zeros.  Every predecessor of a cell that the sweep keeps
@@ -149,12 +168,12 @@ def _sweep(
     level overwrites: a reading that keeps the grid must copy it.
     """
     steps, levels, cut = plan
-    size = max(w * h for _, _, w, h, _ in levels)
+    size = max(w * h for _, _, w, h, *_ in levels)
     dtype = object if mode == "exact" else np.float64
     bufs = (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
 
     def level_view(n: int) -> np.ndarray:
-        _, _, w, h, _ = levels[n]
+        _, _, w, h, *_ = levels[n]
         view = bufs[n % 2][: w * h].reshape(w, h)
         view.fill(0)
         return view
@@ -163,23 +182,30 @@ def _sweep(
     cur[0, 0] = 1
     shift = 0
     readings = []
-    for n, (ox, oy, _, _, rects) in enumerate(levels):
+    for n, (ox, oy, _, _, rects, p, classes) in enumerate(levels):
         if n > 0:
             w0, h0 = cur.shape
             nxt = level_view(n)
             for x0, x1, y0, y1 in rects:
-                first = True
-                for si, sj in steps:
-                    # destination cells whose source lies in the previous box
-                    a, b = max(x0, px + si), min(x1, px + w0 + si)
-                    c, d = max(y0, py + sj), min(y1, py + h0 + sj)
-                    if a < b and c < d:
-                        src = cur[a - si - px:b - si - px, c - sj - py:d - sj - py]
-                        if first:  # the rectangle is still all zeros: 0 + v is v
-                            nxt[a - ox:b - ox, c - oy:d - oy] = src
-                            first = False
-                        else:
-                            nxt[a - ox:b - ox, c - oy:d - oy] += src
+                # per step, the destination cells whose source lies in the
+                # previous box
+                parts = [
+                    (si, sj, max(x0, px + si), min(x1, px + w0 + si),
+                     max(y0, py + sj), min(y1, py + h0 + sj))
+                    for si, sj in steps
+                ]
+                for k, l in classes:
+                    first = True
+                    for si, sj, a, b, c, e in parts:
+                        a += (k - a) % p  # the first column and row of the class
+                        c += (l - c) % p
+                        if a < b and c < e:
+                            src = cur[a - si - px:b - si - px:p, c - sj - py:e - sj - py:p]
+                            if first:  # the view is still all zeros: 0 + v is v
+                                nxt[a - ox:b - ox:p, c - oy:e - oy:p] = src
+                                first = False
+                            else:
+                                nxt[a - ox:b - ox:p, c - oy:e - oy:p] += src
             if cut is not None:
                 cut(n, nxt, ox, oy)
             if mode == "logfloat" and n % _RESCALE == 0:
@@ -218,11 +244,28 @@ def _quadrant_windows(m: TandemModel, n_max: int, slabs: bool):
     bounds.  Otherwise every cell is kept, split at half the box's width,
     for speed alone: the split skips the empty cells above the window's
     slope but costs a slice copy or add per step.
+
+    Level n's cells are n*U plus the lattice spanned by R - U = (a1, c2) and
+    D - U = (-b1, b2 + c2), a1 = A/gx, b1 = B/gx, b2 = B/gy, c2 = C/gy, of
+    index d = a1*(b2 + c2) + b1*c2.  So (i, j) holds walks only if
+    (b2 + c2)*i + b1*(j + c2*n) = 0 and a1*(j + c2*n) - c2*i = 0 (mod d):
+    the left sides are d*n1 and d*n2 for n1 R and n2 D steps.  d*Z^2 lies
+    in the lattice, and gcd(a1, b1) = 1 puts a point (1, t) in it, so these
+    are the d classes j = t*i - c2*n (mod d), one per residue of i.  For
+    ``slabs``, a level whose box holds at least d^3 cells, so that each of
+    its d views holds d^2 of them on average, is split into those classes;
+    smaller levels, and every level of a sweep that is not ``slabs``, are
+    swept dense.  The split rule reads d and the box alone, and a level
+    that is not split lists no classes, so a huge d costs nothing.
     """
     A, B, C = m.A, m.B, m.C
     gx, gy = gcd(A, B), gcd(B, C)
-    steps = ((A // gx, 0), (-B // gx, B // gy), (0, -C // gy))
-    nxm, nym = B // gx, C // gy
+    a1, b1, b2, c2 = A // gx, B // gx, B // gy, C // gy
+    steps = ((a1, 0), (-b1, b2), (0, -c2))
+    nxm, nym = b1, c2
+    d = a1 * (b2 + c2) + b1 * c2
+    u = pow(a1, -1, b1)  # (1, t) = u*(R - U) + (u*a1 - 1)/b1 * (D - U)
+    t = (u * c2 + (u * a1 - 1) // b1 * (b2 + c2)) % d
     ups = [
         (a, b, max(a * i + b * j for i, j in steps))
         for a, b in ((1, 0), (0, 1), (B // gy, (A + B) // gx), ((B + C) // gy, B // gx))
@@ -239,7 +282,10 @@ def _quadrant_windows(m: TandemModel, n_max: int, slabs: bool):
         r = n_max - n
         split, reach = ((r + 1) * nxm, (r + 1) * nym) if slabs else (w // 2, h)
         split = min(split, w)
-        return 0, 0, w, h, ((0, split, 0, h), (split, w, 0, min(reach, height(split))))
+        rects = (0, split, 0, h), (split, w, 0, min(reach, height(split)))
+        if slabs and d ** 3 <= w * h:
+            return 0, 0, w, h, rects, d, tuple((k, (t * k - c2 * n) % d) for k in range(d))
+        return 0, 0, w, h, rects, 1, ((0, 0),)
 
     return steps, [window(n) for n in range(n_max + 1)], None
 
@@ -290,7 +336,7 @@ def _ballot_boxes(m: TandemModel, target: tuple[int, int, int]):
         r0 = max(-(-C * (n - c1 + 1) // (B + C)), n - c1 + 1 - N3, 0)
         top = -(-B * (n + 1) // (A + B)) - 1  # the last column with A*k // B <= n - k
         r1 = max(hi(n, min(max(k, c0), c1 - 1)) for k in (top, top + 1)) + 1
-        return c0, r0, c1 - c0, r1 - r0, ((c0, c1, r0, r1),)
+        return c0, r0, c1 - c0, r1 - r0, ((c0, c1, r0, r1),), 1, ((0, 0),)
 
     # the row just across each cone line: above A*n1 >= B*n2 by column, and
     # below (B+C)*n2 >= C*(n - n1) by d = n - n1, in exact integers
@@ -385,8 +431,10 @@ def count_walks_total(
     leaves it from the columns x < B and U from the rows y < C, so the loss
     is the sum over those two boundary slabs.  Only the slabs are read, so
     the sweep updates only the cells that can still reach one: an L-shaped
-    window that narrows toward the last level.  Log-float mode sums the
-    whole reachable rectangle at every level.
+    window that narrows toward the last level, and within it, on levels
+    with at least d^3 cells, only the d residue classes of cells that walks
+    can reach (`_quadrant_windows`).  Log-float mode sums the whole
+    reachable rectangle at every level.
     """
     check_integer("n_max", n_max)
     check_integer("cell_budget", cell_budget)

@@ -79,6 +79,18 @@ def test_search_validation():
         search_triples(Fraction(1, 4), 0)
 
 
+def test_search_rejects_a_float_gamma_sq():
+    # 1/3 as a float is a dyadic rational near 1/3, which no triple matches
+    found = {(m.A, m.B, m.C) for m in search_triples(Fraction(1, 3), 12)}
+    assert {(1, 2, 2), (2, 2, 1)} <= found
+    for r in (1 / 3, 0.25):
+        with pytest.raises(ValidationError, match="gamma\\^2 must be an exact rational"):
+            search_triples(r, 12)
+    for r in (True, False):
+        with pytest.raises(ValidationError, match="gamma\\^2 must lie strictly between"):
+            search_triples(r, 12)
+
+
 def test_search_meter_admits_bound_14142(monkeypatch):
     # 14142^2 pairs fit the default budget: the search gets to its loop
     class Started(Exception):

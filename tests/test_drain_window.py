@@ -4,7 +4,8 @@ A pinned sweep runs in ballot coordinates (n1, n2), the numbers of R and D
 steps, and keeps the cells of the quadrant cone from which the target's
 ballot point is still reachable; totals run on the quadrant grid, within the
 reach of the origin, and exact totals keep only the cells that can still
-reach a boundary slab.  All of it is checked here against a plain
+reach a boundary slab and, on large levels, only the residue classes of
+cells that walks can reach.  All of it is checked here against a plain
 dictionary dynamic program over the whole quadrant, on random coprime
 tandem triples (with examples whose step lattice is coarser than Z^2, and
 one with large steps) and random targets (on and off the step lattice).
@@ -15,6 +16,7 @@ window.
 """
 
 from math import frexp, gcd, log
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from tandemwalks import (
     count_walks_total,
     tandem_step_set,
 )
+from tandemwalks import enumeration
 from tandemwalks.enumeration import _ballot_boxes, _quadrant_windows, _sweep
 
 
@@ -409,12 +412,13 @@ def test_logfloat_terms_do_not_depend_on_n_max(m, target, n, extra):
 
 def column_blocks(plan, k):
     """``plan`` with each level's box covered by k full-height column blocks
-    instead of its own rectangles."""
+    instead of its own rectangles, each split into the level's classes."""
     steps, levels, cut = plan
     blocked = []
-    for ox, oy, w, h, _ in levels:
+    for ox, oy, w, h, _, p, classes in levels:
         edges = sorted({i * w // k for i in range(k + 1)})
-        blocked.append((ox, oy, w, h, tuple((x0, x1, 0, h) for x0, x1 in zip(edges, edges[1:]))))
+        blocks = tuple((x0, x1, 0, h) for x0, x1 in zip(edges, edges[1:]))
+        blocked.append((ox, oy, w, h, blocks, p, classes))
     return steps, blocked, cut
 
 
@@ -430,3 +434,109 @@ def test_logfloat_terms_do_not_depend_on_block_count(m, n_max):
     for k in (1, 3):
         terms = _sweep(column_blocks(plan, k), "logfloat", lambda n, grid, origin: np.sum(grid))
         assert tuple(terms) == total
+
+
+# Exact totals split a level whose box holds d^3 cells or more into the d
+# residue classes (i, j) mod d of the cells that walks can reach.
+
+
+def lattice(m):
+    """(a1, b1, b2, c2, d): the steps R = (a1, 0), D = (-b1, b2), U = (0, -c2)
+    in grid units and the index d of the lattice of R - U and D - U."""
+    gx, gy = spacings(m)
+    a1, b1, b2, c2 = m.A // gx, m.B // gx, m.B // gy, m.C // gy
+    return a1, b1, b2, c2, a1 * (b2 + c2) + b1 * c2
+
+
+def live_cells(m, n, w, h):
+    """Mask of the cells (i, j) of a w x h box at the origin that lie in
+    level n's coset: n1 and n2 in (i, j) - n*U = n1*(R - U) + n2*(D - U)
+    are integers."""
+    a1, b1, b2, c2, d = lattice(m)
+    i, j = np.ogrid[:w, :h]
+    jn = j + c2 * n
+    return (((b2 + c2) * i + b1 * jn) % d == 0) & ((a1 * jn - c2 * i) % d == 0)
+
+
+def dense(plan):
+    """``plan`` with every level swept whole: stride 1 and the one class."""
+    steps, levels, cut = plan
+    return steps, [level[:5] + (1, ((0, 0),)) for level in levels], cut
+
+
+@settings(max_examples=60, deadline=None)
+@given(models, st.integers(0, 40))
+@example(UNIT, 40)
+@lattice_examples(40)
+def test_split_levels_update_the_live_classes_only(m, n_max):
+    # a level with d^3 cells or more lists the d classes that the reference
+    # reaches; every cell of its window holds the reference count, every
+    # cell off the level's coset holds 0, and the unsplit sweep agrees
+    s = tandem_step_set(m)
+    gx, gy = spacings(m)
+    *_, d = lattice(m)
+    nxm, nym = m.B // gx, m.C // gy
+    assert d == (m.A * m.B + m.A * m.C + m.B * m.C) // (gx * gy)
+    levels = reference_levels(s.steps, n_max)
+    plan = _quadrant_windows(m, n_max, slabs=True)
+    grids = _sweep(plan, "exact", copy_grid)
+    unsplit = _sweep(dense(plan), "exact", copy_grid)
+    for n, (level, (_, grid), (_, whole)) in enumerate(zip(plan[1], grids, unsplit)):
+        _, _, w, h, _, p, classes = level
+        if d ** 3 <= w * h:
+            assert p == len(classes) == d, n
+            assert set(classes) == {(x // gx % d, y // gy % d) for x, y in levels[n]}, n
+        else:
+            assert (p, classes) == (1, ((0, 0),)), n
+        true = np.zeros((w, h), dtype=object)
+        for (x, y), v in levels[n].items():
+            true[x // gx, y // gy] = v
+        i, j = np.ogrid[:w, :h]
+        window = (i < (n_max - n + 1) * nxm) | (j < (n_max - n + 1) * nym)
+        assert (grid[window] == true[window]).all(), n
+        assert (grid[~live_cells(m, n, w, h)] == 0).all(), n
+        assert (grid == whole).all(), n
+
+    windows = enumeration._quadrant_windows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration, "_quadrant_windows", lambda *args, **kw: dense(windows(*args, **kw)))
+        unsplit_totals = count_walks_total(s, n_max).values
+    totals = count_walks_total(s, n_max).values
+    assert totals == unsplit_totals == tuple(sum(lv.values()) for lv in levels)
+
+
+def view_length(lo, hi, k, p):
+    """Number of x with lo <= x < hi and x = k (mod p)."""
+    return len(range(lo + (k - lo) % p, hi, p))
+
+
+def test_exact_totals_plan_updates_one_dth_of_its_strips():
+    # (1,1,1) has d = 3.  Built only, not swept: the views of the exact
+    # totals plan at n = 600 (levels 1..599) hold at most 1/d of the strips'
+    # cells plus one row and one column per view, as a view of a W x H strip
+    # has fewer than W/d + 1 columns and H/d + 1 rows
+    *_, d = lattice(UNIT)
+    _, levels, _ = _quadrant_windows(UNIT, 599, slabs=True)
+    cells = strips = margin = 0
+    for *_, rects, p, classes in levels[1:]:
+        for x0, x1, y0, y1 in rects:
+            strips += (x1 - x0) * (y1 - y0)
+            for k, l in classes:
+                cols, rows = view_length(x0, x1, k, p), view_length(y0, y1, l, p)
+                cells += cols * rows
+                margin += cols + rows
+    assert cells <= strips / d + margin < strips / 2
+
+
+def test_huge_lattice_index_lists_no_classes():
+    # d is about 2*10^20 for (1, 10^20, 1) and 10^12 for (10^6, 1, 10^6): no
+    # box reaches d^3 cells, and listing the d^2 residue pairs would hang
+    for triple, n_max, mode, expected in [
+        ((1, 10**20, 1), 0, "exact", (1,)),
+        ((1, 10**20, 1), 0, "logfloat", (0.0,)),
+        ((10**6, 1, 10**6), 2, "logfloat", (0.0, 0.0, frexp_log(2.0))),
+        ((10**6, 1, 10**6), 2, "exact", (1, 1, 2)),
+    ]:
+        start = perf_counter()
+        assert count_walks_total(tandem_step_set(TandemModel(*triple)), n_max, mode).values == expected
+        assert perf_counter() - start < 0.5, (triple, mode)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tandemwalks import (
     BallotModel,
     BudgetExceededError,
+    CountSequence,
     StepSet,
     TandemModel,
     ValidationError,
@@ -150,6 +151,24 @@ def test_budget_meter_is_closed_form():
     with pytest.raises(BudgetExceededError):
         count_endpoint(steps_of(1, 10**20, 1), N, (1, 0))
     assert perf_counter() - start < 0.5
+
+
+def test_count_sequence_checks_its_values_by_mode():
+    assert CountSequence("exact", [0, 1, 10**40]).values == (0, 1, 10**40)
+    nan, inf = float("nan"), float("inf")
+    assert CountSequence("logfloat", (0.0, -inf, np.float64(2.5))).values[:2] == (0.0, -inf)
+    assert np.isnan(CountSequence("logfloat", (nan,)).values[0])
+    for mode, values, message in [
+        ("exact", 5, "values must be a sequence, got 5$"),
+        ("exact", ("a", None), "exact values must be nonnegative integers, got 'a'$"),
+        ("exact", (1, True), "got True$"),
+        ("exact", (1, -1), "got -1$"),
+        ("exact", (1.0,), "got 1.0$"),
+        ("logfloat", (0.0, 1), "logfloat values must be floats, got 1$"),
+        ("logfloat", 0.0, "values must be a sequence, got 0.0$"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            CountSequence(mode, values)
 
 
 def test_bad_mode_and_target_fail_before_the_sweep(monkeypatch):
