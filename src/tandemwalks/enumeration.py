@@ -8,10 +8,15 @@ dynamic program, in one of two coordinate systems chosen by what it reads.
   walk with n1 R, n2 D and n3 U steps ends at (A*n1 - B*n2, B*n2 - C*n3),
   so at level n the cell (n1, n2) is one quadrant point, every cell of the
   quadrant cone is live, and the steps are the shifts (1,0), (0,1), (0,0).
-  The target is one ballot point (N1, N2, N3), and the cells that can still
-  reach it are those with n1 <= N1, n2 <= N2 and n3 <= N3: each level keeps
-  a box of whole columns, computed in closed form, and zeroes the one cell
-  per column just across each cone line after its update.
+  The target is one ballot point (N1, N2, N3), at the last level whose
+  step numbers are nonnegative integers, found by solving two linear
+  congruences in n.  The cells that can still reach it are those with
+  n1 <= N1, n2 <= N2 and n3 <= N3: each level keeps a box of whole columns
+  and zeroes the one cell per column just across each cone line after its
+  update.  The boxes and the ends of those cuts are computed in closed form
+  for all levels at once, before the sweep, so the level loop only slices,
+  cuts and reads the cells of the target's walks, whose step numbers
+  differ by multiples of the ballot triple.
 - Totals run on the quadrant grid: every reachable x is a multiple of
   gx = gcd(A, B) and every y of gy = gcd(B, C), so the grid indexes those
   multiples, and a window cut out by linear bounds along the two axes and
@@ -51,7 +56,6 @@ likewise counts its cone points against the budget before its first step.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import frexp, gcd, log
 from typing import Any, Callable
@@ -60,7 +64,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ValidationError, check_integer, is_integer
 from .models import BALLOT_STEPS, BallotModel, StepSet, TandemModel, ballot_to_tandem
-from .models import tandem_step_set
+from .models import tandem_step_set, tandem_to_ballot
 
 DEFAULT_CELL_BUDGET = 200_000_000
 
@@ -309,64 +313,96 @@ def _ballot_boxes(m: TandemModel, target: tuple[int, int, int]):
     rises or stays, so the columns where lo <= hi run from one column c0 to
     min(n, N1).  c0 is the largest of three closed-form columns (where
     n - n1 - N3 <= hi and ceil(C*(n - n1)/(B+C)) <= N2 begin to hold) and
-    of the first column that the cone meets, found by bisection.  The box is
-    those columns times the rows from lo(min(n, N1)) to the largest hi,
-    which lies where floor(A*n1/B) and n - n1 cross.  Within the box only
-    the one cell per column just across each cone line can become nonzero
-    (a cell further out has every source out too), and ``cut`` zeroes both
-    after each update; cells with n3 < 0 have only such sources and stay
-    zero.
+    of the first column k that the cone meets, where
+    ceil(C*(n - k)/(B+C)) <= floor(A*k/B).  That test is monotone in k; it
+    fails below B*C*n/E, E = AB + AC + BC, and holds once the rows between
+    the two lines span B*(B+C)/E or more, so one bisection over that range
+    finds the column for every level at once.  The box is those columns
+    times the rows from lo(min(n, N1)) to the largest hi, which lies where
+    floor(A*n1/B) and n - n1 cross.  Within the box only the one cell per
+    column just across each cone line can become nonzero (a cell further
+    out has every source out too), and ``cut`` zeroes both after each
+    update; cells with n3 < 0 have only such sources and stay zero.
+
+    Every box and both ends of each cut are computed here for all levels at
+    once, on object arrays of Python integers, so they are exact for any
+    triple; the level loop only slices and cuts.
     """
     A, B, C = m.A, m.B, m.C
     E = A * B + A * C + B * C
     N1, N2, N3 = target
     n_last = N1 + N2 + N3
-
-    def hi(n: int, k: int) -> int:
-        return min(A * k // B, n - k, N2)
-
-    def box(n: int):
-        # the cone meets column k only if B*C*n <= E*k, and always once the
-        # rows between its lines span B*(B+C)/E or more
-        first = -(-B * C * n // E)
-        first += bisect_left(range(first, -(-(B * C * n + B * (B + C)) // E)), True,
-                             key=lambda k: -(-C * (n - k) // (B + C)) <= A * k // B)
-        c0 = max(first, n - N2 - N3, n - (B + C) * N2 // C, -(-B * (n - N3) // (A + B)))
-        c1 = min(n, N1) + 1
-        r0 = max(-(-C * (n - c1 + 1) // (B + C)), n - c1 + 1 - N3, 0)
-        top = -(-B * (n + 1) // (A + B)) - 1  # the last column with A*k // B <= n - k
-        r1 = max(hi(n, min(max(k, c0), c1 - 1)) for k in (top, top + 1)) + 1
-        return c0, r0, c1 - c0, r1 - r0, ((c0, c1, r0, r1),), 1, ((0, 0),)
-
+    n = np.arange(n_last + 1, dtype=object)
+    # bisection for the first column that the cone meets; it meets the
+    # column end, so a settled level (lo == end) keeps its column
+    lo, end = -(-B * C * n // E), -(-(B * C * n + B * (B + C)) // E)
+    while (lo < end).any():
+        mid = (lo + end) // 2
+        meets = -(-C * (n - mid) // (B + C)) <= A * mid // B
+        lo, end = np.where(meets, lo, mid + 1), np.where(meets, mid, end)
+    c0 = np.maximum.reduce([lo, n - N2 - N3, n - (B + C) * N2 // C, -(-B * (n - N3) // (A + B))])
+    c1 = np.minimum(n, N1) + 1
+    r0 = np.maximum(np.maximum(-(-C * (n - c1 + 1) // (B + C)), n - c1 + 1 - N3), 0)
+    top = -(-B * (n + 1) // (A + B)) - 1  # the last column with A*k // B <= n - k
+    tops = [np.minimum(np.maximum(k, c0), c1 - 1) for k in (top, top + 1)]
+    r1 = np.maximum.reduce([np.minimum(np.minimum(A * k // B, n - k), N2) for k in tops]) + 1
     # the row just across each cone line: above A*n1 >= B*n2 by column, and
-    # below (B+C)*n2 >= C*(n - n1) by d = n - n1, in exact integers
-    above = (np.minimum(np.arange(N1 + 1, dtype=object) * A // B, N2) + 1).astype(np.intp)
-    below = (-(-C * np.arange(n_last + 1, dtype=object) // (B + C)) - 1).astype(np.intp)
+    # below (B+C)*n2 >= C*(n - n1) by d = n - n1; each line's cells lie in
+    # the box for a first run of its columns, as the row above rises with
+    # n1 and the row below falls, up to the column where the line leaves it
+    above = (np.minimum(n[: N1 + 1] * A // B, N2) + 1).astype(np.intp)
+    below = (-(-C * n // (B + C)) - 1).astype(np.intp)
+    ends_above = np.maximum(c0, np.minimum(c1, -(-B * (r1 - 1) // A))).tolist()
+    ends_below = np.maximum(c0, np.minimum(c1, n - r0 * (B + C) // C)).tolist()
     cols = np.arange(N1 + 1)
 
     def cut(n: int, grid: np.ndarray, c0: int, r0: int) -> None:
-        # each line's cells lie in the box for a first run of its columns:
-        # the row above rises with n1 and the row below falls
-        w, h = grid.shape
-        k = max(c0, min(c0 + w, -(-B * (r0 + h - 1) // A)))
+        k = ends_above[n]
         grid[cols[: k - c0], above[c0:k] - r0] = 0
-        k = max(c0, min(c0 + w, n - r0 * (B + C) // C))
+        k = ends_below[n]
         grid[cols[: k - c0], below[n - k + 1:n - c0 + 1][::-1] - r0] = 0
 
-    return ((1, 0), (0, 1), (0, 0)), [box(n) for n in range(n_last + 1)], cut
+    c0, r0, c1, r1 = c0.tolist(), r0.tolist(), c1.tolist(), r1.tolist()
+    levels = [(x0, y0, x1 - x0, y1 - y0, ((x0, x1, y0, y1),), 1, ((0, 0),))
+              for x0, y0, x1, y1 in zip(c0, r0, c1, r1)]
+    return ((1, 0), (0, 1), (0, 0)), levels, cut
 
 
-def _ballot_point(m: TandemModel, target: tuple[int, int], n: int):
-    """The numbers (n1, n2, n3) of R, D and U steps of a walk of length n
-    ending at ``target``, or None if they are not all nonnegative integers."""
+def _last_ballot_point(m: TandemModel, target: tuple[int, int], n_max: int):
+    """The numbers (N1, N2, N3) of R, D and U steps of a walk ending at
+    ``target`` at the last level n <= n_max where they are nonnegative
+    integers, or None if there is no such level.
+
+    A walk of length n ends at (x, y) with E*n1 = (B+C)*x + B*(y + C*n) and
+    E*n2 = A*(y + C*n) - C*x, E = AB + AC + BC, so n1 and n2 are integers
+    exactly when n solves the two linear congruences
+    B*C*n = -(B+C)*x - B*y and A*C*n = C*x - A*y (mod E).  Each is solved
+    by a modular inverse and the two are joined by the Chinese remainder
+    theorem for moduli that need not be coprime, which gives the largest
+    solution n <= n_max.  Below it the solutions step down by the period,
+    and the step numbers by the ballot triple, so a number negative at n is
+    negative at every lower level too.
+    """
     A, B, C = m.A, m.B, m.C
     E = A * B + A * C + B * C
     x, y = target
-    n1, r1 = divmod((B + C) * x + B * (y + C * n), E)
-    n2, r2 = divmod(A * (y + C * n) - C * x, E)
-    if r1 == r2 == 0 and min(n1, n2, n - n1 - n2) >= 0:
-        return n1, n2, n - n1 - n2
-    return None
+    r, q = 0, 1  # the levels solved so far: n = r (mod q)
+    for a, b in ((B * C, -(B + C) * x - B * y), (A * C, C * x - A * y)):
+        g = gcd(a, E)
+        if b % g:
+            return None
+        mod = E // g
+        s = b // g * pow(a // g, -1, mod)  # a*n = b (mod E) iff n = s (mod mod)
+        h = gcd(q, mod)
+        if (s - r) % h:
+            return None
+        r += q * ((s - r) // h * pow(q // h, -1, mod // h))
+        q = q // h * mod
+    n = n_max - (n_max - r) % q
+    n1 = ((B + C) * x + B * (y + C * n)) // E
+    n2 = (A * (y + C * n) - C * x) // E
+    N = (n1, n2, n - n1 - n2)
+    return N if min(N) >= 0 else None
 
 
 def count_excursions(
@@ -389,7 +425,14 @@ def count_endpoint(
     """Numbers of quarter-plane walks from the origin to ``target``.
 
     The sweep is pinned to the target's ballot point at the last level
-    n <= n_max that has one (`_ballot_point`); with none, every term is zero.
+    n <= n_max that has one, solved for in closed form from two linear
+    congruences in n (`_last_ballot_point`); with none, every term is zero.
+    The budget is checked before that level is found.  The integer step
+    numbers of walks with one endpoint differ by multiples of the ballot
+    triple (a, b, c), so the walks that end at the target are those at level
+    N1 + N2 + N3 - k*(a + b + c) with the step numbers (N1, N2, N3) -
+    k*(a, b, c), for each k that leaves all three nonnegative; the reading
+    only indexes those cells.
     """
     check_integer("n_max", n_max)
     check_integer("cell_budget", cell_budget)
@@ -398,21 +441,22 @@ def count_endpoint(
     if len(point) != 2 or not all(is_integer(v) for v in point):
         raise ValidationError(f"target must be a quadrant point, got {target!r}")
     m = _tandem(s)
-    # before the scan for the target's level, and also when no walk gets there
+    # before the target's level is solved for, and also when no walk gets there
     _check_budget(m, n_max, cell_budget)
     zero = 0 if mode == "exact" else float("-inf")
-    # levels where the step numbers are integers differ by the period, as the
-    # solutions differ by the ballot triple, so one period down from n_max
-    # holds the last of them; a number negative there is negative below it too
-    levels = range(n_max, max(n_max - m.period, -1), -1)
-    N = next(filter(None, (_ballot_point(m, point, n) for n in levels)), None)
+    N = _last_ballot_point(m, point, n_max)
     if N is None:
         return CountSequence(mode, (zero,) * (n_max + 1))
+    ballot = tandem_to_ballot(m)
     n_last = sum(N)
+    cells = {
+        n_last - k * ballot.period: (N[0] - k * ballot.a, N[1] - k * ballot.b)
+        for k in range(min(N[0] // ballot.a, N[1] // ballot.b, N[2] // ballot.c) + 1)
+    }
 
     def at_target(n: int, grid: np.ndarray, origin: tuple[int, int]):
-        P = _ballot_point(m, point, n)
-        return grid[P[0] - origin[0], P[1] - origin[1]] if P else 0
+        cell = cells.get(n)
+        return grid[cell[0] - origin[0], cell[1] - origin[1]] if cell else 0
 
     values = _sweep(_ballot_boxes(m, N), mode, at_target)
     return CountSequence(mode, tuple(values) + (zero,) * (n_max - n_last))

@@ -30,6 +30,57 @@ def coprime_triples(bound):
             yield triple
 
 
+def ballot_point_at(m, target, n):
+    """The numbers (n1, n2, n3) of R, D and U steps of a walk of length n
+    ending at ``target``, or None if they are not all nonnegative integers."""
+    A, B, C = m.A, m.B, m.C
+    E = A * B + A * C + B * C
+    x, y = target
+    n1, r1 = divmod((B + C) * x + B * (y + C * n), E)
+    n2, r2 = divmod(A * (y + C * n) - C * x, E)
+    if r1 == r2 == 0 and min(n1, n2, n - n1 - n2) >= 0:
+        return n1, n2, n - n1 - n2
+    return None
+
+
+def last_ballot_point_by_scan(m, target, n_max):
+    """`ballot_point_at` at the last level <= n_max where it is not None, or
+    None: the levels with integer step numbers differ by the period, so the
+    scan looks one period down from n_max at most."""
+    levels = range(n_max, max(n_max - m.period, -1), -1)
+    return next(filter(None, (ballot_point_at(m, target, n) for n in levels)), None)
+
+
+def ballot_level(m, N, n):
+    """Level n of a sweep pinned to the ballot point N, one level at a time:
+    ((c0, r0, w, h), (end_above, end_below)), its box and the columns where
+    its two cuts end, by the formulas that `_ballot_boxes` evaluates for all
+    levels at once.  The first column that the cone meets is bisected for
+    on Python integers; `bisect.bisect_left` over a range cannot do it for
+    large steps, as a range longer than 2**63 has no length."""
+    A, B, C = m.A, m.B, m.C
+    E = A * B + A * C + B * C
+    N1, N2, N3 = N
+    lo, end = -(-B * C * n // E), -(-(B * C * n + B * (B + C)) // E)
+    while lo < end:
+        mid = (lo + end) // 2
+        if -(-C * (n - mid) // (B + C)) <= A * mid // B:
+            end = mid
+        else:
+            lo = mid + 1
+    c0 = max(lo, n - N2 - N3, n - (B + C) * N2 // C, -(-B * (n - N3) // (A + B)))
+    c1 = min(n, N1) + 1
+    r0 = max(-(-C * (n - c1 + 1) // (B + C)), n - c1 + 1 - N3, 0)
+    top = -(-B * (n + 1) // (A + B)) - 1  # the last column with A*k // B <= n - k
+    r1 = max(min(A * k // B, n - k, N2) for k in (min(max(t, c0), c1 - 1) for t in (top, top + 1)))
+    r1 += 1
+    ends = (
+        max(c0, min(c1, -(-B * (r1 - 1) // A))),
+        max(c0, min(c1, n - r0 * (B + C) // C)),
+    )
+    return (c0, r0, c1 - c0, r1 - r0), ends
+
+
 def occupancy(grid, gx, gy):
     """Nonzero cells of a level grid, keyed by uncompressed coordinates."""
     return {

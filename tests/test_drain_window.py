@@ -17,6 +17,7 @@ window.
 
 from math import frexp, gcd, log
 from time import perf_counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from tandemwalks import (
 )
 from tandemwalks import enumeration
 from tandemwalks.enumeration import _ballot_boxes, _quadrant_windows, _sweep
+
+from conftest import ballot_level, ballot_point_at, last_ballot_point_by_scan
 
 
 def reference_levels(steps, n_max):
@@ -273,6 +276,103 @@ def test_pinned_sweep_ends_at_the_last_ballot_level():
         assert list(count_endpoint(s, n_max, target).values) == expected
         logs = count_endpoint(s, n_max, target, "logfloat").values
         assert logs == tuple(frexp_log(float(v)) for v in expected)
+
+
+class CutRecorder:
+    """Stands in for a level's grid: records how many columns each cut
+    zeroes, one cell per column."""
+
+    def __init__(self, shape):
+        self.shape, self.columns = shape, []
+
+    def __setitem__(self, index, value):
+        self.columns.append(len(index[0]))
+
+
+class ReadRecorder:
+    """Stands in for a level's grid: records the cell that is read."""
+
+    def __init__(self, shape):
+        self.shape, self.cell = shape, None
+
+    def __getitem__(self, index):
+        self.cell = index
+        return 0
+
+
+def read_cells(m, target, n_max):
+    """Per level of `count_endpoint`'s sweep, the cell that its reading
+    indexes, in ballot coordinates, or None; each read cell lies in its box."""
+    reads, sweep = [], enumeration._sweep
+
+    def recording_sweep(plan, mode, at):
+        def recording_at(n, grid, origin):
+            probe = ReadRecorder(grid.shape)
+            at(n, probe, origin)
+            if probe.cell is not None:
+                assert all(0 <= i < w for i, w in zip(probe.cell, grid.shape)), n
+                probe.cell = probe.cell[0] + origin[0], probe.cell[1] + origin[1]
+            reads.append(probe.cell)
+            return at(n, grid, origin)
+        return sweep(plan, mode, recording_at)
+
+    with patch.object(enumeration, "_sweep", recording_sweep):
+        count_endpoint(tandem_step_set(m), n_max, target, cell_budget=10**80)
+    return reads
+
+
+def assert_ballot_plan_matches_oracle(m, target, n_max):
+    """Every level of the plan pinned to the target's last ballot point has
+    the oracle's box, in Python integers, and cut ends, and the reading
+    indexes the target's ballot point where there is one
+    (`conftest.ballot_level`, `conftest.ballot_point_at`)."""
+    N = last_ballot_point_by_scan(m, target, n_max)
+    if N is None:
+        return
+    steps, levels, cut = _ballot_boxes(m, N)
+    assert steps == ((1, 0), (0, 1), (0, 0)) and len(levels) == sum(N) + 1
+    for n, (c0, r0, w, h, rects, p, classes) in enumerate(levels):
+        box, ends = ballot_level(m, N, n)
+        assert (c0, r0, w, h) == box and {type(v) for v in box} == {int}, n
+        assert rects == ((c0, c0 + w, r0, r0 + h),) and (p, classes) == (1, ((0, 0),))
+        grid = CutRecorder((w, h))
+        cut(n, grid, c0, r0)
+        assert tuple(c0 + k for k in grid.columns) == ends, n
+    expected = [ballot_point_at(m, target, n) for n in range(sum(N) + 1)]
+    assert read_cells(m, target, n_max) == [P and P[:2] for P in expected]
+
+
+# plans whose values pass 2**63: (1, 10**20, 1) has such coefficients, and
+# (BIG + 1, BIG, BIG - 1) such values from level 2 on although E and every
+# coefficient fit int64, so int64 would wrap them unnoticed and the first
+# column that the cone meets would come out wrong
+BIG = 16 * 10**8
+HUGE_PLANS = [
+    (TandemModel(1, 10**20, 1), (5, 0), 7),
+    (TandemModel(BIG + 1, BIG, BIG - 1), (8, 8), 24),
+    (TandemModel(10**6, 1, 10**6), (2 * 10**6 - 7, 7), 12),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7))
+    .filter(lambda t: gcd(*t) == 1).map(lambda t: TandemModel(*t)),
+    st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    st.integers(0, 60),
+)
+@lattice_examples((0, 0), 60)
+def test_ballot_plan_matches_the_per_level_oracle(m, target, n_max):
+    assert_ballot_plan_matches_oracle(m, target, n_max)
+
+
+@pytest.mark.parametrize("m, target, n_max", HUGE_PLANS)
+def test_ballot_plan_is_exact_for_large_steps(m, target, n_max):
+    assert last_ballot_point_by_scan(m, target, n_max) is not None
+    assert_ballot_plan_matches_oracle(m, target, n_max)
+    s = tandem_step_set(m)
+    expected = [lv.get(target, 0) for lv in reference_levels(s.steps, n_max)]
+    assert list(count_endpoint(s, n_max, target, cell_budget=10**80).values) == expected
 
 
 @pytest.mark.parametrize("mode", ["exact", "logfloat"])

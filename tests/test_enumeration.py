@@ -20,13 +20,14 @@ from tandemwalks import (
     count_walks_total,
     tandem_step_set,
 )
-from tandemwalks.enumeration import _quadrant_windows, _sweep
+from tandemwalks.enumeration import _last_ballot_point, _quadrant_windows, _sweep
 
 from conftest import (
     coprime_triples,
     empirical_period,
     generate_excursions,
     generate_quadrant_walks,
+    last_ballot_point_by_scan,
     occupancy,
     reachable_from_infinity,
     swapped,
@@ -151,6 +152,33 @@ def test_budget_meter_is_closed_form():
     with pytest.raises(BudgetExceededError):
         count_endpoint(steps_of(1, 10**20, 1), N, (1, 0))
     assert perf_counter() - start < 0.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)).filter(lambda t: gcd(*t) == 1),
+    st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    st.integers(0, 400),
+)
+@example((1, 10**20, 1), (1, 1), 10**4)  # no ballot point at any level
+@example((1, 10**20, 1), (5, 0), 10**4)
+@example((10**6, 1, 10**6), (0, 0), 2 * 10**6 + 10)  # period 10**6 + 2
+@example((10**6, 1, 10**6), (1, 1), 5000)  # n1 is never an integer
+def test_last_ballot_level_is_solved_in_closed_form(triple, target, n_max):
+    m = TandemModel(*triple)
+    assert _last_ballot_point(m, target, n_max) == last_ballot_point_by_scan(m, target, n_max)
+
+
+def test_last_ballot_level_takes_no_scan():
+    # (1, 10**20, 1) has a period above 10**20 and no walk to (1, 1) of any
+    # length up to 10**6: a scan down from n_max would visit every level
+    start = perf_counter()
+    assert _last_ballot_point(TandemModel(1, 10**20, 1), (1, 1), 10**6) is None
+    assert perf_counter() - start < 0.2
+    s = steps_of(1, 10**20, 1)
+    for mode, zero in (("exact", 0), ("logfloat", float("-inf"))):
+        values = count_endpoint(s, 10**6, (1, 1), mode, cell_budget=10**40).values
+        assert values == (zero,) * (10**6 + 1)
 
 
 def test_count_sequence_checks_its_values_by_mode():

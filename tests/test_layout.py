@@ -221,3 +221,45 @@ def test_all_lists_every_imported_public_name_and_nothing_else():
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(tandemwalks, n)] == []
     assert sorted(n for n in imported if not n.startswith("_") and n not in names) == []
+
+
+def unused_imports(package=PACKAGE):
+    """Qualified names of the module-level imports that their module never
+    reads and does not list in ``__all__``: an import left behind when its
+    last use went.  A ``__future__`` import is a compiler directive, and a
+    dotted ``import a.b`` binds ``a``."""
+    flagged = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = [
+            alias.asname or alias.name.split(".")[0]
+            for stmt in tree.body
+            if isinstance(stmt, ast.Import)
+            or isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__"
+            for alias in stmt.names
+        ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        listed = {
+            elt.value
+            for stmt in tree.body if isinstance(stmt, ast.Assign) and "__all__" in _targets(stmt)
+            for elt in ast.walk(stmt.value) if isinstance(elt, ast.Constant)
+        }
+        flagged += [f"{path.stem}.{name}" for name in bound if name not in read | listed]
+    return sorted(flagged)
+
+
+def test_every_module_level_import_is_read():
+    flagged = unused_imports()
+    assert not flagged, "remove these unused imports: " + ", ".join(flagged)
+
+
+def test_import_guard_flags_an_unused_import(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport numpy as np\nimport json\n"
+        "from bisect import bisect_left\nfrom math import gcd, log\n"
+        "from .models import Model\n"
+        "__all__ = ['Model']\n"
+        "def f(x: np.ndarray) -> int:\n    return gcd(len(x), os.sep)\n"
+    )
+    assert unused_imports(tmp_path) == ["mod.bisect_left", "mod.json", "mod.log"]
