@@ -9,11 +9,11 @@ dynamic program, in one of two coordinate systems chosen by what it reads.
   so at level n the cell (n1, n2) is one quadrant point, every cell of the
   quadrant cone is live, and the steps are the shifts (1,0), (0,1), (0,0).
   The target is one ballot point (N1, N2, N3), at the last level whose
-  step numbers are nonnegative integers, found by solving two linear
-  congruences in n.  The cells that can still reach it are those with
-  n1 <= N1, n2 <= N2 and n3 <= N3: each level keeps a box of whole columns
-  and zeroes the one cell per column just across each cone line after its
-  update.  The boxes and the ends of those cuts are computed in closed form
+  step numbers are nonnegative integers, found by solving one linear
+  congruence in n mod d, the index of the grid's lattice below.  The cells
+  that can still reach it are those with n1 <= N1, n2 <= N2 and n3 <= N3:
+  each level keeps a box of whole columns and zeroes the one cell per
+  column just across each cone line after its update.  The boxes and the ends of those cuts are computed in closed form
   for all levels at once, before the sweep, so the level loop only slices,
   cuts and reads the cells of the target's walks, whose step numbers
   differ by multiples of the ballot triple.
@@ -29,10 +29,10 @@ dynamic program, in one of two coordinate systems chosen by what it reads.
   are axis-aligned strips, and `np.sum` adds a log-float level in an order
   that follows the grid's layout.  The cells reachable at level n form one
   coset of a lattice of index d = E/(gx*gy), E = AB + AC + BC: one residue
-  of the row mod d for each residue of the column.  On a level whose box
-  holds d^3 cells or more, exact totals update only those d classes, each
-  a strided view of a strip; log-float totals stay dense, since a float
-  add costs less than the extra slicing.
+  of the row mod d for each residue of the column (`_grid`).  On a level
+  whose box holds d^3 cells or more, exact totals update only those d
+  classes, each a strided view of a strip; log-float totals stay dense,
+  since a float add costs less than the extra slicing.
 
 Each transition works on a numpy array held in one of two buffers reused
 across levels: in each view of the level's box (a rectangle, or one
@@ -97,10 +97,6 @@ class CountSequence:
                 raise ValidationError(f"{self.mode} values must be {kind}, got {v!r}")
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
 
 def _validate_mode(mode: str) -> None:
     if mode not in ("exact", "logfloat"):
@@ -119,11 +115,40 @@ def _tandem(s: StepSet) -> TandemModel:
     return m
 
 
+def _grid(m: TandemModel):
+    """The quadrant grid of ``m``: (gx, gy, (a1, b1, b2, c2), d, t).
+
+    Every reachable x is a multiple of gx = gcd(A, B) and every y of
+    gy = gcd(B, C), so the cell (i, j) of the grid stands for the point
+    (i*gx, j*gy), and in grid units the steps are R = (a1, 0),
+    D = (-b1, b2) and U = (0, -c2), with a1 = A/gx, b1 = B/gx, b2 = B/gy
+    and c2 = C/gy.
+
+    A walk with n1 R, n2 D and n3 U steps, n = n1 + n2 + n3, ends at
+    n*U + n1*(R - U) + n2*(D - U), and R - U = (a1, c2) and
+    D - U = (-b1, b2 + c2) span a lattice of index d = a1*(b2 + c2) + b1*c2.
+    So the cell (i, j) is n*U plus a lattice point exactly when
+    d*n1 = (b2 + c2)*i + b1*(j + c2*n) and d*n2 = a1*(j + c2*n) - c2*i
+    hold for integers n1 and n2.  d*Z^2 lies in the lattice, and
+    gcd(a1, b1) = 1 puts a point (1, t) in it, so the lattice is the cells
+    with j = t*i (mod d), and level n's cells lie in the d classes
+    j = t*i - c2*n (mod d), one per residue of i.
+    """
+    A, B, C = m.A, m.B, m.C
+    gx, gy = gcd(A, B), gcd(B, C)
+    a1, b1, b2, c2 = A // gx, B // gx, B // gy, C // gy
+    d = a1 * (b2 + c2) + b1 * c2
+    u = pow(a1, -1, b1)  # (1, t) = u*(R - U) + (u*a1 - 1)/b1 * (D - U)
+    t = (u * c2 + (u * a1 - 1) // b1 * (b2 + c2)) % d
+    return gx, gy, (a1, b1, b2, c2), d, t
+
+
 def _check_budget(m: TandemModel, n_max: int, cell_budget: int) -> None:
     """Meter the dense rectangles of levels 0..n_max against the budget: a
-    step moves at most dxm = A/gx columns right and dym = B/gy rows up, so
-    1 + sum over k = 1..n of (k*dxm + 1)(k*dym + 1), in closed form."""
-    dxm, dym = m.A // gcd(m.A, m.B), m.B // gcd(m.B, m.C)
+    step moves at most dxm = a1 columns right and dym = b2 rows up
+    (`_grid`), so 1 + sum over k = 1..n of (k*dxm + 1)(k*dym + 1), in
+    closed form."""
+    _, _, (dxm, _, dym, _), _, _ = _grid(m)
     n = n_max
     swept = dxm * dym * n * (n + 1) * (2 * n + 1) // 6 + (dxm + dym) * n * (n + 1) // 2 + n + 1
     if swept > cell_budget:
@@ -229,50 +254,39 @@ def _sweep(
 def _quadrant_windows(m: TandemModel, n_max: int, slabs: bool):
     """Steps, levels 0..n_max and no cut of a sweep over the quadrant grid.
 
-    A cell (i, j) of the grid holds walks ending at (i * gx, j * gy),
-    gx = gcd(A, B), gy = gcd(B, C), and its origin is always (0, 0).  In
-    grid units the steps are R = (A/gx, 0), D = (-B/gx, B/gy) and
-    U = (0, -C/gy).  Each functional phi = (a, b) among the two axes,
-    (B/gy, (A+B)/gx) normal to R - D and ((B+C)/gy, B/gx) normal to D - U
-    (R - U has no normal in the closed first quadrant) rises by at most
-    up = max phi.s per step s, so a cell c holds walks after n steps only if
-    phi.c <= n*up; a multiple of a functional scales its limits alike, so
-    none is reduced.  The level's box is the bounding box of that window.
+    A cell (i, j) of the grid (`_grid`) holds walks ending at
+    (i * gx, j * gy), and its origin is always (0, 0).  In grid units the
+    steps are R = (a1, 0), D = (-b1, b2) and U = (0, -c2).  Each functional
+    phi = (a, b) among the two axes, (b2, a1 + b1) normal to R - D and
+    (b2 + c2, b1) normal to D - U (R - U has no normal in the closed first
+    quadrant) rises by at most up = max phi.s per step s, so a cell c holds
+    walks after n steps only if phi.c <= n*up; a multiple of a functional
+    scales its limits alike, so none is reduced.  The level's box is the
+    bounding box of that window.
 
     Two strips cover the window: the columns left of a split, as tall as
     the box, and the columns from the split on, as tall as the window at
     the split and no taller than a reach.  For ``slabs``, the boundary slabs
-    i < nxm = B/gx (D leaves) and j < nym = C/gy (U leaves), a cell can
-    still reach a slab in the remaining r = n_max - n steps only if
-    i < (r+1)*nxm or j < (r+1)*nym, so the split and the reach are those
-    bounds.  Otherwise every cell is kept, split at half the box's width,
-    for speed alone: the split skips the empty cells above the window's
-    slope but costs a slice copy or add per step.
+    i < b1 (D leaves) and j < c2 (U leaves), a cell can still reach a slab
+    in the remaining r = n_max - n steps only if i < (r+1)*b1 or
+    j < (r+1)*c2, so the split and the reach are those bounds.  Otherwise
+    every cell is kept, split at half the box's width, for speed alone: the
+    split skips the empty cells above the window's slope but costs a slice
+    copy or add per step.
 
-    Level n's cells are n*U plus the lattice spanned by R - U = (a1, c2) and
-    D - U = (-b1, b2 + c2), a1 = A/gx, b1 = B/gx, b2 = B/gy, c2 = C/gy, of
-    index d = a1*(b2 + c2) + b1*c2.  So (i, j) holds walks only if
-    (b2 + c2)*i + b1*(j + c2*n) = 0 and a1*(j + c2*n) - c2*i = 0 (mod d):
-    the left sides are d*n1 and d*n2 for n1 R and n2 D steps.  d*Z^2 lies
-    in the lattice, and gcd(a1, b1) = 1 puts a point (1, t) in it, so these
-    are the d classes j = t*i - c2*n (mod d), one per residue of i.  For
-    ``slabs``, a level whose box holds at least d^3 cells, so that each of
-    its d views holds d^2 of them on average, is split into those classes;
-    smaller levels, and every level of a sweep that is not ``slabs``, are
-    swept dense.  The split rule reads d and the box alone, and a level
-    that is not split lists no classes, so a huge d costs nothing.
+    Level n's cells lie in the d classes j = t*i - c2*n (mod d) of `_grid`.
+    For ``slabs``, a level whose box holds at least d^3 cells, so that each
+    of its d views holds d^2 of them on average, is split into those
+    classes; smaller levels, and every level of a sweep that is not
+    ``slabs``, are swept dense.  The split rule reads d and the box alone,
+    and a level that is not split lists no classes, so a huge d costs
+    nothing.
     """
-    A, B, C = m.A, m.B, m.C
-    gx, gy = gcd(A, B), gcd(B, C)
-    a1, b1, b2, c2 = A // gx, B // gx, B // gy, C // gy
+    _, _, (a1, b1, b2, c2), d, t = _grid(m)
     steps = ((a1, 0), (-b1, b2), (0, -c2))
-    nxm, nym = b1, c2
-    d = a1 * (b2 + c2) + b1 * c2
-    u = pow(a1, -1, b1)  # (1, t) = u*(R - U) + (u*a1 - 1)/b1 * (D - U)
-    t = (u * c2 + (u * a1 - 1) // b1 * (b2 + c2)) % d
     ups = [
         (a, b, max(a * i + b * j for i, j in steps))
-        for a, b in ((1, 0), (0, 1), (B // gy, (A + B) // gx), ((B + C) // gy, B // gx))
+        for a, b in ((1, 0), (0, 1), (b2, a1 + b1), (b2 + c2, b1))
     ]
 
     def window(n: int):
@@ -284,7 +298,7 @@ def _quadrant_windows(m: TandemModel, n_max: int, slabs: bool):
 
         h = height(0)
         r = n_max - n
-        split, reach = ((r + 1) * nxm, (r + 1) * nym) if slabs else (w // 2, h)
+        split, reach = ((r + 1) * b1, (r + 1) * c2) if slabs else (w // 2, h)
         split = min(split, w)
         rects = (0, split, 0, h), (split, w, 0, min(reach, height(split)))
         if slabs and d ** 3 <= w * h:
@@ -373,34 +387,30 @@ def _last_ballot_point(m: TandemModel, target: tuple[int, int], n_max: int):
     ``target`` at the last level n <= n_max where they are nonnegative
     integers, or None if there is no such level.
 
-    A walk of length n ends at (x, y) with E*n1 = (B+C)*x + B*(y + C*n) and
-    E*n2 = A*(y + C*n) - C*x, E = AB + AC + BC, so n1 and n2 are integers
-    exactly when n solves the two linear congruences
-    B*C*n = -(B+C)*x - B*y and A*C*n = C*x - A*y (mod E).  Each is solved
-    by a modular inverse and the two are joined by the Chinese remainder
-    theorem for moduli that need not be coprime, which gives the largest
-    solution n <= n_max.  Below it the solutions step down by the period,
+    Every endpoint lies on the quadrant grid (`_grid`), so there is none
+    unless gx divides x and gy divides y.  A walk of length n then ends at
+    the cell (i, j) = (x/gx, y/gy) with d*n1 = (b2 + c2)*i + b1*(j + c2*n)
+    and d*n2 = a1*(j + c2*n) - c2*i, which are multiples of d exactly when
+    n solves the one linear congruence c2*n = t*i - j (mod d).  With
+    g = gcd(c2, d) it has solutions only if g divides t*i - j, and then
+    they are one residue mod d/g, from one modular inverse; the largest
+    n <= n_max is taken.  Below it the solutions step down by the period,
     and the step numbers by the ballot triple, so a number negative at n is
     negative at every lower level too.
     """
-    A, B, C = m.A, m.B, m.C
-    E = A * B + A * C + B * C
+    gx, gy, (a1, b1, b2, c2), d, t = _grid(m)
     x, y = target
-    r, q = 0, 1  # the levels solved so far: n = r (mod q)
-    for a, b in ((B * C, -(B + C) * x - B * y), (A * C, C * x - A * y)):
-        g = gcd(a, E)
-        if b % g:
-            return None
-        mod = E // g
-        s = b // g * pow(a // g, -1, mod)  # a*n = b (mod E) iff n = s (mod mod)
-        h = gcd(q, mod)
-        if (s - r) % h:
-            return None
-        r += q * ((s - r) // h * pow(q // h, -1, mod // h))
-        q = q // h * mod
-    n = n_max - (n_max - r) % q
-    n1 = ((B + C) * x + B * (y + C * n)) // E
-    n2 = (A * (y + C * n) - C * x) // E
+    if x % gx or y % gy:
+        return None
+    i, j = x // gx, y // gy
+    g = gcd(c2, d)
+    if (t * i - j) % g:
+        return None
+    q = d // g
+    s = (t * i - j) // g * pow(c2 // g, -1, q)  # the levels are n = s (mod q)
+    n = n_max - (n_max - s) % q
+    n1 = ((b2 + c2) * i + b1 * (j + c2 * n)) // d
+    n2 = (a1 * (j + c2 * n) - c2 * i) // d
     N = (n1, n2, n - n1 - n2)
     return N if min(N) >= 0 else None
 
@@ -425,14 +435,14 @@ def count_endpoint(
     """Numbers of quarter-plane walks from the origin to ``target``.
 
     The sweep is pinned to the target's ballot point at the last level
-    n <= n_max that has one, solved for in closed form from two linear
-    congruences in n (`_last_ballot_point`); with none, every term is zero.
-    The budget is checked before that level is found.  The integer step
-    numbers of walks with one endpoint differ by multiples of the ballot
-    triple (a, b, c), so the walks that end at the target are those at level
-    N1 + N2 + N3 - k*(a + b + c) with the step numbers (N1, N2, N3) -
-    k*(a, b, c), for each k that leaves all three nonnegative; the reading
-    only indexes those cells.
+    n <= n_max that has one, solved for in closed form from one linear
+    congruence in n mod d (`_last_ballot_point`); with none, every term is
+    zero.  The budget is checked before that level is found.  The integer
+    step numbers of walks with one endpoint differ by multiples of the
+    ballot triple (a, b, c), so the walks that end at the target are those
+    at level N1 + N2 + N3 - k*(a + b + c) with the step numbers
+    (N1, N2, N3) - k*(a, b, c), for each k that leaves all three
+    nonnegative; the reading only indexes those cells.
     """
     check_integer("n_max", n_max)
     check_integer("cell_budget", cell_budget)
@@ -492,16 +502,14 @@ def count_walks_total(
         return CountSequence(mode, _sweep(plan, mode, lambda n, grid, origin: np.sum(grid)))
     if n_max == 0:
         return CountSequence(mode, (1,))
-    plan = _quadrant_windows(m, n_max - 1, slabs=True)
-    # D leaves the quadrant from the columns i < nxm, U from the rows j < nym
-    _, (nx, _), (_, ny) = plan[0]
-    nxm, nym = -nx, -ny
+    # D leaves the quadrant from the columns i < b1, U from the rows j < c2
+    _, _, (_, b1, _, c2), _, _ = _grid(m)
 
     def slab_loss(n: int, grid: np.ndarray, origin: tuple[int, int]) -> int:
-        return int(grid[:nxm].sum()) + int(grid[:, :nym].sum())
+        return int(grid[:b1].sum()) + int(grid[:, :c2].sum())
 
     q = [1]
-    for loss in _sweep(plan, mode, slab_loss):
+    for loss in _sweep(_quadrant_windows(m, n_max - 1, slabs=True), mode, slab_loss):
         q.append(3 * q[-1] - loss)
     return CountSequence(mode, tuple(q))
 

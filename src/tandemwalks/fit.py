@@ -48,7 +48,6 @@ class FitResult:
     m_range: tuple[int, int]
     ms: tuple[int, ...]
     alpha_estimates: tuple[float, ...]
-    richardson_levels: tuple[tuple[float, ...], ...]
     level_used: int
     alpha_final: float
     mu_final: float
@@ -126,7 +125,6 @@ def estimate_alpha(e: CountSequence, p: int, max_levels: int = MAX_RICHARDSON_LE
         m_range=(m_lo, m_hi),
         ms=tuple(ms),
         alpha_estimates=tuple(estimates),
-        richardson_levels=tuple(tuple(lev) for lev in levels),
         level_used=level_used,
         alpha_final=alpha_final,
         mu_final=exp(_log_mu(m_lo, u, p, alpha_final, max_levels)),

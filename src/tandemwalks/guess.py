@@ -147,12 +147,10 @@ def _residue_rows(residues: np.ndarray, powers: np.ndarray, r: int, d: int) -> n
 
 def _full_rank_mod_p(mat: np.ndarray) -> bool:
     """Full column rank mod p, which proves it over Q: elimination in place
-    that returns False at the first column without a pivot."""
-    nrows, ncols = mat.shape
-    if nrows < ncols:
-        return False
+    that returns False at the first column without a pivot, at column nrows
+    of a wide matrix at the latest."""
     p = _FILTER_PRIME
-    for c in range(ncols):
+    for c in range(mat.shape[1]):
         nz = np.nonzero(mat[c:, c])[0]
         if nz.size == 0:
             return False
@@ -177,8 +175,6 @@ def _kernel_vector(rows: list[list[int]]) -> list[int] | None:
     prev = 1
     rank = 0
     for c in range(ncols):
-        if rank == nrows:
-            break
         piv = next((i for i in range(rank, nrows) if m[i][c] != 0), None)
         if piv is None:
             continue

@@ -133,7 +133,7 @@ def reachable_from_infinity(s, depth_bound):
 def empirical_period(e):
     """gcd of the indices n >= 1 with a nonzero term."""
     zero = 0 if e.mode == "exact" else float("-inf")
-    support = [n for n in range(1, e.n_max + 1) if e.values[n] != zero]
+    support = [n for n in range(1, len(e.values)) if e.values[n] != zero]
     if not support:
         raise ValidationError("period undefined: every term with n >= 1 is zero")
     return gcd(*support)

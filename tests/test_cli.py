@@ -272,6 +272,22 @@ def test_guess_bad_series_line(capsys, tmp_path):
     assert "not an integer" in err
 
 
+def test_guess_skips_blank_lines(capsys, tmp_path):
+    # blank and whitespace-only lines are no terms: the series guesses as it
+    # does without them
+    seq = count_excursions(tandem_step_set(TandemModel(1, 1, 1)), 87)
+    terms = [str(seq.values[3 * m]) for m in range(30)]
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text("\n".join(terms) + "\n")
+    spaced.write_text("\n" + "\n \t\n".join(terms) + "\n\n   \n")
+    runs = [cli(capsys, "guess", "--series", str(path), "--max-order", "3", "--max-degree", "3")
+            for path in (plain, spaced)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    doc = json.loads(runs[0][1])
+    assert (doc["found"], doc["n_terms"]) == (True, 30)
+
+
 def test_exponent_notation_rejected_fast(capsys, tmp_path):
     # Fraction("1e-999999999") would build 10^999999999 before failing
     series = tmp_path / "exp.csv"
@@ -356,6 +372,12 @@ def test_exit_code_validation_errors(capsys, tmp_path):
     assert cli(capsys, "nonsense")[0] == 1
     assert cli(capsys)[0] == 1
     assert cli(capsys, "enumerate", "--model", "1,1,1", "--n-max", "4", "--bogus")[0] == 1
+
+
+def test_non_integer_option_exits_1(capsys):
+    code, out, err = cli(capsys, "enumerate", "--model", "1,1,1", "--n-max", "abc")
+    assert (code, out) == (1, "")
+    assert err == "tandemwalks enumerate: error: argument --n-max: expected an integer, got 'abc'\n"
 
 
 def test_cached_parser_matches_fresh_processes(capsys, monkeypatch):

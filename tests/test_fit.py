@@ -11,6 +11,7 @@ from tandemwalks import (
     estimate_alpha,
     tandem_step_set,
 )
+from tandemwalks.fit import MAX_RICHARDSON_LEVELS, _richardson
 
 from conftest import estimate_mu
 
@@ -65,7 +66,9 @@ def test_richardson_levels_improve():
     seq = count_excursions(tandem_step_set(TandemModel(1, 1, 1)), 363)
     res = estimate_alpha(seq, 3)
     errors = []
-    for level in res.richardson_levels[: res.level_used + 1]:
+    # the fit's extrapolation table, rebuilt from its own estimates
+    levels = _richardson(res.ms, list(res.alpha_estimates), MAX_RICHARDSON_LEVELS)
+    for level in levels[: res.level_used + 1]:
         errors.append(max(abs(v + 4.0) for v in level[-20:]))
     assert all(errors[k + 1] < errors[k] for k in range(len(errors) - 1))
     assert res.level_used >= 1
@@ -148,7 +151,7 @@ def test_richardson_level_zero_only():
     seq = count_excursions(tandem_step_set(TandemModel(1, 1, 1)), 363)
     res = estimate_alpha(seq, 3, max_levels=0)
     assert res.level_used == 0
-    assert len(res.richardson_levels) == 1
+    assert len(_richardson(res.ms, list(res.alpha_estimates), 0)) == 1
 
 
 @pytest.mark.parametrize("mode", ["exact", "logfloat"])
