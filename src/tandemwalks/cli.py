@@ -93,15 +93,17 @@ def _validated(parse):
     return convert
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
 
 
-def _rational(text: str) -> Fraction:
-    """An integer, num/den or plain decimal in ASCII digits.  Fraction alone
-    also reads exponents, and would build 10^999999999 for 1e-999999999."""
-    if _RATIONAL.fullmatch(text.strip()):
+def _rational(text: str) -> int | Fraction:
+    """An integer, num/den or plain decimal in ASCII digits; an integer is
+    read as an int.  Fraction alone also reads exponents, and would build
+    10^999999999 for 1e-999999999."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if match:
         try:
-            return Fraction(text)
+            return Fraction(text) if match[1] else int(text)
         except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
             pass
     raise ValidationError(f"expected a fraction like 1/4, got {text!r}")
@@ -363,7 +365,7 @@ def _cmd_fit(args) -> list[str] | dict:
     }
 
 
-def _read_series(path: str) -> list[Fraction]:
+def _read_series(path: str) -> list[int | Fraction]:
     try:
         with open(path) as fh:
             raw = fh.read()

@@ -14,9 +14,11 @@ class BudgetExceededError(RuntimeError):
     """A computation would sweep more cells or nodes than its budget allows."""
 
 
-def is_integer(value, least: int = 0) -> bool:
-    """Whether ``value`` is an int, not a bool, and at least ``least``."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+def is_integer(value, least: int | None = 0) -> bool:
+    """Whether ``value`` is an int, not a bool, and at least ``least``; any
+    such int when ``least`` is None."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and (least is None or value >= least)
 
 
 def check_integer(name: str, value, least: int = 0) -> None:

@@ -10,17 +10,28 @@ artifact of an underdetermined system.
 
 The series is cleared to integers once, by the lcm of its denominators; the
 system is homogeneous, so this changes no kernel and no residual.  It is then
-reduced once modulo one large prime p, next to a table of n^i mod p, and
-every cell's filter matrix is a product of slices of these two residue
-tables.  Full column rank mod p on a cell's rows implies full rank over the
-rationals, so such a cell has no kernel and is skipped; the filter is one
-elimination mod p that stops at the first column without a pivot.  The
+reduced once modulo one large prime p, next to a table of n^i mod p.  Full
+column rank mod p on a cell's rows implies full rank over the rationals, so
+such a cell has no kernel and is skipped.  The cells of one order r share
+their rows: with the columns (k, i) of the order-(r, D) system in
+degree-major order, i(r+1) + k, cell (r, d) is its first (d+1)(r+1)
+columns.  So one elimination mod p per order, which records the pivot row of
+each column and goes on past a column without one, decides every degree of
+that order: cell (r, d) has full rank exactly when each of its columns has a
+pivot.  The order-R elimination runs first and is the grid certificate: the
 first len - R rows of any cell (r, d) with r <= R, d <= D are a subset of
-the columns of the largest cell (R, D), so one full-rank largest cell
-certifies the whole grid empty with a single elimination.  Otherwise the
-cells are searched in turn; the ones the filter passes go through
-fraction-free Bareiss elimination with integer back-substitution on the
-same rows.  No floating point anywhere.
+the columns of the largest cell (R, D), so if it has full rank no cell has a
+kernel.  Every other order is eliminated when the search first reaches it.
+
+A cell the filter passes goes through fraction-free Bareiss elimination with
+integer back-substitution, first on its mod-p pivot rows alone.  They are
+independent mod p, so over the rationals too, and fewer than its columns;
+the vector with the first free column set to 1 and the later ones 0 has
+support up to that column.  If it annihilates the whole series, that column
+is also the first free column of all the cell's rows, whose kernel vector of
+that support is unique up to scale, so the result is the one the full rows
+give.  If it does not (the residues can obey a relation the integers do not),
+the cell is solved again on all its rows.  No floating point anywhere.
 
 Cells are searched by increasing r + d with ties to smaller r, so the
 structurally simplest verified recurrence wins.
@@ -34,7 +45,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import ValidationError, check_integer
+from .errors import ValidationError, check_integer, is_integer
 
 HELD_OUT = 10
 _FILTER_PRIME = 2147483647
@@ -49,13 +60,17 @@ class Recurrence:
     coefficients: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(tuple(int(c) for c in poly) for poly in self.coefficients)
-        if self.order < 0 or self.degree < 0:
-            raise ValidationError("order and degree must be nonnegative")
+        check_integer("order", self.order)
+        check_integer("degree", self.degree)
+        coeffs = tuple(tuple(poly) for poly in self.coefficients)
         if len(coeffs) != self.order + 1:
             raise ValidationError(f"expected {self.order + 1} polynomials, got {len(coeffs)}")
         if any(len(p) != self.degree + 1 for p in coeffs):
             raise ValidationError(f"every polynomial must have {self.degree + 1} coefficients")
+        for k, poly in enumerate(coeffs):
+            for i, c in enumerate(poly):
+                if not is_integer(c, None):
+                    raise ValidationError(f"coefficient {i} of polynomial {k} must be an integer, got {c!r}")
         if all(c == 0 for c in coeffs[-1]):
             raise ValidationError("the leading polynomial must not be identically zero")
         object.__setattr__(self, "coefficients", coeffs)
@@ -69,8 +84,15 @@ def _poly_eval(coeffs: tuple[int, ...], n: int) -> int:
 
 
 def _cleared(terms) -> list[int]:
-    """The series times the lcm of its denominators, as integers."""
-    seq = [Fraction(t) for t in terms]
+    """The series times the lcm of its denominators, as integers; every term
+    must be an int or a Fraction, and an int is its own numerator."""
+    try:
+        seq = list(terms)
+    except TypeError:
+        raise ValidationError(f"terms must be a sequence of ints and Fractions, got {terms!r}") from None
+    for k, t in enumerate(seq):
+        if not (is_integer(t, None) or isinstance(t, Fraction)):
+            raise ValidationError(f"term {k} must be an int or a Fraction, got {t!r}")
     den = lcm(*(t.denominator for t in seq))
     return [t.numerator * (den // t.denominator) for t in seq]
 
@@ -107,25 +129,29 @@ def guess_recurrence(terms, max_order: int, max_degree: int) -> Recurrence | Non
         )
     residues = np.array([t % _FILTER_PRIME for t in seq], dtype=np.int64)
     powers = _powers_mod_p(len(seq), max_degree)
-    if _full_rank_mod_p(_residue_rows(residues, powers, max_order, max_degree)):
+    pivots = {max_order: _pivot_rows(residues, powers, max_order)}
+    if pivots[max_order].min() >= 0:
         return None  # the largest cell certifies every cell empty
     for r, d in cells:
-        if _full_rank_mod_p(_residue_rows(residues, powers, r, d)):
-            continue
-        vec = _kernel_vector(_integer_rows(seq, r, d))
-        if vec is not None:
-            rec = _normalize(vec, r, d)
-            if verify_recurrence(rec, seq):
-                return rec
+        if r not in pivots:
+            pivots[r] = _pivot_rows(residues, powers, r)
+        cell = pivots[r][:(d + 1) * (r + 1)]
+        if cell.min() >= 0:
+            continue  # full rank mod p, so no kernel
+        # its pivot rows first: their kernel vector is the cell's if it verifies
+        for ns in (cell[cell >= 0].tolist(), range(len(seq) - r)):
+            vec = _kernel_vector(_integer_rows(seq, r, d, ns), cell.size)
+            if vec is not None:
+                rec = _normalize(vec, r, d)
+                if verify_recurrence(rec, seq):
+                    return rec
     return None
 
 
-def _integer_rows(seq: list[int], r: int, d: int) -> list[list[int]]:
-    """One row per n < len(seq) - r: entries n^i * t_{n+k}."""
-    return [
-        [n**i * seq[n + k] for k in range(r + 1) for i in range(d + 1)]
-        for n in range(len(seq) - r)
-    ]
+def _integer_rows(seq: list[int], r: int, d: int, ns) -> list[list[int]]:
+    """The rows n in ``ns`` of the (r, d) system: entries n^i * t_{n+k},
+    column k(d+1) + i."""
+    return [[n**i * seq[n + k] for k in range(r + 1) for i in range(d + 1)] for n in ns]
 
 
 def _powers_mod_p(n_rows: int, max_degree: int) -> np.ndarray:
@@ -137,40 +163,36 @@ def _powers_mod_p(n_rows: int, max_degree: int) -> np.ndarray:
     return powers
 
 
-def _residue_rows(residues: np.ndarray, powers: np.ndarray, r: int, d: int) -> np.ndarray:
-    """The (r, d) system mod p: one row per n < len(residues) - r, columns in
-    _integer_rows order."""
+def _pivot_rows(residues: np.ndarray, powers: np.ndarray, r: int) -> np.ndarray:
+    """Elimination mod p of the order-(r, D) system on its rows n < len - r,
+    column (k, i) at i(r+1) + k: the row n that is the pivot of each column,
+    or -1 where a column has none.  A column without a pivot does not stop
+    it, and rows are never swapped."""
+    p = _FILTER_PRIME
     n_rows = len(residues) - r
     shifted = np.lib.stride_tricks.sliding_window_view(residues, r + 1)
-    return (shifted[:, :, None] * powers[:n_rows, None, :d + 1] % _FILTER_PRIME).reshape(n_rows, -1)
-
-
-def _full_rank_mod_p(mat: np.ndarray) -> bool:
-    """Full column rank mod p, which proves it over Q: elimination in place
-    that returns False at the first column without a pivot, at column nrows
-    of a wide matrix at the latest."""
-    p = _FILTER_PRIME
+    mat = (powers[:n_rows, :, None] * shifted[:, None, :] % p).reshape(n_rows, -1)
+    free = np.ones(n_rows, dtype=bool)
+    pivots = np.full(mat.shape[1], -1)
     for c in range(mat.shape[1]):
-        nz = np.nonzero(mat[c:, c])[0]
+        nz = np.flatnonzero(free & (mat[:, c] != 0))
         if nz.size == 0:
-            return False
-        piv = c + int(nz[0])
-        if piv != c:
-            mat[[c, piv]] = mat[[piv, c]]
-        inv = pow(int(mat[c, c]), p - 2, p)
-        mat[c, c:] = (mat[c, c:] * inv) % p
-        nzr = np.nonzero(mat[c + 1:, c])[0]
-        if nzr.size:
-            idx = c + 1 + nzr
-            # entries < p < 2^31, so every product fits in int64
-            mat[idx, c:] = (mat[idx, c:] - np.outer(mat[idx, c], mat[c, c:])) % p
-    return True
+            continue
+        piv, rest = nz[0], nz[1:]
+        pivots[c] = piv
+        free[piv] = False
+        mat[piv, c:] = mat[piv, c:] * pow(int(mat[piv, c]), p - 2, p) % p
+        # entries < p < 2^31, so every product fits in int64
+        mat[rest, c:] = (mat[rest, c:] - np.outer(mat[rest, c], mat[piv, c:])) % p
+    return pivots
 
 
-def _kernel_vector(rows: list[list[int]]) -> list[int] | None:
-    """A nontrivial integer kernel vector by fraction-free elimination, or None."""
+def _kernel_vector(rows: list[list[int]], ncols: int) -> list[int] | None:
+    """A nontrivial integer kernel vector of the rows, each of ncols entries,
+    by fraction-free elimination, or None; its first free column is 1 and
+    every later non-pivot column 0."""
     m = [row[:] for row in rows]
-    nrows, ncols = len(m), len(m[0])
+    nrows = len(m)
     pivots: list[tuple[int, int]] = []
     prev = 1
     rank = 0

@@ -178,23 +178,56 @@ def _generate_walks2(m, length, excursions_only, node_budget):
     return out
 
 
+def residue_rows(residues, powers, r, d):
+    """The (r, d) system mod p: one row per n < len(residues) - r, columns in
+    `guess._integer_rows` order."""
+    n_rows = len(residues) - r
+    shifted = np.lib.stride_tricks.sliding_window_view(residues, r + 1)
+    return (shifted[:, :, None] * powers[:n_rows, None, :d + 1] % guess._FILTER_PRIME
+            ).reshape(n_rows, -1)
+
+
+def full_rank_mod_p(mat):
+    """Full column rank mod p, which proves it over Q: elimination in place
+    that returns False at the first column without a pivot, at column nrows
+    of a wide matrix at the latest.  The per-cell filter that the per-order
+    pivots of `guess._pivot_rows` must agree with."""
+    p = guess._FILTER_PRIME
+    for c in range(mat.shape[1]):
+        nz = np.nonzero(mat[c:, c])[0]
+        if nz.size == 0:
+            return False
+        piv = c + int(nz[0])
+        if piv != c:
+            mat[[c, piv]] = mat[[piv, c]]
+        inv = pow(int(mat[c, c]), p - 2, p)
+        mat[c, c:] = (mat[c, c:] * inv) % p
+        nzr = np.nonzero(mat[c + 1:, c])[0]
+        if nzr.size:
+            idx = c + 1 + nzr
+            # entries < p < 2^31, so every product fits in int64
+            mat[idx, c:] = (mat[idx, c:] - np.outer(mat[idx, c], mat[c, c:])) % p
+    return True
+
+
 def maybe_singular(rows):
     """The big-integer cell filter: False only when full column rank is
     certain (full rank mod the prime), each entry reduced on its own."""
     p = guess._FILTER_PRIME
     mat = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-    return not guess._full_rank_mod_p(mat)
+    return not full_rank_mod_p(mat)
 
 
 def reference_guess(terms, max_order, max_degree):
     """guess_recurrence as a per-cell search: every cell's rows are built as
-    big integers and filtered on their own, with no grid certificate."""
+    big integers and filtered on their own, with no grid certificate, and
+    solved on all of them."""
     seq = guess._cleared(terms)
     for r, d in searched_grid(max_order, max_degree):
-        rows = guess._integer_rows(seq, r, d)
+        rows = guess._integer_rows(seq, r, d, range(len(seq) - r))
         if not maybe_singular(rows):
             continue
-        vec = guess._kernel_vector(rows)
+        vec = guess._kernel_vector(rows, (r + 1) * (d + 1))
         if vec is None:
             continue
         rec = guess._normalize(vec, r, d)

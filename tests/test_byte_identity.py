@@ -5,15 +5,24 @@ each followed by its reversal partner (29 models: (1,1,1) is its own
 partner), with the endpoint pinned to --target A,C.  The row's digest is the
 sha256 of the newline-joined sha256 hex digests of the 29 stdouts, cut to 16
 hex digits.  Each `fit` row is the sha256 of the JSON file that the
-benchmark's `fit_logfloat` call writes, cut alike.  A change to the counting
-kernel that moves any output byte fails here.
+benchmark's `fit_logfloat` call writes, cut alike.  Each `guess` row is the
+sha256 of the JSON that `guess` prints for one series file, cut alike.  A
+change to the counting kernel or the guesser that moves any output byte
+fails here.
 """
 
 import hashlib
 
 import pytest
 
-from tandemwalks import cli
+from tandemwalks import (
+    TandemModel,
+    cli,
+    count_endpoint,
+    count_excursions,
+    count_walks_total,
+    tandem_step_set,
+)
 
 TABLE1 = (
     (1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1),
@@ -86,3 +95,47 @@ def test_fit_json_keeps_its_digest(tmp_path, model, m_max):
             "--output", str(path)]
     assert cli.run(argv) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == FIT_ROWS[model, m_max]
+
+
+# (series, --max-order, --max-degree); the series of the benchmark's
+# guess_search workload at offset 0, and the Catalan numbers c_0..c_29 with
+# 1 added to each of the last ten
+GUESS_ROWS = {
+    ("excursions_2_1_1", 10, 10): "48026ed76cb2b544",
+    ("motzkin", 3, 3): "0254f0f36eaa5348",
+    ("syt", 3, 3): "7925b7a063d26db4",
+    ("endpoint_1_0", 3, 3): "9da751abf58e0ea5",
+    ("endpoint_0_1", 3, 3): "8fb37a84c205f593",
+    ("endpoint_2_1", 3, 3): "158934dc4cabb5ea",
+    ("endpoint_1_2", 3, 3): "84b265ec1ef6449d",
+    ("catalan_corrupted", 2, 2): "296103b9da94c022",
+}
+
+
+def guess_series(name):
+    diagonal = tandem_step_set(TandemModel(1, 1, 1))
+    if name == "excursions_2_1_1":
+        return count_excursions(tandem_step_set(TandemModel(2, 1, 1)), 239).values
+    if name == "motzkin":
+        return count_walks_total(diagonal, 249).values
+    if name == "syt":
+        return count_excursions(diagonal, 3 * 59).values[::3]
+    if name.startswith("endpoint"):
+        target = tuple(int(c) for c in name.split("_")[1:])
+        return count_endpoint(diagonal, 149, target).values
+    catalan = [1]
+    for n in range(29):
+        catalan.append(catalan[-1] * (4 * n + 2) // (n + 2))
+    return catalan[:20] + [c + 1 for c in catalan[20:]]
+
+
+@pytest.mark.parametrize("name, order, degree", sorted(GUESS_ROWS))
+def test_guess_json_keeps_its_digest(capsys, tmp_path, name, order, degree):
+    series = tmp_path / "series.csv"
+    series.write_text("".join(f"{t}\n" for t in guess_series(name)))
+    argv = ["guess", "--series", str(series), "--max-order", str(order),
+            "--max-degree", str(degree)]
+    assert cli.run(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == GUESS_ROWS[name, order, degree]

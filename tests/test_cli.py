@@ -313,7 +313,9 @@ def test_rational_rejects_all_but_plain_forms(text):
 @pytest.mark.parametrize("text, value", [("7", 7), ("-3/4", Fraction(-3, 4)), ("+0.25", Fraction(1, 4)),
                                          (" 6/8 ", Fraction(3, 4))])
 def test_rational_plain_forms(text, value):
-    assert cli_module._rational(text) == value
+    # an integer line is read as an int, so guessing needs no Fraction for it
+    got = cli_module._rational(text)
+    assert got == value and type(got) is type(value)
 
 
 def test_guess_non_utf8_series(capsys, tmp_path):

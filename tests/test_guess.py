@@ -10,6 +10,7 @@ from tandemwalks import (
     Recurrence,
     TandemModel,
     ValidationError,
+    count_endpoint,
     count_excursions,
     guess_recurrence,
     searched_grid,
@@ -19,7 +20,7 @@ from tandemwalks import (
 from tandemwalks import guess
 from tandemwalks.guess import HELD_OUT
 
-from conftest import maybe_singular, reference_guess
+from conftest import full_rank_mod_p, maybe_singular, reference_guess, residue_rows
 
 P1 = 2147483647  # the filter prime
 
@@ -208,6 +209,30 @@ def test_recurrence_validation():
         Recurrence(1, 1, ((1, 2), (3, 4, 5)))
     with pytest.raises(ValidationError):
         Recurrence(-1, 0, ())
+    with pytest.raises(ValidationError, match="^order must be a nonnegative integer, got 1.0$"):
+        Recurrence(1.0, 0, ((1,), (1,)))
+    with pytest.raises(ValidationError, match="^degree must be a nonnegative integer, got True$"):
+        Recurrence(1, True, ((1, 0), (1, 0)))
+    for bad in (2.5, "1", True, None):
+        with pytest.raises(ValidationError,
+                           match=rf"^coefficient 0 of polynomial 1 must be an integer, got {bad!r}$"):
+            Recurrence(1, 0, ((2,), (bad,)))
+    with pytest.raises(ValidationError, match="^coefficient 0 of polynomial 0 .* got 2.5$"):
+        Recurrence(1, 0, ((2.5,), ("1",)))
+
+
+@pytest.mark.parametrize("terms, message", [
+    (None, "terms must be a sequence of ints and Fractions, got None"),
+    (["x"] * 20, "term 0 must be an int or a Fraction, got 'x'"),
+    ([1] * 5 + [2.5] * 15, "term 5 must be an int or a Fraction, got 2.5"),
+    ([1, Fraction(1, 2), True] + [1] * 17, "term 2 must be an int or a Fraction, got True"),
+    ([1] * 19 + [None], "term 19 must be an int or a Fraction, got None"),
+])
+def test_terms_must_be_ints_or_fractions(terms, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        guess_recurrence(terms, 1, 1)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        verify_recurrence(DIAGONAL_REC, terms)
 
 
 def recurrence_series(coeffs, initial, n_terms):
@@ -351,9 +376,79 @@ def test_full_rank_largest_cell_certifies_every_cell(case):
     seq = guess._cleared(terms)
     residues = np.array([t % P1 for t in seq], dtype=np.int64)
     powers = guess._powers_mod_p(len(seq), D)
-    if guess._full_rank_mod_p(guess._residue_rows(residues, powers, R, D)):
+    if full_rank_mod_p(residue_rows(residues, powers, R, D)):
         for r, d in searched_grid(R, D):
-            assert not maybe_singular(guess._integer_rows(seq, r, d)), (r, d)
+            assert not maybe_singular(guess._integer_rows(seq, r, d, range(len(seq) - r))), (r, d)
+
+
+# mod the filter prime, 2^n + P 3^n is 2^n and P (n + 1) is 0, so their
+# residues obey a smaller recurrence than the integers do
+ADVERSARIAL = (
+    ([2**n + P1 * 3**n for n in range(18)], Recurrence(2, 0, ((6,), (-5,), (1,)))),
+    ([P1 * (n + 1) for n in range(18)], Recurrence(1, 1, ((-2, -1), (1, 1)))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_series())
+@example((CATALAN_EDGE, 1, 1))
+@example((RANDOM_3X3, 3, 3))
+@example((ADVERSARIAL[0][0], 2, 1))
+@example((ADVERSARIAL[1][0], 2, 1))
+def test_order_pivots_decide_every_cell_as_the_per_cell_filter(case):
+    # a column of the order-r elimination has a pivot exactly when it is
+    # independent mod p of the columns before it; so cell (r, d) has full
+    # rank mod p on its own rows exactly when each of its columns has a
+    # pivot, and the pivot rows of its columns are independent mod p
+    terms, R, D = case
+    seq = guess._cleared(terms)
+    residues = np.array([t % P1 for t in seq], dtype=np.int64)
+    powers = guess._powers_mod_p(len(seq), D)
+    for r in range(1, R + 1):
+        pivots = guess._pivot_rows(residues, powers, r)
+        assert pivots.shape == ((r + 1) * (D + 1),)
+        degree_major = [k * (D + 1) + i for i in range(D + 1) for k in range(r + 1)]
+        mat = residue_rows(residues, powers, r, D)[:, degree_major]
+        for c in range(mat.shape[1]):
+            before = [b for b in range(c) if pivots[b] >= 0]
+            assert (pivots[c] >= 0) == full_rank_mod_p(mat[:, before + [c]]), (r, c)
+        for d in range(D + 1):
+            cell = pivots[:(d + 1) * (r + 1)]
+            rows = residue_rows(residues, powers, r, d)
+            assert (cell.min() >= 0) == full_rank_mod_p(rows.copy()), (r, d)
+            chosen = cell[cell >= 0]
+            assert len(set(chosen.tolist())) == chosen.size
+            if chosen.size:
+                assert full_rank_mod_p(rows[chosen].T.copy()), (r, d)
+
+
+@pytest.mark.parametrize("terms, rec", ADVERSARIAL)
+def test_residues_with_a_smaller_recurrence_are_solved_on_every_row(terms, rec):
+    # the pivot rows of the cells before the answer have a kernel vector
+    # that fails verification, so those cells are solved again on all rows
+    assert guess_recurrence(terms, 2, 1) == rec
+    assert reference_guess(terms, 2, 1) == rec
+
+
+def test_search_runs_one_elimination_per_order(monkeypatch):
+    # the (1,1,1) walks to (1, 2) obey an order 3, degree 3 recurrence, the
+    # last cell of the 3x3 grid: the search reaches every order, and the
+    # per-cell filter would have run 16 eliminations
+    terms = list(count_endpoint(tandem_step_set(TandemModel(1, 1, 1)), 149, (1, 2)).values)
+    orders = []
+    pivot_rows = guess._pivot_rows
+
+    def counted(residues, powers, r):
+        orders.append(r)
+        return pivot_rows(residues, powers, r)
+
+    monkeypatch.setattr(guess, "_pivot_rows", counted)
+    rec = guess_recurrence(terms, 3, 3)
+    assert (rec.order, rec.degree) == (3, 3)
+    assert orders == [3, 1, 2]
+    orders.clear()
+    assert guess_recurrence(RANDOM_3X3, 3, 3) is None  # the certificate alone
+    assert orders == [3]
 
 
 def rank_over_q(rows):
@@ -389,4 +484,4 @@ def small_matrices(draw):
 @example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])  # full rank only after a row swap
 def test_full_rank_mod_p_matches_exact_rank(rows):
     mat = np.array(rows, dtype=np.int64) % P1
-    assert guess._full_rank_mod_p(mat) == (rank_over_q(rows) == len(rows[0]))
+    assert full_rank_mod_p(mat) == (rank_over_q(rows) == len(rows[0]))
