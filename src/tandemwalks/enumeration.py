@@ -34,14 +34,17 @@ dynamic program, in one of two coordinate systems chosen by what it reads.
   classes, each a strided view of a strip; log-float totals stay dense,
   since a float add costs less than the extra slicing.
 
-Each transition works on a numpy array held in one of two buffers reused
-across levels: in each view of the level's box (a rectangle, or one
-residue class of its cells) the first step that reaches it copies its
-shifted source slice in, and the later steps add theirs.  With object
-dtype the arithmetic is exact big-integer arithmetic; float64 levels are
-scaled by powers of two, which round nothing, and an integer shift keeps
-the true magnitude, so a log-float term depends on the model and n alone
-(raw floats would overflow beyond a few hundred steps).
+Each level is held in one of two flat buffers reused across levels.  A
+pinned level is a frame of whole columns, each one row taller than the
+sweep's tallest box, with zeros outside its box, so each step is one
+contiguous slice of the buffer.  A quadrant level is its box alone, and
+each step updates one view of each of its rectangles, or of each residue
+class of their cells.  The first step that reaches a cell copies its
+shifted source in and the later steps add theirs.  With object dtype the
+arithmetic is exact big-integer arithmetic; float64 levels are scaled by
+powers of two, which round nothing, and an integer shift keeps the true
+magnitude, so a log-float term depends on the model and n alone (raw
+floats would overflow beyond a few hundred steps).
 
 The sweep runs the plan it is handed and returns one reading per level
 from a callback on the level's box (the count at the target, the grid sum,
@@ -169,23 +172,37 @@ def _sweep(
     log(mant) + (e + shift) * ln 2, (mant, e) = frexp(reading), or -inf for
     zero.
 
-    The ``plan`` (steps, levels, cut) comes from `_ballot_boxes` or
-    `_quadrant_windows`, which describe its coordinates.  It gives each level
-    as (ox, oy, w, h, rects, p, classes): the origin and shape of its box,
-    disjoint rectangles (x0, x1, y0, y1) of it, in the plan's coordinates,
-    and the residue classes (k, l) mod p of the cells it updates: in each
-    rectangle, the view of stride p of the cells (x, y) with x = k and
-    y = l (mod p).  An unsplit level has p = 1 and the one class (0, 0).
-    The box is zero-filled just before its update, so a cell of no class
-    stays zero; in each view the first step whose part of it is nonempty
-    assigns its shifted source and only the later steps add theirs.  That
-    is exact:
-    0 + v == v for Python integers and for nonnegative float64, so every
-    value and every rounding is the same as adding all steps, R, D, U in
-    that order, to zeros.  Every predecessor of a cell that the sweep keeps
-    lies in the previous level's kept cells, so a kept cell holds its true
-    count and any other cell of the box a value between 0 and its true
-    count.
+    The ``plan`` (steps, levels, stride, cut) comes from `_ballot_boxes` or
+    `_quadrant_windows`, which describe its coordinates.  Each level starts
+    with (ox, oy, w, h), the origin and shape of its box.  Every cell that
+    the sweep keeps has all its predecessors in the previous level's kept
+    cells, so a kept cell holds its true count and any other cell of the
+    box a value between 0 and its true count.  Each cell adds the steps'
+    sources in step order to 0 (0 + v == v for Python integers and for
+    nonnegative float64), so every value and every rounding is the same as
+    adding all steps, R, D, U in that order, to zeros.
+
+    A pinned plan has a row ``stride`` H, one more than its tallest box:
+    level n is the first w*H cells of its buffer, a (w, H) frame with the
+    box in its first h rows and zeros everywhere else.  Each step is then
+    one slice: frame cell k takes cell k - off of the previous frame, off =
+    (si + px - ox)*H + sj + py - oy for the step (si, sj) and the previous
+    origin (px, py).  Row origins rise by 0 or 1 per level, so a box cell's
+    source row lies between -1 and H - 1: a source outside the previous box
+    lies past a frame's end, or in its zero rows, or at row -1, which is the
+    guard row H - 1 of the column before it.  The first step whose slice is
+    nonempty assigns it and zeroes the rest of the frame; after the update
+    the rows above the box that the previous box fed, and the guard row,
+    are zeroed again, and ``cut`` zeroes cells of the frame.
+
+    A quadrant plan has no stride and no cut: each level also lists
+    disjoint rectangles (x0, x1, y0, y1) of its box and the residue classes
+    (k, l) mod p of the cells it updates, in each rectangle the view of
+    stride p of the cells (x, y) with x = k and y = l (mod p); an unsplit
+    level has p = 1 and the one class (0, 0).  The box is zero-filled before
+    its update, so a cell of no class stays zero, and in each view the first
+    step whose part of it is nonempty assigns its shifted source and only
+    the later steps add theirs.
 
     Log-float levels are multiplied by 2^-k, k = frexp(max)[1], every
     ``_RESCALE`` levels, and k joins the integer shift.  The product is
@@ -196,25 +213,39 @@ def _sweep(
     Levels share two reused buffers, so ``read`` sees a view that the next
     level overwrites: a reading that keeps the grid must copy it.
     """
-    steps, levels, cut = plan
-    size = max(w * h for _, _, w, h, *_ in levels)
+    steps, levels, stride, cut = plan
+    size = max(w * (stride or h) for _, _, w, h, *_ in levels)
     dtype = object if mode == "exact" else np.float64
     bufs = (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
-
-    def level_view(n: int) -> np.ndarray:
-        _, _, w, h, *_ = levels[n]
-        view = bufs[n % 2][: w * h].reshape(w, h)
-        view.fill(0)
-        return view
-
-    cur = level_view(0)
-    cur[0, 0] = 1
     shift = 0
     readings = []
-    for n, (ox, oy, _, _, rects, p, classes) in enumerate(levels):
-        if n > 0:
-            w0, h0 = cur.shape
-            nxt = level_view(n)
+    for n, (ox, oy, w, h, *views) in enumerate(levels):
+        H = stride or h
+        nxt = bufs[n % 2][: w * H]
+        frame = nxt.reshape(w, H)
+        if n == 0:
+            nxt.fill(0)
+            nxt[0] = 1
+        elif stride:
+            first = True
+            for si, sj in steps:
+                # the frame cells whose source lies in the previous frame
+                off = (si + px - ox) * H + sj + py - oy
+                lo, hi = max(off, 0), min(nxt.size, cur.size + off)
+                if lo < hi and first:  # the rest is zeroed: 0 + v is v
+                    nxt[lo:hi] = cur[lo - off:hi - off]
+                    nxt[:lo] = nxt[hi:] = 0
+                    first = False
+                elif lo < hi:
+                    nxt[lo:hi] += cur[lo - off:hi - off]
+            # the rows above the box that the previous box fed, and the guard
+            # row, whose source row H wraps to the next column's row 0
+            frame[:, h:h0 + 1 + py - oy] = 0
+            frame[:, -1] = 0
+        else:
+            frame.fill(0)
+            prev = cur.reshape(w0, h0)
+            rects, p, classes = views
             for x0, x1, y0, y1 in rects:
                 # per step, the destination cells whose source lies in the
                 # previous box
@@ -229,21 +260,20 @@ def _sweep(
                         a += (k - a) % p  # the first column and row of the class
                         c += (l - c) % p
                         if a < b and c < e:
-                            src = cur[a - si - px:b - si - px:p, c - sj - py:e - sj - py:p]
+                            src = prev[a - si - px:b - si - px:p, c - sj - py:e - sj - py:p]
                             if first:  # the view is still all zeros: 0 + v is v
-                                nxt[a - ox:b - ox:p, c - oy:e - oy:p] = src
+                                frame[a - ox:b - ox:p, c - oy:e - oy:p] = src
                                 first = False
                             else:
-                                nxt[a - ox:b - ox:p, c - oy:e - oy:p] += src
-            if cut is not None:
-                cut(n, nxt, ox, oy)
-            if mode == "logfloat" and n % _RESCALE == 0:
-                k = frexp(nxt.max())[1]  # 0 for an all-zero level
-                np.ldexp(nxt, -k, out=nxt)
-                shift += k
-            cur = nxt
-        px, py = ox, oy
-        v = read(n, cur, (ox, oy))
+                                frame[a - ox:b - ox:p, c - oy:e - oy:p] += src
+        if cut is not None:
+            cut(n, frame, ox, oy)
+        if mode == "logfloat" and n % _RESCALE == 0 < n:
+            k = frexp(nxt.max())[1]  # 0 for an all-zero level
+            np.ldexp(nxt, -k, out=nxt)
+            shift += k
+        cur, px, py, w0, h0 = nxt, ox, oy, w, h
+        v = read(n, frame[:, :h], (ox, oy))
         if mode == "logfloat":
             mant, e = frexp(float(v))
             v = log(mant) + (e + shift) * log(2.0) if mant else float("-inf")
@@ -305,12 +335,12 @@ def _quadrant_windows(m: TandemModel, n_max: int, slabs: bool):
             return 0, 0, w, h, rects, d, tuple((k, (t * k - c2 * n) % d) for k in range(d))
         return 0, 0, w, h, rects, 1, ((0, 0),)
 
-    return steps, [window(n) for n in range(n_max + 1)], None
+    return steps, [window(n) for n in range(n_max + 1)], None, None
 
 
 def _ballot_boxes(m: TandemModel, target: tuple[int, int, int]):
-    """Steps, levels 0..N1+N2+N3 and cut of a sweep pinned to the ballot
-    point ``target`` = (N1, N2, N3).
+    """Steps, levels 0..N1+N2+N3, row stride and cut of a sweep pinned to
+    the ballot point ``target`` = (N1, N2, N3).
 
     A walk with n1 R, n2 D and n3 U steps ends at (A*n1 - B*n2, B*n2 - C*n3),
     so at level n = n1 + n2 + n3 the cell (n1, n2) is one point of the
@@ -340,7 +370,11 @@ def _ballot_boxes(m: TandemModel, target: tuple[int, int, int]):
 
     Every box and both ends of each cut are computed here for all levels at
     once, on object arrays of Python integers, so they are exact for any
-    triple; the level loop only slices and cuts.
+    triple; the level loop only slices and cuts.  Each level is its box
+    (c0, r0, w, h).  The row origin r0 rises by 0 or 1 from one level to the
+    next, as each of its bounds does, so one row more than the tallest box
+    is a row stride that `_sweep` can update every level with.  The arrays
+    are dropped as soon as they are consumed.
     """
     A, B, C = m.A, m.B, m.C
     E = A * B + A * C + B * C
@@ -355,11 +389,13 @@ def _ballot_boxes(m: TandemModel, target: tuple[int, int, int]):
         meets = -(-C * (n - mid) // (B + C)) <= A * mid // B
         lo, end = np.where(meets, lo, mid + 1), np.where(meets, mid, end)
     c0 = np.maximum.reduce([lo, n - N2 - N3, n - (B + C) * N2 // C, -(-B * (n - N3) // (A + B))])
+    del lo, end, mid, meets  # level 0 starts unsettled, so the loop ran
     c1 = np.minimum(n, N1) + 1
     r0 = np.maximum(np.maximum(-(-C * (n - c1 + 1) // (B + C)), n - c1 + 1 - N3), 0)
     top = -(-B * (n + 1) // (A + B)) - 1  # the last column with A*k // B <= n - k
-    tops = [np.minimum(np.maximum(k, c0), c1 - 1) for k in (top, top + 1)]
+    tops = (np.minimum(np.maximum(k, c0), c1 - 1) for k in (top, top + 1))
     r1 = np.maximum.reduce([np.minimum(np.minimum(A * k // B, n - k), N2) for k in tops]) + 1
+    del top
     # the row just across each cone line: above A*n1 >= B*n2 by column, and
     # below (B+C)*n2 >= C*(n - n1) by d = n - n1; each line's cells lie in
     # the box for a first run of its columns, as the row above rises with
@@ -368,18 +404,17 @@ def _ballot_boxes(m: TandemModel, target: tuple[int, int, int]):
     below = (-(-C * n // (B + C)) - 1).astype(np.intp)
     ends_above = np.maximum(c0, np.minimum(c1, -(-B * (r1 - 1) // A))).tolist()
     ends_below = np.maximum(c0, np.minimum(c1, n - r0 * (B + C) // C)).tolist()
+    del n
     cols = np.arange(N1 + 1)
 
-    def cut(n: int, grid: np.ndarray, c0: int, r0: int) -> None:
+    def cut(n: int, frame: np.ndarray, c0: int, r0: int) -> None:
         k = ends_above[n]
-        grid[cols[: k - c0], above[c0:k] - r0] = 0
+        frame[cols[: k - c0], above[c0:k] - r0] = 0
         k = ends_below[n]
-        grid[cols[: k - c0], below[n - k + 1:n - c0 + 1][::-1] - r0] = 0
+        frame[cols[: k - c0], below[n - k + 1:n - c0 + 1][::-1] - r0] = 0
 
-    c0, r0, c1, r1 = c0.tolist(), r0.tolist(), c1.tolist(), r1.tolist()
-    levels = [(x0, y0, x1 - x0, y1 - y0, ((x0, x1, y0, y1),), 1, ((0, 0),))
-              for x0, y0, x1, y1 in zip(c0, r0, c1, r1)]
-    return ((1, 0), (0, 1), (0, 0)), levels, cut
+    levels = list(zip(c0.tolist(), r0.tolist(), (c1 - c0).tolist(), (r1 - r0).tolist()))
+    return ((1, 0), (0, 1), (0, 0)), levels, max(h for *_, h in levels) + 1, cut
 
 
 def _last_ballot_point(m: TandemModel, target: tuple[int, int], n_max: int):
@@ -554,10 +589,15 @@ def _check_cone_budget(A: int, B: int, C: int, xm: int, ym: int, cell_budget: in
     """Meter the cone sweep before it starts: it visits every lattice point of
     A*x >= B*y >= C*z >= 0 in the box [0, xm] x [0, ym] x [0, zm] once, at step
     x + y + z.  A*xm = B*ym = C*zm, so at height y there are
-    xm - ceil(B*y/A) + 1 values of x and floor(B*y/C) + 1 values of z."""
+    xm - ceil(B*y/A) + 1 values of x and floor(B*y/C) + 1 values of z.
+    ceil(B*y/A) <= xm, so each y adds at least one point: a cone taller
+    than the budget aborts before the sum."""
+    message = f"cone sweep needs more cells than the budget of {cell_budget}"
+    if ym + 1 > cell_budget:
+        raise BudgetExceededError(message)
     swept = 0
     for y in range(ym + 1):
         x_lo = -(-B * y // A)  # ceil(B*y/A)
         swept += (xm - x_lo + 1) * (B * y // C + 1)
         if swept > cell_budget:
-            raise BudgetExceededError(f"cone sweep needs more cells than the budget of {cell_budget}")
+            raise BudgetExceededError(message)

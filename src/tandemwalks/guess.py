@@ -62,7 +62,12 @@ class Recurrence:
     def __post_init__(self) -> None:
         check_integer("order", self.order)
         check_integer("degree", self.degree)
-        coeffs = tuple(tuple(poly) for poly in self.coefficients)
+        try:
+            coeffs = tuple(tuple(poly) for poly in self.coefficients)
+        except TypeError:
+            raise ValidationError(
+                f"coefficients must be a sequence of integer sequences, got {self.coefficients!r}"
+            ) from None
         if len(coeffs) != self.order + 1:
             raise ValidationError(f"expected {self.order + 1} polynomials, got {len(coeffs)}")
         if any(len(p) != self.degree + 1 for p in coeffs):

@@ -5,7 +5,7 @@ from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import exp, gcd, hypot, sqrt
+from math import exp, frexp, gcd, hypot, log, sqrt
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from tandemwalks import (
     tandem_step_set,
     tandem_to_ballot,
 )
-from tandemwalks import fit, guess
+from tandemwalks import enumeration, fit, guess
 from tandemwalks.models import BALLOT_STEPS
 
 
@@ -79,6 +79,47 @@ def ballot_level(m, N, n):
         max(c0, min(c1, n - r0 * (B + C) // C)),
     )
     return (c0, r0, c1 - c0, r1 - r0), ends
+
+
+def pinned_views_sweep(plan, mode, read):
+    """`enumeration._sweep` run on a pinned plan (steps, levels, stride, cut)
+    as it ran before pinned levels had a row stride: level n is a
+    zero-filled (w, h) box, and each step updates one view of it, the cells
+    whose source lies in the previous box; the first step whose view is
+    nonempty assigns its source and the later ones add theirs.  The cut,
+    the rescaling and the readings are `_sweep`'s."""
+    steps, levels, _, cut = plan
+    dtype = object if mode == "exact" else np.float64
+    cur = np.ones((1, 1), dtype=dtype)
+    shift, readings = 0, []
+    for n, (ox, oy, w, h) in enumerate(levels):
+        if n > 0:
+            w0, h0 = cur.shape
+            nxt = np.zeros((w, h), dtype=dtype)
+            first = True
+            for si, sj in steps:
+                a, b = max(ox, px + si), min(ox + w, px + w0 + si)
+                c, e = max(oy, py + sj), min(oy + h, py + h0 + sj)
+                if a < b and c < e:
+                    src = cur[a - si - px:b - si - px, c - sj - py:e - sj - py]
+                    if first:
+                        nxt[a - ox:b - ox, c - oy:e - oy] = src
+                        first = False
+                    else:
+                        nxt[a - ox:b - ox, c - oy:e - oy] += src
+            cut(n, nxt, ox, oy)
+            if mode == "logfloat" and n % enumeration._RESCALE == 0:
+                k = frexp(nxt.max())[1]
+                np.ldexp(nxt, -k, out=nxt)
+                shift += k
+            cur = nxt
+        px, py = ox, oy
+        v = read(n, cur, (ox, oy))
+        if mode == "logfloat":
+            mant, e = frexp(float(v))
+            v = log(mant) + (e + shift) * log(2.0) if mant else float("-inf")
+        readings.append(v)
+    return readings
 
 
 def occupancy(grid, gx, gy):

@@ -37,7 +37,7 @@ from tandemwalks import (
 from tandemwalks import enumeration
 from tandemwalks.enumeration import _ballot_boxes, _quadrant_windows, _sweep
 
-from conftest import ballot_level, ballot_point_at, last_ballot_point_by_scan
+from conftest import ballot_level, ballot_point_at, last_ballot_point_by_scan, pinned_views_sweep
 
 
 def reference_levels(steps, n_max):
@@ -329,13 +329,17 @@ def assert_ballot_plan_matches_oracle(m, target, n_max):
     N = last_ballot_point_by_scan(m, target, n_max)
     if N is None:
         return
-    steps, levels, cut = _ballot_boxes(m, N)
+    steps, levels, stride, cut = _ballot_boxes(m, N)
     assert steps == ((1, 0), (0, 1), (0, 0)) and len(levels) == sum(N) + 1
-    for n, (c0, r0, w, h, rects, p, classes) in enumerate(levels):
+    assert stride == max(h for *_, h in levels) + 1
+    # the flat sweep reads a box cell's source between rows -1 and H - 1
+    # only because row origins rise by 0 or 1 from level to level
+    rows = [r0 for _, r0, *_ in levels]
+    assert all(b - a in (0, 1) for a, b in zip(rows, rows[1:]))
+    for n, (c0, r0, w, h) in enumerate(levels):
         box, ends = ballot_level(m, N, n)
         assert (c0, r0, w, h) == box and {type(v) for v in box} == {int}, n
-        assert rects == ((c0, c0 + w, r0, r0 + h),) and (p, classes) == (1, ((0, 0),))
-        grid = CutRecorder((w, h))
+        grid = CutRecorder((w, stride))
         cut(n, grid, c0, r0)
         assert tuple(c0 + k for k in grid.columns) == ends, n
     expected = [ballot_point_at(m, target, n) for n in range(sum(N) + 1)]
@@ -373,6 +377,55 @@ def test_ballot_plan_is_exact_for_large_steps(m, target, n_max):
     s = tandem_step_set(m)
     expected = [lv.get(target, 0) for lv in reference_levels(s.steps, n_max)]
     assert list(count_endpoint(s, n_max, target, cell_budget=10**80).values) == expected
+
+
+def huge_plan_examples(test):
+    """Hypothesis examples: each of HUGE_PLANS in both modes."""
+    for m, target, n_max in HUGE_PLANS:
+        for mode in ("exact", "logfloat"):
+            test = example(m, target, n_max, mode)(test)
+    return test
+
+
+def box_readings(sweep, plan, mode):
+    """A pinned sweep's readings, each level's largest cell, and a copy of
+    every level's box with its origin."""
+    boxes = []
+
+    def read(n, grid, origin):
+        boxes.append((origin, grid.copy()))
+        return grid.max()
+
+    return sweep(plan, mode, read), boxes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
+    .filter(lambda t: gcd(*t) == 1).map(lambda t: TandemModel(*t)),
+    st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    st.integers(0, 200),
+    st.sampled_from(["exact", "logfloat"]),
+)
+@example(TandemModel(1, 1, 1), (8, 8), 200, "exact")
+@example(TandemModel(1, 1, 1), (8, 8), 200, "logfloat")
+@huge_plan_examples
+def test_flat_sweep_equals_the_views_sweep(m, target, n_max, mode):
+    # every reading and every cell of every box, ints as ints and floats
+    # bit for bit, on the pinned plans of small triples and of HUGE_PLANS
+    N = last_ballot_point_by_scan(m, target, n_max)
+    if N is None:
+        return
+    plan = _ballot_boxes(m, N)
+    flat, flat_boxes = box_readings(_sweep, plan, mode)
+    views, view_boxes = box_readings(pinned_views_sweep, plan, mode)
+    if mode == "exact":
+        assert flat == views and {type(v) for v in flat} == {int}
+        assert [(o, b.tolist()) for o, b in flat_boxes] == [(o, b.tolist()) for o, b in view_boxes]
+    else:
+        assert [v.hex() for v in flat] == [v.hex() for v in views]
+        assert [(o, b.shape, b.tobytes()) for o, b in flat_boxes] == \
+            [(o, b.shape, b.tobytes()) for o, b in view_boxes]
 
 
 @pytest.mark.parametrize("mode", ["exact", "logfloat"])
@@ -513,13 +566,13 @@ def test_logfloat_terms_do_not_depend_on_n_max(m, target, n, extra):
 def column_blocks(plan, k):
     """``plan`` with each level's box covered by k full-height column blocks
     instead of its own rectangles, each split into the level's classes."""
-    steps, levels, cut = plan
+    steps, levels, stride, cut = plan
     blocked = []
     for ox, oy, w, h, _, p, classes in levels:
         edges = sorted({i * w // k for i in range(k + 1)})
         blocks = tuple((x0, x1, 0, h) for x0, x1 in zip(edges, edges[1:]))
         blocked.append((ox, oy, w, h, blocks, p, classes))
-    return steps, blocked, cut
+    return steps, blocked, stride, cut
 
 
 @settings(max_examples=60, deadline=None)
@@ -560,8 +613,8 @@ def live_cells(m, n, w, h):
 
 def dense(plan):
     """``plan`` with every level swept whole: stride 1 and the one class."""
-    steps, levels, cut = plan
-    return steps, [level[:5] + (1, ((0, 0),)) for level in levels], cut
+    steps, levels, stride, cut = plan
+    return steps, [level[:5] + (1, ((0, 0),)) for level in levels], stride, cut
 
 
 @settings(max_examples=60, deadline=None)
@@ -616,7 +669,7 @@ def test_exact_totals_plan_updates_one_dth_of_its_strips():
     # cells plus one row and one column per view, as a view of a W x H strip
     # has fewer than W/d + 1 columns and H/d + 1 rows
     *_, d = lattice(UNIT)
-    _, levels, _ = _quadrant_windows(UNIT, 599, slabs=True)
+    _, levels, *_ = _quadrant_windows(UNIT, 599, slabs=True)
     cells = strips = margin = 0
     for *_, rects, p, classes in levels[1:]:
         for x0, x1, y0, y1 in rects:

@@ -336,6 +336,15 @@ def test_ballot_3d_budget_abort_is_upfront():
     assert perf_counter() - t0 < 0.5
 
 
+def test_thin_cone_budget_abort_is_upfront():
+    # (1, 10**9, 1) is the cone A*x >= B*y >= C*z of the tandem triple
+    # (10**9, 1, 10**9): one round reaches y = 10**9, one point or more per y
+    t0 = perf_counter()
+    with pytest.raises(BudgetExceededError, match="^cone sweep needs more cells than the budget of 200000000$"):
+        count_ballot_3d(BallotModel(1, 10**9, 1), 1)
+    assert perf_counter() - t0 < 0.5
+
+
 def test_periodicity_sweep():
     for triple in coprime_triples(4):
         t = TandemModel(*triple)

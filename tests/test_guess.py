@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -219,6 +220,10 @@ def test_recurrence_validation():
             Recurrence(1, 0, ((2,), (bad,)))
     with pytest.raises(ValidationError, match="^coefficient 0 of polynomial 0 .* got 2.5$"):
         Recurrence(1, 0, ((2.5,), ("1",)))
+    for bad in (((1,), 2), None):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"coefficients must be a sequence of integer sequences, got {bad!r}") + "$"):
+            Recurrence(1, 0, bad)
 
 
 @pytest.mark.parametrize("terms, message", [
