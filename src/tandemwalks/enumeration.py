@@ -13,26 +13,28 @@ dynamic program, in one of two coordinate systems chosen by what it reads.
   congruence in n mod d, the index of the grid's lattice below.  The cells
   that can still reach it are those with n1 <= N1, n2 <= N2 and n3 <= N3:
   each level keeps a box of whole columns and zeroes the one cell per
-  column just across each cone line after its update.  The boxes and the ends of those cuts are computed in closed form
-  for all levels at once, before the sweep, so the level loop only slices,
-  cuts and reads the cells of the target's walks, whose step numbers
-  differ by multiples of the ballot triple.
+  column just across each cone line after its update.  The boxes and the
+  ends of those cuts are computed in closed form for all levels at once,
+  before the sweep, so the level loop only slices, cuts and reads the
+  cells of the target's walks, whose step numbers differ by multiples of
+  the ballot triple.
 - Totals run on the quadrant grid: every reachable x is a multiple of
   gx = gcd(A, B) and every y of gy = gcd(B, C), so the grid indexes those
   multiples, and a window cut out by linear bounds along the two axes and
   the normals of R - D and D - U holds the cells reachable in n steps.
-  Each level is covered by two strips, split at one column: exact totals
-  read only the two boundary slabs from which D or U leaves the quadrant,
-  so their strips run along both axes, each cut to the cells that can
-  still reach its slab; log-float totals keep every reachable cell, split
-  at half the window's width.  Totals stay on this grid: there the slabs
-  are axis-aligned strips, and `np.sum` adds a log-float level in an order
-  that follows the grid's layout.  The cells reachable at level n form one
-  coset of a lattice of index d = E/(gx*gy), E = AB + AC + BC: one residue
-  of the row mod d for each residue of the column (`_grid`).  On a level
-  whose box holds d^3 cells or more, exact totals update only those d
-  classes, each a strided view of a strip; log-float totals stay dense,
-  since a float add costs less than the extra slicing.
+  Log-float totals keep every reachable cell.  Exact totals read only the
+  two boundary slabs from which D or U leaves the quadrant, so they keep
+  the corner of cells that can still reach both slabs, and fold the cells
+  past it that can reach one into two 1-D margins, a column sum and a row
+  sum (`_slab_reader`).  Each box is covered by two strips, split at half
+  its width.  Totals stay on this grid: there the slabs are axis-aligned
+  strips, and `np.sum` adds a log-float level in an order that follows the
+  grid's layout.  The cells reachable at level n form one coset of a
+  lattice of index d = E/(gx*gy), E = AB + AC + BC: one residue of the row
+  mod d for each residue of the column (`_grid`).  On a level whose box
+  holds d^3 cells or more, exact totals update only those d classes, each
+  a strided view of a strip; log-float totals stay dense, since a float
+  add costs less than the extra slicing.
 
 Each level is held in one of two flat buffers reused across levels.  A
 pinned level is a frame of whole columns, each one row taller than the
@@ -294,15 +296,16 @@ def _quadrant_windows(m: TandemModel, n_max: int, slabs: bool):
     scales its limits alike, so none is reduced.  The level's box is the
     bounding box of that window.
 
-    Two strips cover the window: the columns left of a split, as tall as
-    the box, and the columns from the split on, as tall as the window at
-    the split and no taller than a reach.  For ``slabs``, the boundary slabs
-    i < b1 (D leaves) and j < c2 (U leaves), a cell can still reach a slab
-    in the remaining r = n_max - n steps only if i < (r+1)*b1 or
-    j < (r+1)*c2, so the split and the reach are those bounds.  Otherwise
-    every cell is kept, split at half the box's width, for speed alone: the
-    split skips the empty cells above the window's slope but costs a slice
-    copy or add per step.
+    For ``slabs``, the boundary slabs i < b1 (D leaves) and j < c2 (U
+    leaves), a cell can still reach the column slab in the remaining
+    r = n_max - n steps only if i < Tx = (r+1)*b1, and the row slab only if
+    j < Ty = (r+1)*c2.  The box is cut to the corner i < Tx, j < Ty, which
+    holds its true counts, as every cell's predecessors lie in the previous
+    level's corner; the reader folds the cells past it (`_slab_reader`).
+    Two strips cover the box, split at half its width: the columns left of
+    the split, as tall as the box, and the rest, as tall as the window at
+    the split.  The split is for speed alone: it skips the empty cells
+    above the window's slope but costs a slice copy or add per step.
 
     Level n's cells lie in the d classes j = t*i - c2*n (mod d) of `_grid`.
     For ``slabs``, a level whose box holds at least d^3 cells, so that each
@@ -327,15 +330,67 @@ def _quadrant_windows(m: TandemModel, n_max: int, slabs: bool):
             return min((lim - a * x) // b for a, b, lim in lims if b) + 1
 
         h = height(0)
-        r = n_max - n
-        split, reach = ((r + 1) * b1, (r + 1) * c2) if slabs else (w // 2, h)
-        split = min(split, w)
-        rects = (0, split, 0, h), (split, w, 0, min(reach, height(split)))
+        if slabs:  # the corner of the cells that can still reach both slabs
+            w, h = min(w, (n_max - n + 1) * b1), min(h, (n_max - n + 1) * c2)
+        rects = (0, w // 2, 0, h), (w // 2, w, 0, min(h, height(w // 2)))
         if slabs and d ** 3 <= w * h:
             return 0, 0, w, h, rects, d, tuple((k, (t * k - c2 * n) % d) for k in range(d))
         return 0, 0, w, h, rects, 1, ((0, 0),)
 
     return steps, [window(n) for n in range(n_max + 1)], None, None
+
+
+def _shift_add(size: int, *parts: tuple[int, np.ndarray]) -> np.ndarray:
+    """An object array of ``size`` zeros plus each vector v of ``parts``
+    shifted by s: out[i] += v[i - s], for the i whose source lies in v."""
+    out = np.zeros(size, dtype=object)
+    for s, v in parts:
+        lo, hi = max(s, 0), min(size, len(v) + s)
+        if lo < hi:
+            out[lo:hi] += v[lo - s:hi - s]
+    return out
+
+
+def _slab_reader(m: TandemModel, levels: list):
+    """The reader of an exact totals sweep over ``levels``, from
+    `_quadrant_windows` with ``slabs``, and the list [colm, rowm] of the
+    margins it keeps for the level it reads next.
+
+    The reading is the level's loss, the sum of its cells in the slabs
+    i < b1 and j < c2.  Level n of a sweep to n_max keeps only its corner
+    i < Tx = (r+1)*b1, j < Ty = (r+1)*c2, r = n_max - n: within r steps a
+    cell with j >= Ty never meets the row slab and U never leaves the
+    quadrant from it, so its row no longer matters, and likewise its column
+    once i >= Tx.  Those cells are folded into two margins, as long as the
+    corner's box: colm[i] = sum over j >= Ty of the count at (i, j), and
+    rowm[j] = sum over i >= Tx (cells past both bounds reach no slab).
+    colm moves by R, D and U as the 1-D shifts +a1, -b1 and 0, rowm by 0,
+    +b2 and -c2, and each also takes the corner cells that a step carries
+    past the next level's Ty or Tx.  Then each is cut to the next corner.
+    """
+    _, _, (a1, b1, b2, c2), _, _ = _grid(m)
+    last = len(levels) - 1
+    margins = [np.zeros(1, dtype=object)] * 2  # level 0's box is its one cell
+
+    def read(n: int, grid: np.ndarray, origin: tuple[int, int]) -> int:
+        colm, rowm = margins
+        loss = sum(int(v.sum()) for v in (grid[:b1], grid[:, :c2], colm[:b1], rowm[:c2]))
+        if n < last:
+            tx, ty = (last - n) * b1, (last - n) * c2  # the next corner
+            _, _, w, h, *_ = levels[n + 1]
+            # colm is zero while the next window ends below Ty, as its box
+            # does, and rowm while it ends left of Tx
+            margins[:] = (
+                _shift_add(w, (a1, colm + grid[:, ty:].sum(axis=1)),
+                           (-b1, colm + grid[:, max(ty - b2, 0):].sum(axis=1)), (0, colm))
+                if h == ty else np.zeros(w, dtype=object),
+                _shift_add(h, (0, rowm + grid[max(tx - a1, 0):].sum(axis=0)), (b2, rowm),
+                           (-c2, rowm + grid[tx:].sum(axis=0)))
+                if w == tx else np.zeros(h, dtype=object),
+            )
+        return loss
+
+    return read, margins
 
 
 def _ballot_boxes(m: TandemModel, target: tuple[int, int, int]):
@@ -519,11 +574,14 @@ def count_walks_total(
     q_{n+1} = 3 * q_n - (walks that would step outside the quadrant): D
     leaves it from the columns x < B and U from the rows y < C, so the loss
     is the sum over those two boundary slabs.  Only the slabs are read, so
-    the sweep updates only the cells that can still reach one: an L-shaped
-    window that narrows toward the last level, and within it, on levels
-    with at least d^3 cells, only the d residue classes of cells that walks
-    can reach (`_quadrant_windows`).  Log-float mode sums the whole
-    reachable rectangle at every level.
+    the sweep updates only the corner of cells that can still reach both,
+    which shrinks toward the last level, and within it, on levels with at
+    least d^3 cells, only the d residue classes of cells that walks can
+    reach (`_quadrant_windows`).  The reader keeps the cells past the corner
+    that can still reach one slab as two 1-D margins, their column sums and
+    their row sums, and adds their part of each slab to the loss
+    (`_slab_reader`).  Log-float mode sums the whole reachable rectangle at
+    every level.
     """
     check_integer("n_max", n_max)
     check_integer("cell_budget", cell_budget)
@@ -537,14 +595,10 @@ def count_walks_total(
         return CountSequence(mode, _sweep(plan, mode, lambda n, grid, origin: np.sum(grid)))
     if n_max == 0:
         return CountSequence(mode, (1,))
-    # D leaves the quadrant from the columns i < b1, U from the rows j < c2
-    _, _, (_, b1, _, c2), _, _ = _grid(m)
-
-    def slab_loss(n: int, grid: np.ndarray, origin: tuple[int, int]) -> int:
-        return int(grid[:b1].sum()) + int(grid[:, :c2].sum())
-
+    plan = _quadrant_windows(m, n_max - 1, slabs=True)
+    read, _ = _slab_reader(m, plan[1])
     q = [1]
-    for loss in _sweep(_quadrant_windows(m, n_max - 1, slabs=True), mode, slab_loss):
+    for loss in _sweep(plan, mode, read):
         q.append(3 * q[-1] - loss)
     return CountSequence(mode, tuple(q))
 

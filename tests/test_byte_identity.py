@@ -6,15 +6,17 @@ partner), with the endpoint pinned to --target A,C.  The row's digest is the
 sha256 of the newline-joined sha256 hex digests of the 29 stdouts, cut to 16
 hex digits.  Each `fit` row is the sha256 of the JSON file that the
 benchmark's `fit_logfloat` call writes, cut alike.  Each `guess` row is the
-sha256 of the JSON that `guess` prints for one series file, cut alike.  A
-change to the counting kernel or the guesser that moves any output byte
-fails here.
+sha256 of the JSON that `guess` prints for one series file, cut alike.  The
+totals row digests exact `count_walks_total` terms of every coprime triple
+with entries <= 6 at several sweep lengths.  A change to the counting kernel
+or the guesser that moves any output byte fails here.
 """
 
 import hashlib
 
 import pytest
 
+from conftest import coprime_triples
 from tandemwalks import (
     TandemModel,
     cli,
@@ -44,6 +46,22 @@ JSON_ROWS = {
     "endpoint": "bb4dbcff1782a7a1",
     "total": "c65e5a6fb4d95e7f",
 }
+
+# exact totals of every coprime triple with entries <= 6, swept to each n_max:
+# the sweep's window depends on n_max, not only the terms it reads
+TOTALS_N_MAX = (0, 1, 2, 7, 40, 120)
+TOTALS_ROW = "565b6483d846d6fe"
+
+
+def test_exact_totals_of_small_triples_keep_their_digest():
+    lines = []
+    for triple in coprime_triples(6):
+        s = tandem_step_set(TandemModel(*triple))
+        for n_max in TOTALS_N_MAX:
+            lines.append(f"{triple} {n_max} {count_walks_total(s, n_max).values}")
+    assert len(lines) == 181 * len(TOTALS_N_MAX)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == TOTALS_ROW
+
 
 # (model, --m-max): (1,1,1) at n = 1200, the others at n = 560
 FIT_ROWS = {

@@ -3,9 +3,10 @@
 A pinned sweep runs in ballot coordinates (n1, n2), the numbers of R and D
 steps, and keeps the cells of the quadrant cone from which the target's
 ballot point is still reachable; totals run on the quadrant grid, within the
-reach of the origin, and exact totals keep only the cells that can still
-reach a boundary slab and, on large levels, only the residue classes of
-cells that walks can reach.  All of it is checked here against a plain
+reach of the origin, and exact totals keep only the corner of cells that can
+still reach both boundary slabs, fold the cells past it into two 1-D
+margins and, on large levels, update only the residue classes of cells that
+walks can reach.  All of it is checked here against a plain
 dictionary dynamic program over the whole quadrant, on random coprime
 tandem triples (with examples whose step lattice is coarser than Z^2, and
 one with large steps) and random targets (on and off the step lattice).
@@ -35,7 +36,7 @@ from tandemwalks import (
     tandem_step_set,
 )
 from tandemwalks import enumeration
-from tandemwalks.enumeration import _ballot_boxes, _quadrant_windows, _sweep
+from tandemwalks.enumeration import _ballot_boxes, _quadrant_windows, _slab_reader, _sweep
 
 from conftest import ballot_level, ballot_point_at, last_ballot_point_by_scan, pinned_views_sweep
 
@@ -77,6 +78,15 @@ def lattice_examples(*rest):
 def spacings(m):
     """(gx, gy): every reachable x is a multiple of gx and every y of gy."""
     return gcd(m.A, m.B), gcd(m.B, m.C)
+
+
+def corner(m, n_max, n):
+    """(Tx, Ty): level n of a slab sweep to n_max keeps the cells (i, j) of
+    the grid with i < Tx and j < Ty, those that can still reach both slabs
+    i < B/gx and j < C/gy in the r = n_max - n steps left."""
+    gx, gy = spacings(m)
+    r = n_max - n
+    return (r + 1) * m.B // gx, (r + 1) * m.C // gy
 
 
 def copy_grid(n, grid, origin):
@@ -138,43 +148,48 @@ def test_excursions_and_totals_match_unpruned_reference(m, n_max):
 @given(models, st.integers(0, 12))
 @lattice_examples(12)
 def test_slab_window_holds_reference_values(m, n_max):
-    # level n of a slab sweep to n_max holds the true count on the L-shaped
-    # window i < (r+1)*nxm or j < (r+1)*nym (r = n_max - n, compressed
-    # units, nxm = B/gx, nym = C/gy) and zero everywhere else
+    # level n of a slab sweep to n_max is a box within the corner i < Tx,
+    # j < Ty (compressed units) that holds every reachable cell of the
+    # corner, and each of its cells holds the true count
     gx, gy = spacings(m)
-    nxm, nym = m.B // gx, m.C // gy
     levels = reference_levels(tandem_step_set(m).steps, n_max)
     plan = _quadrant_windows(m, n_max, slabs=True)
     for n, (_, grid) in enumerate(_sweep(plan, "exact", copy_grid)):
-        r = n_max - n
+        tx, ty = corner(m, n_max, n)
+        w, h = grid.shape
+        assert w <= tx and h <= ty, n
+        for x, y in levels[n]:
+            if x // gx < tx and y // gy < ty:
+                assert x // gx < w and y // gy < h, (n, x, y)
         for (i, j), v in np.ndenumerate(grid):
-            in_window = i < (r + 1) * nxm or j < (r + 1) * nym
-            true = levels[n].get((i * gx, j * gy), 0)
-            assert v == (true if in_window or n == 0 else 0), (n, i, j)
+            assert v == levels[n].get((i * gx, j * gy), 0), (n, i, j)
 
 
 def assert_levels_hold_reference(m, q, n_max):
     """In pinned (to ``q``), slab and free sweeps alike, every cell that holds
     walks after n steps and still matters to the sweep holds its true count,
     and every other cell of the grid holds a value between 0 and its true
-    count.  A pinned level's box is the bounding box of the cells it keeps:
-    the ballot cells of the cone with n1 <= N1, n2 <= N2 and n3 <= N3."""
+    count.  To a slab sweep the cells of the corner matter (`corner`), to a
+    free sweep all.  A pinned level's box is the bounding box of the cells
+    it keeps: the ballot cells of the cone with n1 <= N1, n2 <= N2 and
+    n3 <= N3."""
     steps = tandem_step_set(m).steps
     gx, gy = spacings(m)
-    nxm, nym = m.B // gx, m.C // gy
     levels = reference_levels(steps, n_max)
-    # the slab sweep (target True) and the free one (False)
+    # the bounds of the cells that matter to the slab sweep (target True)
+    # and to the free one (False)
     needed = {
-        True: lambda r, x, y: x < (r + 1) * nxm * gx or y < (r + 1) * nym * gy,
-        False: lambda r, x, y: True,
+        True: lambda n: corner(m, n_max, n),
+        False: lambda n: (float("inf"), float("inf")),
     }
-    for target, matters in needed.items():
+    for target, bounds in needed.items():
         plan = _quadrant_windows(m, n_max, slabs=target)
         for n, (_, grid) in enumerate(_sweep(plan, "exact", copy_grid)):
             w, h = np.shape(grid)
+            tx, ty = bounds(n)
             for (x, y), v in levels[n].items():
-                if matters(n_max - n, x, y):
-                    i, j = x // gx, y // gy
+                i, j = x // gx, y // gy
+                if i < tx and j < ty:
                     assert i < w and j < h and grid[i, j] == v, (target, n, x, y)
             for (i, j), v in np.ndenumerate(grid):
                 assert 0 <= v <= levels[n].get((i * gx, j * gy), 0), (target, n, i, j)
@@ -219,8 +234,9 @@ def test_every_level_holds_reference_on_its_window(m, q, n_max):
 
 def test_block_copy_falls_to_a_later_step():
     # tandem (2,1,1): the step (2,0) has no source in the columns left of 2,
-    # so the block takes the step (-1,1) by assignment.  Slabs: level 5,
-    # block 0 = (0..1, 0..3).  Free: level 2, block 0 = (0..1, 0..1).
+    # so the block takes the step (-1,1) by assignment.  Slabs: level 5
+    # keeps the corner (0..1, 0..1), and both its blocks, (0..0, 0..1) and
+    # (1..1, 0..1), take (-1,1) first.  Free: level 2, block 0 = (0..1, 0..1).
     # Pinned to (0,0) at n_max = 6, the sweep ends at N = (1,2,2), level 5:
     # at level 2 the box is the cell (1, 1), where R has no source and D
     # copies; at level 5 it is (1, 2), where only U has one.
@@ -230,8 +246,9 @@ def test_block_copy_falls_to_a_later_step():
 def test_block_copy_covers_part_of_its_block():
     # tandem (3,1,1): the step (3,0) has no source in columns 0..2, nor above
     # the previous level's top row.  Free sweep, level 4: block 0 =
-    # (0..5, 0..3) and (3,0) copies only (3..5, 0..2); slab sweep, level 3:
-    # block 0 = (0..5, 0..2) and the copy is (3..5, 0..1).  Pinned to (0,0)
+    # (0..5, 0..3) and (3,0) copies only (3..5, 0..2); slab sweep, level 4,
+    # whose corner is (0..4, 0..3): block 1 = (2..4, 0..2) and the copy is
+    # (3..4, 0..2).  Pinned to (0,0)
     # at n_max = 8, the sweep ends at N = (1,3,3), level 7; at level 3 the
     # box is (1, 1..2) and D copies only (1, 2), at level 5 it is (1, 2..3)
     # and D copies only (1, 3).  The cells around each copy keep the fill's
@@ -241,12 +258,13 @@ def test_block_copy_covers_part_of_its_block():
 
 def test_window_shapes_unit_model():
     # (1,1,1) has the steps (1,0), (-1,1), (0,-1): after n steps every walk
-    # has i + 2j <= n.  A grid is the bounding box of its window.
+    # has i + 2j <= n.  A grid is the bounding box of its window, and a slab
+    # sweep's grid is that box cut to the corner i, j < 21 - n.
     m = TandemModel(1, 1, 1)
     full = _sweep(_quadrant_windows(m, 20, slabs=False), "exact", box_shape)
     assert full == [((0, 0), (n + 1, n // 2 + 1)) for n in range(21)]
     slabs = _sweep(_quadrant_windows(m, 20, slabs=True), "exact", box_shape)
-    assert slabs == full
+    assert slabs == [((0, 0), (min(n + 1, 21 - n), min(n // 2 + 1, 21 - n))) for n in range(21)]
     # Pinned to the origin at n_max = 20, not a multiple of the period 3:
     # the sweep ends at N = (6,6,6), level 18.  The cone is n1 >= n2 >= n3,
     # so level n keeps the columns n1 >= n/3, n1 >= (n - 6)/2 (as n3 <= 6)
@@ -623,12 +641,12 @@ def dense(plan):
 @lattice_examples(40)
 def test_split_levels_update_the_live_classes_only(m, n_max):
     # a level with d^3 cells or more lists the d classes that the reference
-    # reaches; every cell of its window holds the reference count, every
-    # cell off the level's coset holds 0, and the unsplit sweep agrees
+    # reaches; every cell of its box, the corner, holds the reference
+    # count, so every cell off the level's coset holds 0, and the unsplit
+    # sweep agrees
     s = tandem_step_set(m)
     gx, gy = spacings(m)
     *_, d = lattice(m)
-    nxm, nym = m.B // gx, m.C // gy
     assert d == (m.A * m.B + m.A * m.C + m.B * m.C) // (gx * gy)
     levels = reference_levels(s.steps, n_max)
     plan = _quadrant_windows(m, n_max, slabs=True)
@@ -643,10 +661,9 @@ def test_split_levels_update_the_live_classes_only(m, n_max):
             assert (p, classes) == (1, ((0, 0),)), n
         true = np.zeros((w, h), dtype=object)
         for (x, y), v in levels[n].items():
-            true[x // gx, y // gy] = v
-        i, j = np.ogrid[:w, :h]
-        window = (i < (n_max - n + 1) * nxm) | (j < (n_max - n + 1) * nym)
-        assert (grid[window] == true[window]).all(), n
+            if x // gx < w and y // gy < h:
+                true[x // gx, y // gy] = v
+        assert (grid == true).all(), n
         assert (grid[~live_cells(m, n, w, h)] == 0).all(), n
         assert (grid == whole).all(), n
 
@@ -664,14 +681,19 @@ def view_length(lo, hi, k, p):
 
 
 def test_exact_totals_plan_updates_one_dth_of_its_strips():
-    # (1,1,1) has d = 3.  Built only, not swept: the views of the exact
-    # totals plan at n = 600 (levels 1..599) hold at most 1/d of the strips'
-    # cells plus one row and one column per view, as a view of a W x H strip
-    # has fewer than W/d + 1 columns and H/d + 1 rows
+    # (1,1,1) has d = 3.  Built only, not swept: each level of the exact
+    # totals plan at n = 600 (levels 1..599) is its window's box cut to the
+    # corner, split into two strips at half its width.  The views of its
+    # classes hold at most 1/d of the strips' cells plus one row and one
+    # column per view, as a view of a W x H strip has fewer than W/d + 1
+    # columns and H/d + 1 rows
     *_, d = lattice(UNIT)
     _, levels, *_ = _quadrant_windows(UNIT, 599, slabs=True)
     cells = strips = margin = 0
-    for *_, rects, p, classes in levels[1:]:
+    for n, (_, _, w, h, rects, p, classes) in enumerate(levels[1:], 1):
+        tx, ty = corner(UNIT, 599, n)
+        assert (w, h) == (min(n + 1, tx), min(n // 2 + 1, ty)), n
+        assert rects[0] == (0, w // 2, 0, h) and rects[1][:3] == (w // 2, w, 0), n
         for x0, x1, y0, y1 in rects:
             strips += (x1 - x0) * (y1 - y0)
             for k, l in classes:
@@ -681,15 +703,77 @@ def test_exact_totals_plan_updates_one_dth_of_its_strips():
     assert cells <= strips / d + margin < strips / 2
 
 
+def test_exact_totals_plan_keeps_the_corner_alone():
+    # built only, not swept: the plan of (1,1,1) at n = 600 held 20,385,150
+    # rectangle cells, in boxes of up to 180,000, while it kept every cell
+    # that could still reach either slab; keeping only those that can reach
+    # both halves the cells and cuts the largest box to a third
+    _, levels, *_ = _quadrant_windows(UNIT, 599, slabs=True)
+    cells = sum((x1 - x0) * (y1 - y0) for *_, rects, _, _ in levels for x0, x1, y0, y1 in rects)
+    assert cells <= 20_385_150 // 2
+    assert max(w * h for _, _, w, h, *_ in levels) <= 180_000 // 3
+
+
+def slab_loss(m, level):
+    """The walks of a reference level that a D or U step takes out of the
+    quadrant: those at x < B, plus those at y < C."""
+    return sum(v for (x, _), v in level.items() if x < m.B) + \
+        sum(v for (_, y), v in level.items() if y < m.C)
+
+
+@settings(max_examples=80, deadline=None)
+@given(models, st.integers(0, 16))
+@example(UNIT, 40)
+@lattice_examples(16)
+def test_margins_hold_the_sums_past_the_corner(m, n_max):
+    # as the exact totals reader reads each level of a slab sweep: every
+    # cell of the level's box, the corner, holds its reference count;
+    # colm[i] is the reference sum over j >= Ty of column i, and rowm[j] the
+    # sum over i >= Tx of row j, each as long as the box; and the reading
+    # is the level's slab loss
+    gx, gy = spacings(m)
+    levels = reference_levels(tandem_step_set(m).steps, n_max)
+    plan = _quadrant_windows(m, n_max, slabs=True)
+    read, margins = _slab_reader(m, plan[1])
+
+    def checked_read(n, grid, origin):
+        tx, ty = corner(m, n_max, n)
+        w, h = grid.shape
+        true, colm, rowm = np.zeros((w, h), dtype=object), [0] * w, [0] * h
+        for (x, y), v in levels[n].items():
+            i, j = x // gx, y // gy
+            if i < tx and j < ty:
+                true[i, j] = v
+            elif i < tx:
+                colm[i] += v
+            elif j < ty:
+                rowm[j] += v
+        assert grid.tolist() == true.tolist(), n
+        assert [v.tolist() for v in margins] == [colm, rowm], n
+        return read(n, grid, origin)
+
+    assert _sweep(plan, "exact", checked_read) == [slab_loss(m, lv) for lv in levels]
+
+
 def test_huge_lattice_index_lists_no_classes():
     # d is about 2*10^20 for (1, 10^20, 1) and 10^12 for (10^6, 1, 10^6): no
-    # box reaches d^3 cells, and listing the d^2 residue pairs would hang
+    # box reaches d^3 cells, and listing the d^2 residue pairs would hang.
+    # The corner bounds Tx = n_max*B/gx and Ty = n_max*C/gy of exact totals
+    # are as large, so their margins must be as long as the box, not as Tx
+    # or Ty.  The budget meters the full rectangles, which pass 10^20 cells
+    # at n_max = 2, so it is lifted
     for triple, n_max, mode, expected in [
         ((1, 10**20, 1), 0, "exact", (1,)),
+        ((1, 10**20, 1), 1, "exact", (1, 1)),
+        ((10**20, 1, 1), 1, "exact", (1, 1)),
+        ((10**8, 1, 10**8), 1, "exact", (1, 1)),
+        ((1, 10**20, 1), 2, "exact", (1, 1, 1)),
+        ((10**20, 1, 1), 2, "exact", (1, 1, 2)),
         ((1, 10**20, 1), 0, "logfloat", (0.0,)),
         ((10**6, 1, 10**6), 2, "logfloat", (0.0, 0.0, frexp_log(2.0))),
         ((10**6, 1, 10**6), 2, "exact", (1, 1, 2)),
     ]:
         start = perf_counter()
-        assert count_walks_total(tandem_step_set(TandemModel(*triple)), n_max, mode).values == expected
+        s = tandem_step_set(TandemModel(*triple))
+        assert count_walks_total(s, n_max, mode, cell_budget=10**80).values == expected
         assert perf_counter() - start < 0.5, (triple, mode)
