@@ -13,6 +13,7 @@ from .enumeration import (
     count_ballot_3d,
     count_endpoint,
     count_excursions,
+    count_grid_excursions,
     count_walks_total,
 )
 from .errors import BudgetExceededError, ValidationError
@@ -46,6 +47,7 @@ __all__ = [
     "count_ballot_3d",
     "count_endpoint",
     "count_excursions",
+    "count_grid_excursions",
     "count_walks_total",
     "estimate_alpha",
     "exponent_report",

@@ -25,6 +25,7 @@ from .enumeration import (
     count_ballot_3d,
     count_endpoint,
     count_excursions,
+    count_grid_excursions,
     count_walks_total,
 )
 from .errors import BudgetExceededError, ValidationError
@@ -400,8 +401,10 @@ def _cmd_bijection_check(args) -> list[str]:
     ballot = args.ballot
     tandem = ballot_to_tandem(ballot)
     p = ballot.period
-    # the 2D sweep checks its budget upfront, so a too-large run aborts at once
-    seq2 = count_excursions(tandem_step_set(tandem), p * args.rounds)
+    # (x, y) excursions on the quadrant plan against cone walks on the pinned
+    # ballot plan; both meter the same rectangles upfront, so a too-large run
+    # aborts at once, before the cone sweep
+    seq2 = count_grid_excursions(tandem_step_set(tandem), p * args.rounds)
     seq3 = count_ballot_3d(ballot, args.rounds)
     lines = []
     for n in range(1, args.rounds + 1):

@@ -4,20 +4,20 @@ Counting takes the tandem steps R = (A,0), D = (-B,B), U = (0,-C) of a
 coprime triple, in that order.  The workhorse is a dense level-by-level
 dynamic program, in one of two coordinate systems chosen by what it reads.
 
-- Pinned sweeps (excursions, endpoint counts) run in ballot coordinates: a
-  walk with n1 R, n2 D and n3 U steps ends at (A*n1 - B*n2, B*n2 - C*n3),
-  so at level n the cell (n1, n2) is one quadrant point, every cell of the
-  quadrant cone is live, and the steps are the shifts (1,0), (0,1), (0,0).
-  The target is one ballot point (N1, N2, N3), at the last level whose
-  step numbers are nonnegative integers, found by solving one linear
-  congruence in n mod d, the index of the grid's lattice below.  The cells
-  that can still reach it are those with n1 <= N1, n2 <= N2 and n3 <= N3:
-  each level keeps a box of whole columns and zeroes the one cell per
-  column just across each cone line after its update.  The boxes and the
-  ends of those cuts are computed in closed form for all levels at once,
-  before the sweep, so the level loop only slices, cuts and reads the
-  cells of the target's walks, whose step numbers differ by multiples of
-  the ballot triple.
+- Pinned sweeps (excursions, endpoint counts, cone walks) run in ballot
+  coordinates, the 3D cone's own: a walk with n1 R, n2 D and n3 U steps
+  ends at (A*n1 - B*n2, B*n2 - C*n3), so at level n the cell (n1, n2) is
+  one quadrant point, every cell of the quadrant cone is live, and the
+  steps are the shifts (1,0), (0,1), (0,0).  The target is one ballot
+  point (N1, N2, N3), at the last level whose step numbers are nonnegative
+  integers, found by solving one linear congruence in n mod d, the index
+  of the grid's lattice below.  The cells that can still reach it are
+  those with n1 <= N1, n2 <= N2 and n3 <= N3: each level keeps a box of
+  whole columns and zeroes the one cell per column just across each cone
+  line after its update.  The boxes and the ends of those cuts are
+  computed in closed form for all levels at once, before the sweep, so the
+  level loop only slices, cuts and reads the cells of the target's walks,
+  whose step numbers differ by multiples of the ballot triple.
 - Totals run on the quadrant grid: every reachable x is a multiple of
   gx = gcd(A, B) and every y of gy = gcd(B, C), so the grid indexes those
   multiples, and a window cut out by linear bounds along the two axes and
@@ -26,15 +26,18 @@ dynamic program, in one of two coordinate systems chosen by what it reads.
   two boundary slabs from which D or U leaves the quadrant, so they keep
   the corner of cells that can still reach both slabs, and fold the cells
   past it that can reach one into two 1-D margins, a column sum and a row
-  sum (`_slab_reader`).  Each box is covered by two strips, split at half
-  its width.  Totals stay on this grid: there the slabs are axis-aligned
-  strips, and `np.sum` adds a log-float level in an order that follows the
-  grid's layout.  The cells reachable at level n form one coset of a
-  lattice of index d = E/(gx*gy), E = AB + AC + BC: one residue of the row
-  mod d for each residue of the column (`_grid`).  On a level whose box
-  holds d^3 cells or more, exact totals update only those d classes, each
-  a strided view of a strip; log-float totals stay dense, since a float
-  add costs less than the extra slicing.
+  sum (`_slab_reader`).  The same corner holds every cell that can still
+  return to the origin, so the grid excursions that the bijection check
+  compares with the pinned ones run that plan too.  Each box is covered by
+  two strips, split at half its width.  Totals stay on this grid: there
+  the slabs are axis-aligned strips, and `np.sum` adds a log-float level
+  in an order that follows the grid's layout.  The cells reachable at
+  level n form one coset of a lattice of index d = E/(gx*gy),
+  E = AB + AC + BC: one residue of the row mod d for each residue of the
+  column (`_grid`).  On a level whose box holds d^3 cells or more, exact
+  totals update only those d classes, each a strided view of a strip;
+  log-float totals stay dense, since a float add costs less than the extra
+  slicing.
 
 Each level is held in one of two flat buffers reused across levels.  A
 pinned level is a frame of whole columns, each one row taller than the
@@ -55,8 +58,7 @@ reading into a log itself, so no caller sees the scaling.
 
 Each count meters its work once, before anything else, as the cells of the
 full reachable (x, y) rectangles, whatever the coordinates and the window,
-so a mistyped n_max fails fast instead of thrashing; the 3D cone sweep
-likewise counts its cone points against the budget before its first step.
+so a mistyped n_max fails fast instead of thrashing.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError, check_integer, is_integer
-from .models import BALLOT_STEPS, BallotModel, StepSet, TandemModel, ballot_to_tandem
+from .models import BallotModel, StepSet, TandemModel, ballot_to_tandem
 from .models import tandem_step_set, tandem_to_ballot
 
 DEFAULT_CELL_BUDGET = 200_000_000
@@ -603,6 +605,24 @@ def count_walks_total(
     return CountSequence(mode, tuple(q))
 
 
+def count_grid_excursions(s: StepSet, n_max: int) -> CountSequence:
+    """Exact numbers e_0..e_{n_max} of `count_excursions`, swept on the
+    (x, y) quadrant grid instead of in ballot coordinates.
+
+    The sweep runs the exact-totals plan of `_quadrant_windows` and reads the
+    origin's cell at each level.  That plan keeps at level n the corner
+    i < (r+1)*b1, j < (r+1)*c2, r = n_max - n, which holds every cell that
+    can still return to the origin: a return needs at most r D steps of b1
+    columns and at most r U steps of c2 rows, and the corner holds its true
+    counts.
+    """
+    check_integer("n_max", n_max)
+    m = _tandem(s)
+    _check_budget(m, n_max, DEFAULT_CELL_BUDGET)
+    plan = _quadrant_windows(m, n_max, slabs=True)
+    return CountSequence("exact", _sweep(plan, "exact", lambda n, grid, origin: grid[0, 0]))
+
+
 def count_ballot_3d(
     m: BallotModel,
     rounds_max: int,
@@ -610,48 +630,13 @@ def count_ballot_3d(
 ) -> CountSequence:
     """Exact counts of cone walks ending at (a*n, b*n, c*n), n = 0..rounds_max.
 
-    Direct sparse dynamic program over the cone A*x >= B*y >= C*z >= 0; a walk
-    reaching (a*N, b*N, c*N) never exceeds those coordinates because each
-    coordinate is nondecreasing, which bounds the state space.
+    A cone walk with x X, y Y and z Z steps is a walk of the tandem model
+    with x R, y D and z U steps, and it stays in the cone
+    A*x >= B*y >= C*z >= 0 exactly when that walk stays in the quadrant.
+    Ballot coordinates are the cone's own, so the counts are the excursions
+    of length p*n of the pinned sweep, metered like every count.
     """
     check_integer("rounds_max", rounds_max)
-    check_integer("cell_budget", cell_budget)
-    T = ballot_to_tandem(m)
-    A, B, C = T.A, T.B, T.C
-    xm, ym, zm = m.a * rounds_max, m.b * rounds_max, m.c * rounds_max
-    _check_cone_budget(A, B, C, xm, ym, cell_budget)
-    terms = [1]
-    cur: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
-    for t in range(1, m.period * rounds_max + 1):
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (x, y, z), v in cur.items():
-            for dx, dy, dz in BALLOT_STEPS:
-                nx, ny, nz = x + dx, y + dy, z + dz
-                if nx > xm or ny > ym or nz > zm:
-                    continue
-                if A * nx >= B * ny >= C * nz >= 0:
-                    key = (nx, ny, nz)
-                    nxt[key] = nxt.get(key, 0) + v
-        cur = nxt
-        n, rem = divmod(t, m.period)
-        if rem == 0:
-            terms.append(cur.get((m.a * n, m.b * n, m.c * n), 0))
-    return CountSequence("exact", tuple(terms))
-
-
-def _check_cone_budget(A: int, B: int, C: int, xm: int, ym: int, cell_budget: int) -> None:
-    """Meter the cone sweep before it starts: it visits every lattice point of
-    A*x >= B*y >= C*z >= 0 in the box [0, xm] x [0, ym] x [0, zm] once, at step
-    x + y + z.  A*xm = B*ym = C*zm, so at height y there are
-    xm - ceil(B*y/A) + 1 values of x and floor(B*y/C) + 1 values of z.
-    ceil(B*y/A) <= xm, so each y adds at least one point: a cone taller
-    than the budget aborts before the sum."""
-    message = f"cone sweep needs more cells than the budget of {cell_budget}"
-    if ym + 1 > cell_budget:
-        raise BudgetExceededError(message)
-    swept = 0
-    for y in range(ym + 1):
-        x_lo = -(-B * y // A)  # ceil(B*y/A)
-        swept += (xm - x_lo + 1) * (B * y // C + 1)
-        if swept > cell_budget:
-            raise BudgetExceededError(message)
+    s = tandem_step_set(ballot_to_tandem(m))
+    e = count_excursions(s, m.period * rounds_max, "exact", cell_budget)
+    return CountSequence("exact", e.values[:: m.period])

@@ -23,9 +23,6 @@ from .errors import ValidationError
 
 Step = tuple[int, int]
 
-# unit steps x+1, y+1, z+1 of the 3D ballot walk, in fixed order
-BALLOT_STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
 
 def _check_triple(kind: str, triple: tuple[int, int, int]) -> None:
     for value in triple:

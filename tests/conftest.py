@@ -20,7 +20,6 @@ from tandemwalks import (
     tandem_to_ballot,
 )
 from tandemwalks import enumeration, fit, guess
-from tandemwalks.models import BALLOT_STEPS
 
 
 def coprime_triples(bound):
@@ -423,6 +422,39 @@ def family(kind, A):
     if model.B**2 * r.denominator != (model.A + model.B) * (model.B + model.C) * r.numerator:
         raise ValidationError(f"family member {model} misses gamma^2 = {r}")
     return model
+
+
+# unit steps x+1, y+1, z+1 of the 3D ballot walk, in fixed order
+BALLOT_STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def cone_walks_3d(m, rounds_max):
+    """Numbers of cone walks from the origin to (a*n, b*n, c*n), n = 0..rounds_max,
+    by a dictionary over the points of the 3D cone A*x >= B*y >= C*z >= 0,
+    one step at a time: the oracle of `count_ballot_3d` and
+    `count_grid_excursions`, with no plan, no pruning and no kernel.  A walk
+    to (a*N, b*N, c*N) never exceeds those coordinates, as each is
+    nondecreasing, which bounds the state space."""
+    T = ballot_to_tandem(m)
+    A, B, C = T.A, T.B, T.C
+    xm, ym, zm = m.a * rounds_max, m.b * rounds_max, m.c * rounds_max
+    terms = [1]
+    cur = {(0, 0, 0): 1}
+    for t in range(1, m.period * rounds_max + 1):
+        nxt = {}
+        for (x, y, z), v in cur.items():
+            for dx, dy, dz in BALLOT_STEPS:
+                nx, ny, nz = x + dx, y + dy, z + dz
+                if nx > xm or ny > ym or nz > zm:
+                    continue
+                if A * nx >= B * ny >= C * nz >= 0:
+                    key = (nx, ny, nz)
+                    nxt[key] = nxt.get(key, 0) + v
+        cur = nxt
+        n, rem = divmod(t, m.period)
+        if rem == 0:
+            terms.append(cur.get((m.a * n, m.b * n, m.c * n), 0))
+    return tuple(terms)
 
 
 # Walks one object at a time: the oracle of the array walk-level check in

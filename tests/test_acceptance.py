@@ -18,6 +18,7 @@ from tandemwalks import (
     bijection,
     count_ballot_3d,
     count_excursions,
+    count_grid_excursions,
     count_walks_total,
     estimate_alpha,
     exponent_report,
@@ -32,6 +33,7 @@ from conftest import (
     TABLE1_EXPECTED,
     TABLE2_QUINTUPLES,
     Walk2,
+    cone_walks_3d,
     coprime_triples,
     empirical_period,
     generate_ballot_walks,
@@ -116,10 +118,13 @@ def test_criterion_04_bijection_all_models():
         ballot = BallotModel(*ballot_t)
         tandem = ballot_to_tandem(ballot)
         p = ballot.period
-        seq3 = count_ballot_3d(ballot, 2)
-        seq2 = count_excursions(tandem_step_set(tandem), 2 * p)
+        # cone walks by the dictionary oracle and by the pinned ballot plan,
+        # against (x, y) excursions on the quadrant plan
+        seq3 = cone_walks_3d(ballot, 2)
+        ok = ok and count_ballot_3d(ballot, 2).values == seq3
+        seq2 = count_grid_excursions(tandem_step_set(tandem), 2 * p)
         for n in (1, 2):
-            c3 = seq3.values[n]
+            c3 = seq3[n]
             ok = ok and c3 == seq2.values[p * n]
             if c3 <= WALK_LEVEL_CAP:
                 # the array check the command line runs, and its rows against
@@ -225,7 +230,7 @@ def test_criterion_10_property_bundle(tmp_path):
     words = bijection.generate_ballot_walks(ballot, 1)
     images = bijection.map_walk_3to2(words)
     tandem = ballot_to_tandem(ballot)
-    ok = len(words) == count_ballot_3d(ballot, 1).values[1]
+    ok = len(words) == cone_walks_3d(ballot, 1)[1]
     ok = ok and all(
         map_walk_2to3(Walk2(tandem, image.tobytes().decode())).steps == word.tobytes().decode()
         for word, image in zip(words, images)

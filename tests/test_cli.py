@@ -22,6 +22,7 @@ from tandemwalks import (
     tandem_step_set,
 )
 from tandemwalks import cli as cli_module
+from tandemwalks import enumeration
 from tandemwalks.cli import TABLE1_BALLOT_TRIPLES, run
 
 from conftest import TABLE2_QUINTUPLES, coprime_triples
@@ -565,6 +566,26 @@ def test_bijection_check_count_mismatch_exit_code(capsys, monkeypatch):
         "tandemwalks: check failed: count mismatch at round 2: "
         "3d gives 164623, 2d gives 164622\n"
     )
+
+
+@pytest.mark.parametrize("plan, counts", [("_ballot_boxes", "3d gives 0, 2d gives 34"),
+                                           ("_quadrant_windows", "3d gives 34, 2d gives 0")],
+                         ids=["ballot_plan", "quadrant_plan"])
+def test_bijection_check_runs_both_plans(capsys, monkeypatch, plan, counts):
+    # without its U step a plan counts no walk back to the origin; the cone
+    # walks run the pinned ballot plan and the (x, y) excursions the quadrant
+    # plan, so corrupting either one fails the check
+    real = getattr(enumeration, plan)
+
+    def without_u(*args, **kwargs):
+        steps, *rest = real(*args, **kwargs)
+        return (steps[:2], *rest)
+
+    monkeypatch.setattr(enumeration, plan, without_u)
+    code, out, err = cli(capsys, "bijection-check", "--ballot", "2,3,6", "--rounds", "2")
+    assert code == 4
+    assert out == ""
+    assert err == f"tandemwalks: check failed: count mismatch at round 1: {counts}\n"
 
 
 def test_bijection_check_walk_mismatch_exit_code(capsys, monkeypatch):

@@ -29,7 +29,6 @@ from tandemwalks import (
     BallotModel,
     BudgetExceededError,
     TandemModel,
-    count_ballot_3d,
     count_endpoint,
     count_excursions,
     count_walks_total,
@@ -38,7 +37,13 @@ from tandemwalks import (
 from tandemwalks import enumeration
 from tandemwalks.enumeration import _ballot_boxes, _quadrant_windows, _slab_reader, _sweep
 
-from conftest import ballot_level, ballot_point_at, last_ballot_point_by_scan, pinned_views_sweep
+from conftest import (
+    ballot_level,
+    ballot_point_at,
+    cone_walks_3d,
+    last_ballot_point_by_scan,
+    pinned_views_sweep,
+)
 
 
 def reference_levels(steps, n_max):
@@ -451,7 +456,7 @@ def test_large_step_excursions_equal_the_cone_walks(mode):
     # tandem (5,7,3) is the ballot triple (21,15,35), period 71; its (x, y)
     # grid holds one live cell in E = AB + AC + BC = 71
     rounds = 3
-    cone = count_ballot_3d(BallotModel(21, 15, 35), rounds).values
+    cone = cone_walks_3d(BallotModel(21, 15, 35), rounds)
     e = count_excursions(tandem_step_set(TandemModel(5, 7, 3)), 71 * rounds + 5, mode).values
     assert len(e) == 71 * rounds + 6
     zero = 0 if mode == "exact" else float("-inf")

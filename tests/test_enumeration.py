@@ -17,12 +17,14 @@ from tandemwalks import (
     count_ballot_3d,
     count_endpoint,
     count_excursions,
+    count_grid_excursions,
     count_walks_total,
     tandem_step_set,
 )
 from tandemwalks.enumeration import _last_ballot_point, _quadrant_windows, _sweep
 
 from conftest import (
+    cone_walks_3d,
     coprime_triples,
     empirical_period,
     generate_excursions,
@@ -301,31 +303,47 @@ coprime_ballots = st.tuples(*[st.integers(1, 4)] * 3).filter(lambda t: gcd(*t) =
 @example((1, 1, 2), 3)
 @example((2, 3, 6), 3)
 def test_ballot_3d_matches_excursions(abc, rounds):
-    # the 3D/2D bijection at count level: cone walks to (a*n, b*n, c*n) and
-    # tandem excursions of length p*n are equinumerous
+    # the 3D/2D bijection at count level: cone walks to (a*n, b*n, c*n), by
+    # the dictionary oracle and by the pinned sweep, and tandem excursions of
+    # length p*n on the (x, y) grid are equinumerous
     m = BallotModel(*abc)
     p = m.period
-    seq3 = count_ballot_3d(m, rounds)
-    e = count_excursions(tandem_step_set(ballot_to_tandem(m)), rounds * p)
-    assert list(seq3.values) == [e.values[p * n] for n in range(rounds + 1)]
+    cone = cone_walks_3d(m, rounds)
+    assert count_ballot_3d(m, rounds).values == cone
+    e = count_grid_excursions(tandem_step_set(ballot_to_tandem(m)), rounds * p)
+    assert e.values[::p] == cone
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(1, 8)] * 3).filter(lambda t: gcd(*t) == 1), st.integers(0, 40))
+@example((1, 1, 1), 40)  # d = 3: the middle levels are split into classes
+@example((5, 7, 3), 40)  # large steps, d = 71: no level is split
+@example((1, 1, 1), 0)
+def test_grid_excursions_equal_the_pinned_ones(triple, n_max):
+    s = steps_of(*triple)
+    e = count_grid_excursions(s, n_max)
+    assert e == count_excursions(s, n_max)
+    assert {type(v) for v in e.values} == {int}
+
+
+def test_grid_excursions_on_every_small_triple():
+    for triple in coprime_triples(6):
+        s = steps_of(*triple)
+        assert count_grid_excursions(s, 40) == count_excursions(s, 40), triple
 
 
 @pytest.mark.parametrize("abc, rounds", [((1, 1, 1), 6), ((1, 1, 3), 4), ((2, 3, 6), 2),
                                          ((1, 2, 2), 5)])
 def test_ballot_3d_budget_boundary(abc, rounds):
-    # the cone sweep visits each cone point of the box once, so its budget
-    # boundary is their number
+    # the cone walks are the pinned excursions of length p*rounds, so the
+    # boundary is the cells of their (x, y) rectangles: a step moves at most
+    # a1 = A/gcd(A, B) columns right and b2 = B/gcd(B, C) rows up
     m = BallotModel(*abc)
     T = ballot_to_tandem(m)
-    cells = sum(
-        1
-        for x in range(m.a * rounds + 1)
-        for y in range(m.b * rounds + 1)
-        for z in range(m.c * rounds + 1)
-        if T.A * x >= T.B * y >= T.C * z
-    )
+    a1, b2 = T.A // gcd(T.A, T.B), T.B // gcd(T.B, T.C)
+    cells = 1 + sum((k * a1 + 1) * (k * b2 + 1) for k in range(1, m.period * rounds + 1))
     assert count_ballot_3d(m, rounds, cell_budget=cells) == count_ballot_3d(m, rounds)
-    with pytest.raises(BudgetExceededError, match=f"budget of {cells - 1}$"):
+    with pytest.raises(BudgetExceededError, match=f"needs {cells} cells, budget is {cells - 1}$"):
         count_ballot_3d(m, rounds, cell_budget=cells - 1)
 
 
@@ -338,9 +356,10 @@ def test_ballot_3d_budget_abort_is_upfront():
 
 def test_thin_cone_budget_abort_is_upfront():
     # (1, 10**9, 1) is the cone A*x >= B*y >= C*z of the tandem triple
-    # (10**9, 1, 10**9): one round reaches y = 10**9, one point or more per y
+    # (10**9, 1, 10**9): one round is 10**9 + 2 steps, about one cone point
+    # per step, and its (x, y) rectangles are metered in closed form
     t0 = perf_counter()
-    with pytest.raises(BudgetExceededError, match="^cone sweep needs more cells than the budget of 200000000$"):
+    with pytest.raises(BudgetExceededError, match=r"^level sweep needs \d+ cells, budget is 200000000$"):
         count_ballot_3d(BallotModel(1, 10**9, 1), 1)
     assert perf_counter() - t0 < 0.5
 
