@@ -28,28 +28,27 @@ dynamic program, in one of two coordinate systems chosen by what it reads.
   past it that can reach one into two 1-D margins, a column sum and a row
   sum (`_slab_reader`).  The same corner holds every cell that can still
   return to the origin, so the grid excursions that the bijection check
-  compares with the pinned ones run that plan too.  Each box is covered by
-  two strips, split at half its width.  Totals stay on this grid: there
-  the slabs are axis-aligned strips, and `np.sum` adds a log-float level
-  in an order that follows the grid's layout.  The cells reachable at
-  level n form one coset of a lattice of index d = E/(gx*gy),
+  compares with the pinned ones run that plan too.  Totals stay on this
+  grid: there the slabs are axis-aligned strips, and `np.sum` adds a
+  log-float level in an order that follows the grid's layout.  The cells
+  reachable at level n form one coset of a lattice of index d = E/(gx*gy),
   E = AB + AC + BC: one residue of the row mod d for each residue of the
-  column (`_grid`).  On a level whose box holds d^3 cells or more, exact
-  totals update only those d classes, each a strided view of a strip;
-  log-float totals stay dense, since a float add costs less than the extra
-  slicing.
+  column (`_grid`).  Exact totals pick their row stride so that the coset
+  is one residue of the flat index mod d, and update only that residue
+  (unless d exceeds the stride).
 
 Each level is held in one of two flat buffers reused across levels.  A
-pinned level is a frame of whole columns, each one row taller than the
-sweep's tallest box, with zeros outside its box, so each step is one
-contiguous slice of the buffer.  A quadrant level is its box alone, and
-each step updates one view of each of its rectangles, or of each residue
-class of their cells.  The first step that reaches a cell copies its
-shifted source in and the later steps add theirs.  With object dtype the
-arithmetic is exact big-integer arithmetic; float64 levels are scaled by
-powers of two, which round nothing, and an integer shift keeps the true
-magnitude, so a log-float term depends on the model and n alone (raw
-floats would overflow beyond a few hundred steps).
+pinned or exact-totals level is a frame of whole columns, all as tall as
+the sweep's row stride, with zeros outside its box, so each step is one
+slice of the buffer: contiguous, or of step d for exact totals.  A
+log-float totals level is its box alone, covered by two strips split at
+half its width, and each step updates one view of each strip.  The first
+step that reaches a cell copies its shifted source in and the later steps
+add theirs.  With object dtype the arithmetic is exact big-integer
+arithmetic; float64 levels are scaled by powers of two, which round
+nothing, and an integer shift keeps the true magnitude, so a log-float
+term depends on the model and n alone (raw floats would overflow beyond a
+few hundred steps).
 
 The sweep runs the plan it is handed and returns one reading per level
 from a callback on the level's box (the count at the target, the grid sum,
@@ -176,37 +175,41 @@ def _sweep(
     log(mant) + (e + shift) * ln 2, (mant, e) = frexp(reading), or -inf for
     zero.
 
-    The ``plan`` (steps, levels, stride, cut) comes from `_ballot_boxes` or
-    `_quadrant_windows`, which describe its coordinates.  Each level starts
-    with (ox, oy, w, h), the origin and shape of its box.  Every cell that
-    the sweep keeps has all its predecessors in the previous level's kept
-    cells, so a kept cell holds its true count and any other cell of the
-    box a value between 0 and its true count.  Each cell adds the steps'
+    The ``plan`` (steps, levels, stride, p, cut) comes from `_ballot_boxes`
+    or `_quadrant_windows`, which describe its coordinates.  Each level
+    starts with (ox, oy, w, h), the origin and shape of its box.  Every cell
+    that the sweep keeps has all its predecessors in the previous level's
+    kept cells, so a kept cell holds its true count and any other cell of
+    the box a value between 0 and its true count.  Each cell adds the steps'
     sources in step order to 0 (0 + v == v for Python integers and for
     nonnegative float64), so every value and every rounding is the same as
     adding all steps, R, D, U in that order, to zeros.
 
-    A pinned plan has a row ``stride`` H, one more than its tallest box:
-    level n is the first w*H cells of its buffer, a (w, H) frame with the
-    box in its first h rows and zeros everywhere else.  Each step is then
-    one slice: frame cell k takes cell k - off of the previous frame, off =
-    (si + px - ox)*H + sj + py - oy for the step (si, sj) and the previous
-    origin (px, py).  Row origins rise by 0 or 1 per level, so a box cell's
-    source row lies between -1 and H - 1: a source outside the previous box
-    lies past a frame's end, or in its zero rows, or at row -1, which is the
-    guard row H - 1 of the column before it.  The first step whose slice is
-    nonempty assigns it and zeroes the rest of the frame; after the update
-    the rows above the box that the previous box fed, and the guard row,
-    are zeroed again, and ``cut`` zeroes cells of the frame.
+    A flat plan has a row ``stride`` H: level n is the first w*H cells of
+    its buffer, a (w, H) frame with the box in its first h rows and zeros
+    everywhere else.  Each step is then one slice: frame cell k takes cell
+    k - off of the previous frame, off = (si + px - ox)*H + r with the row
+    shift r = sj + py - oy, for the step (si, sj) and the previous origin
+    (px, py).  H is at least the tallest box plus every |r|, so a box
+    cell's source row leaves its column only below row 0 (r > 0), and then
+    wraps into a zero row above the previous box; with r < 0, only the
+    guard rows H + r..H - 1, above every box, take sources that wrapped
+    from the next column's lowest rows.  The slice takes every p-th cell:
+    level n's cells lie in one residue of the flat index mod p, its phase,
+    and every step's offset carries the previous level's phase to it.  The
+    first step whose slice is nonempty assigns it and zeroes the rest of
+    the frame, and a frame that no step reaches is zero-filled.  With p > 1
+    the frame's other residues are zero already: once a level's successor
+    is computed, the level zeroes its own phase, so the buffer that the
+    next level reuses is all zeros.  After the update, the rows above the
+    box that the previous box fed and the guard rows are zeroed again, and
+    ``cut`` zeroes cells of the frame.
 
-    A quadrant plan has no stride and no cut: each level also lists
-    disjoint rectangles (x0, x1, y0, y1) of its box and the residue classes
-    (k, l) mod p of the cells it updates, in each rectangle the view of
-    stride p of the cells (x, y) with x = k and y = l (mod p); an unsplit
-    level has p = 1 and the one class (0, 0).  The box is zero-filled before
-    its update, so a cell of no class stays zero, and in each view the first
-    step whose part of it is nonempty assigns its shifted source and only
-    the later steps add theirs.
+    A plan with no stride has p = 1 and no cut, and each level also lists
+    disjoint rectangles (x0, x1, y0, y1) of its box, whose origin is
+    (0, 0).  The box is zero-filled before its update, and in each
+    rectangle the first step whose part of it is nonempty assigns its
+    shifted source and only the later steps add theirs.
 
     Log-float levels are multiplied by 2^-k, k = frexp(max)[1], every
     ``_RESCALE`` levels, and k joins the integer shift.  The product is
@@ -217,59 +220,56 @@ def _sweep(
     Levels share two reused buffers, so ``read`` sees a view that the next
     level overwrites: a reading that keeps the grid must copy it.
     """
-    steps, levels, stride, cut = plan
+    steps, levels, stride, p, cut = plan
     size = max(w * (stride or h) for _, _, w, h, *_ in levels)
     dtype = object if mode == "exact" else np.float64
-    bufs = (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
-    shift = 0
+    bufs = (np.zeros(size, dtype=dtype), np.zeros(size, dtype=dtype))
+    bufs[0][0] = 1  # level 0: the one walk of length 0
+    top, bottom = max(sj for _, sj in steps), min(sj for _, sj in steps)
+    shift = phase = 0
     readings = []
-    for n, (ox, oy, w, h, *views) in enumerate(levels):
+    for n, (ox, oy, w, h, *rects) in enumerate(levels):
         H = stride or h
         nxt = bufs[n % 2][: w * H]
         frame = nxt.reshape(w, H)
-        if n == 0:
-            nxt.fill(0)
-            nxt[0] = 1
-        elif stride:
+        if n and stride:
             first = True
             for si, sj in steps:
-                # the frame cells whose source lies in the previous frame
+                # the frame cells of the level's phase whose source lies in
+                # the previous frame
                 off = (si + px - ox) * H + sj + py - oy
                 lo, hi = max(off, 0), min(nxt.size, cur.size + off)
+                lo += (phase + off - lo) % p
                 if lo < hi and first:  # the rest is zeroed: 0 + v is v
-                    nxt[lo:hi] = cur[lo - off:hi - off]
+                    nxt[lo:hi:p] = cur[lo - off:hi - off:p]
                     nxt[:lo] = nxt[hi:] = 0
                     first = False
                 elif lo < hi:
-                    nxt[lo:hi] += cur[lo - off:hi - off]
+                    nxt[lo:hi:p] += cur[lo - off:hi - off:p]
+            if first:  # no step reaches the frame
+                nxt.fill(0)
+            if p > 1:  # the previous level, on its phase, so its buffer is all zeros
+                cur[phase::p] = 0
+                phase = (phase + off) % p
             # the rows above the box that the previous box fed, and the guard
-            # row, whose source row H wraps to the next column's row 0
-            frame[:, h:h0 + 1 + py - oy] = 0
-            frame[:, -1] = 0
-        else:
+            # rows whose sources wrapped to the next column's lowest rows
+            frame[:, h:h0 + top + py - oy] = 0
+            frame[:, H + min(bottom + py - oy, 0):] = 0
+        elif n:
             frame.fill(0)
             prev = cur.reshape(w0, h0)
-            rects, p, classes = views
             for x0, x1, y0, y1 in rects:
                 # per step, the destination cells whose source lies in the
                 # previous box
-                parts = [
-                    (si, sj, max(x0, px + si), min(x1, px + w0 + si),
-                     max(y0, py + sj), min(y1, py + h0 + sj))
-                    for si, sj in steps
-                ]
-                for k, l in classes:
-                    first = True
-                    for si, sj, a, b, c, e in parts:
-                        a += (k - a) % p  # the first column and row of the class
-                        c += (l - c) % p
-                        if a < b and c < e:
-                            src = prev[a - si - px:b - si - px:p, c - sj - py:e - sj - py:p]
-                            if first:  # the view is still all zeros: 0 + v is v
-                                frame[a - ox:b - ox:p, c - oy:e - oy:p] = src
-                                first = False
-                            else:
-                                frame[a - ox:b - ox:p, c - oy:e - oy:p] += src
+                first = True
+                for si, sj in steps:
+                    a, b, c, e = max(x0, si), min(x1, w0 + si), max(y0, sj), min(y1, h0 + sj)
+                    if a < b and c < e:
+                        if first:  # the rectangle is still all zeros: 0 + v is v
+                            frame[a:b, c:e] = prev[a - si:b - si, c - sj:e - sj]
+                            first = False
+                        else:
+                            frame[a:b, c:e] += prev[a - si:b - si, c - sj:e - sj]
         if cut is not None:
             cut(n, frame, ox, oy)
         if mode == "logfloat" and n % _RESCALE == 0 < n:
@@ -286,7 +286,8 @@ def _sweep(
 
 
 def _quadrant_windows(m: TandemModel, n_max: int, slabs: bool):
-    """Steps, levels 0..n_max and no cut of a sweep over the quadrant grid.
+    """Steps, levels 0..n_max, row stride, phase step and no cut of a sweep
+    over the quadrant grid.
 
     A cell (i, j) of the grid (`_grid`) holds walks ending at
     (i * gx, j * gy), and its origin is always (0, 0).  In grid units the
@@ -304,18 +305,24 @@ def _quadrant_windows(m: TandemModel, n_max: int, slabs: bool):
     j < Ty = (r+1)*c2.  The box is cut to the corner i < Tx, j < Ty, which
     holds its true counts, as every cell's predecessors lie in the previous
     level's corner; the reader folds the cells past it (`_slab_reader`).
-    Two strips cover the box, split at half its width: the columns left of
-    the split, as tall as the box, and the rest, as tall as the window at
-    the split.  The split is for speed alone: it skips the empty cells
-    above the window's slope but costs a slice copy or add per step.
 
-    Level n's cells lie in the d classes j = t*i - c2*n (mod d) of `_grid`.
-    For ``slabs``, a level whose box holds at least d^3 cells, so that each
-    of its d views holds d^2 of them on average, is split into those
-    classes; smaller levels, and every level of a sweep that is not
-    ``slabs``, are swept dense.  The split rule reads d and the box alone,
-    and a level that is not split lists no classes, so a huge d costs
-    nothing.
+    A ``slabs`` sweep runs on flat frames (`_sweep`).  A step whose row
+    shift is at least the tallest box joins no two box cells, so it is left
+    out, and the row stride H is the tallest box plus the largest row shift
+    of the kept steps.  Level n's cells lie in the d classes
+    j = t*i - c2*n (mod d) of `_grid`, so with H = -t (mod d) the cell
+    (i, j) has the flat index i*H + j = -c2*n (mod d).  H is raised to that
+    residue, by less than d, and the sweep takes phase step d: the offsets
+    a1*H, -b1*H + b2 and -c2 of R, D and U are all -c2 (mod d), as R - U
+    and D - U lie in the lattice, so each carries level n's phase to level
+    n + 1's.  When d exceeds H, the stride is left as it is and the phase
+    step is 1, so a huge d costs nothing.
+
+    Otherwise each level is its box alone, covered by two strips split at
+    half its width: the columns left of the split, as tall as the box, and
+    the rest, as tall as the window at the split.  The split is for speed
+    alone: it skips the empty cells above the window's slope but costs a
+    slice copy or add per step.
     """
     _, _, (a1, b1, b2, c2), d, t = _grid(m)
     steps = ((a1, 0), (-b1, b2), (0, -c2))
@@ -333,13 +340,17 @@ def _quadrant_windows(m: TandemModel, n_max: int, slabs: bool):
 
         h = height(0)
         if slabs:  # the corner of the cells that can still reach both slabs
-            w, h = min(w, (n_max - n + 1) * b1), min(h, (n_max - n + 1) * c2)
-        rects = (0, w // 2, 0, h), (w // 2, w, 0, min(h, height(w // 2)))
-        if slabs and d ** 3 <= w * h:
-            return 0, 0, w, h, rects, d, tuple((k, (t * k - c2 * n) % d) for k in range(d))
-        return 0, 0, w, h, rects, 1, ((0, 0),)
+            return 0, 0, min(w, (n_max - n + 1) * b1), min(h, (n_max - n + 1) * c2)
+        return 0, 0, w, h, (0, w // 2, 0, h), (w // 2, w, 0, min(h, height(w // 2)))
 
-    return steps, [window(n) for n in range(n_max + 1)], None, None
+    levels = [window(n) for n in range(n_max + 1)]
+    if not slabs:
+        return steps, levels, None, 1, None
+    tall = max(h for *_, h in levels)
+    steps = tuple((si, sj) for si, sj in steps if abs(sj) < tall)
+    H = tall + max(abs(sj) for _, sj in steps)
+    p = d if d <= H else 1
+    return steps, levels, H + (-t - H) % p, p, None
 
 
 def _shift_add(size: int, *parts: tuple[int, np.ndarray]) -> np.ndarray:
@@ -471,7 +482,7 @@ def _ballot_boxes(m: TandemModel, target: tuple[int, int, int]):
         frame[cols[: k - c0], below[n - k + 1:n - c0 + 1][::-1] - r0] = 0
 
     levels = list(zip(c0.tolist(), r0.tolist(), (c1 - c0).tolist(), (r1 - r0).tolist()))
-    return ((1, 0), (0, 1), (0, 0)), levels, max(h for *_, h in levels) + 1, cut
+    return ((1, 0), (0, 1), (0, 0)), levels, max(h for *_, h in levels) + 1, 1, cut
 
 
 def _last_ballot_point(m: TandemModel, target: tuple[int, int], n_max: int):
@@ -577,13 +588,14 @@ def count_walks_total(
     leaves it from the columns x < B and U from the rows y < C, so the loss
     is the sum over those two boundary slabs.  Only the slabs are read, so
     the sweep updates only the corner of cells that can still reach both,
-    which shrinks toward the last level, and within it, on levels with at
-    least d^3 cells, only the d residue classes of cells that walks can
-    reach (`_quadrant_windows`).  The reader keeps the cells past the corner
+    which shrinks toward the last level.  It runs on flat frames whose row
+    stride puts the cells that walks can reach at one residue of the flat
+    index mod d, and each step updates only that residue, one slice of step
+    d (`_quadrant_windows`).  The reader keeps the cells past the corner
     that can still reach one slab as two 1-D margins, their column sums and
     their row sums, and adds their part of each slab to the loss
     (`_slab_reader`).  Log-float mode sums the whole reachable rectangle at
-    every level.
+    every level, swept dense in two strips per level.
     """
     check_integer("n_max", n_max)
     check_integer("cell_budget", cell_budget)
@@ -614,7 +626,8 @@ def count_grid_excursions(s: StepSet, n_max: int) -> CountSequence:
     i < (r+1)*b1, j < (r+1)*c2, r = n_max - n, which holds every cell that
     can still return to the origin: a return needs at most r D steps of b1
     columns and at most r U steps of c2 rows, and the corner holds its true
-    counts.
+    counts.  As for exact totals, each step updates one slice of step d of
+    a flat frame, the residue that holds the cells walks can reach.
     """
     check_integer("n_max", n_max)
     m = _tandem(s)

@@ -81,13 +81,13 @@ def ballot_level(m, N, n):
 
 
 def pinned_views_sweep(plan, mode, read):
-    """`enumeration._sweep` run on a pinned plan (steps, levels, stride, cut)
+    """`enumeration._sweep` run on a pinned plan (steps, levels, stride, 1, cut)
     as it ran before pinned levels had a row stride: level n is a
     zero-filled (w, h) box, and each step updates one view of it, the cells
     whose source lies in the previous box; the first step whose view is
     nonempty assigns its source and the later ones add theirs.  The cut,
     the rescaling and the readings are `_sweep`'s."""
-    steps, levels, _, cut = plan
+    steps, levels, _, _, cut = plan
     dtype = object if mode == "exact" else np.float64
     cur = np.ones((1, 1), dtype=dtype)
     shift, readings = 0, []

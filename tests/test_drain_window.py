@@ -5,9 +5,9 @@ steps, and keeps the cells of the quadrant cone from which the target's
 ballot point is still reachable; totals run on the quadrant grid, within the
 reach of the origin, and exact totals keep only the corner of cells that can
 still reach both boundary slabs, fold the cells past it into two 1-D
-margins and, on large levels, update only the residue classes of cells that
-walks can reach.  All of it is checked here against a plain
-dictionary dynamic program over the whole quadrant, on random coprime
+margins and update, on flat frames, only the one residue of flat indices
+that holds the cells walks can reach.  All of it is checked here against a
+plain dictionary dynamic program over the whole quadrant, on random coprime
 tandem triples (with examples whose step lattice is coarser than Z^2, and
 one with large steps) and random targets (on and off the step lattice).
 Log-float levels are scaled by powers of two, which round nothing, so a
@@ -230,18 +230,20 @@ def test_every_level_holds_reference_on_its_window(m, q, n_max):
     assert_levels_hold_reference(m, q, n_max)
 
 
-# Each block of a level takes its first step whose rectangle is nonempty by
-# assignment and the later steps by addition.  A quadrant block is (columns,
-# rows) of the lattice-compressed grid, numbered from the left; a pinned
-# level is one box of ballot cells (n1 columns, n2 rows), whose steps are
-# R = (1,0), D = (0,1) and U = (0,0).
+# Each level takes its first step whose slice or rectangle is nonempty by
+# assignment and the later steps by addition.  Pinned and exact-totals
+# levels are flat frames of whole columns, where each step is one slice; a
+# log-float totals level is covered by rectangles (columns, rows) of the
+# lattice-compressed grid, numbered from the left.  A pinned level is one
+# box of ballot cells (n1 columns, n2 rows), whose steps are R = (1,0),
+# D = (0,1) and U = (0,0).
 
 
 def test_block_copy_falls_to_a_later_step():
     # tandem (2,1,1): the step (2,0) has no source in the columns left of 2,
-    # so the block takes the step (-1,1) by assignment.  Slabs: level 5
-    # keeps the corner (0..1, 0..1), and both its blocks, (0..0, 0..1) and
-    # (1..1, 0..1), take (-1,1) first.  Free: level 2, block 0 = (0..1, 0..1).
+    # so the level takes the step (-1,1) by assignment.  Slabs: level 5
+    # keeps the corner (0..1, 0..1), a frame of 2 columns that R cannot
+    # reach, so D's slice is the first.  Free: level 2, block 0 = (0..1, 0..1).
     # Pinned to (0,0) at n_max = 6, the sweep ends at N = (1,2,2), level 5:
     # at level 2 the box is the cell (1, 1), where R has no source and D
     # copies; at level 5 it is (1, 2), where only U has one.
@@ -252,12 +254,12 @@ def test_block_copy_covers_part_of_its_block():
     # tandem (3,1,1): the step (3,0) has no source in columns 0..2, nor above
     # the previous level's top row.  Free sweep, level 4: block 0 =
     # (0..5, 0..3) and (3,0) copies only (3..5, 0..2); slab sweep, level 4,
-    # whose corner is (0..4, 0..3): block 1 = (2..4, 0..2) and the copy is
-    # (3..4, 0..2).  Pinned to (0,0)
-    # at n_max = 8, the sweep ends at N = (1,3,3), level 7; at level 3 the
-    # box is (1, 1..2) and D copies only (1, 2), at level 5 it is (1, 2..3)
-    # and D copies only (1, 3).  The cells around each copy keep the fill's
-    # zeros and take the later steps by addition.
+    # whose corner is (0..4, 0..3) in a frame of 5 columns of 5 rows: (3,0)
+    # copies only the columns 3..4, and the first three are zeroed.  Pinned
+    # to (0,0) at n_max = 8, the sweep ends at N = (1,3,3), level 7; at
+    # level 3 the box is (1, 1..2) and D copies only (1, 2), at level 5 it
+    # is (1, 2..3) and D copies only (1, 3).  The cells around each copy
+    # hold zeros and take the later steps by addition.
     assert_levels_hold_reference(TandemModel(3, 1, 1), (0, 0), 8)
 
 
@@ -352,9 +354,9 @@ def assert_ballot_plan_matches_oracle(m, target, n_max):
     N = last_ballot_point_by_scan(m, target, n_max)
     if N is None:
         return
-    steps, levels, stride, cut = _ballot_boxes(m, N)
+    steps, levels, stride, p, cut = _ballot_boxes(m, N)
     assert steps == ((1, 0), (0, 1), (0, 0)) and len(levels) == sum(N) + 1
-    assert stride == max(h for *_, h in levels) + 1
+    assert stride == max(h for *_, h in levels) + 1 and p == 1
     # the flat sweep reads a box cell's source between rows -1 and H - 1
     # only because row origins rise by 0 or 1 from level to level
     rows = [r0 for _, r0, *_ in levels]
@@ -588,14 +590,13 @@ def test_logfloat_terms_do_not_depend_on_n_max(m, target, n, extra):
 
 def column_blocks(plan, k):
     """``plan`` with each level's box covered by k full-height column blocks
-    instead of its own rectangles, each split into the level's classes."""
-    steps, levels, stride, cut = plan
+    instead of its own rectangles."""
+    steps, levels, stride, p, cut = plan
     blocked = []
-    for ox, oy, w, h, _, p, classes in levels:
+    for ox, oy, w, h, *_ in levels:
         edges = sorted({i * w // k for i in range(k + 1)})
-        blocks = tuple((x0, x1, 0, h) for x0, x1 in zip(edges, edges[1:]))
-        blocked.append((ox, oy, w, h, blocks, p, classes))
-    return steps, blocked, stride, cut
+        blocked.append((ox, oy, w, h, *((x0, x1, 0, h) for x0, x1 in zip(edges, edges[1:]))))
+    return steps, blocked, stride, p, cut
 
 
 @settings(max_examples=60, deadline=None)
@@ -612,8 +613,10 @@ def test_logfloat_terms_do_not_depend_on_block_count(m, n_max):
         assert tuple(terms) == total
 
 
-# Exact totals split a level whose box holds d^3 cells or more into the d
-# residue classes (i, j) mod d of the cells that walks can reach.
+# Exact totals and grid excursions run on flat frames of whole columns whose
+# row stride H is = -t (mod d), where level n's cells are those with
+# j = t*i - c2*n (mod d) (`_grid`): the cell (i, j) sits at the flat index
+# i*H + j = -c2*n (mod d), so each step is one slice of step d.
 
 
 def lattice(m):
@@ -635,20 +638,18 @@ def live_cells(m, n, w, h):
 
 
 def dense(plan):
-    """``plan`` with every level swept whole: stride 1 and the one class."""
-    steps, levels, stride, cut = plan
-    return steps, [level[:5] + (1, ((0, 0),)) for level in levels], stride, cut
+    """``plan`` with phase step 1: each step updates every cell of its slice."""
+    steps, levels, stride, _, cut = plan
+    return steps, levels, stride, 1, cut
 
 
 @settings(max_examples=60, deadline=None)
 @given(models, st.integers(0, 40))
 @example(UNIT, 40)
 @lattice_examples(40)
-def test_split_levels_update_the_live_classes_only(m, n_max):
-    # a level with d^3 cells or more lists the d classes that the reference
-    # reaches; every cell of its box, the corner, holds the reference
-    # count, so every cell off the level's coset holds 0, and the unsplit
-    # sweep agrees
+def test_phase_sweep_updates_the_live_coset_only(m, n_max):
+    # every cell of a level's box, the corner, holds the reference count, so
+    # every cell off the level's coset holds 0, and the dense sweep agrees
     s = tandem_step_set(m)
     gx, gy = spacings(m)
     *_, d = lattice(m)
@@ -656,67 +657,72 @@ def test_split_levels_update_the_live_classes_only(m, n_max):
     levels = reference_levels(s.steps, n_max)
     plan = _quadrant_windows(m, n_max, slabs=True)
     grids = _sweep(plan, "exact", copy_grid)
-    unsplit = _sweep(dense(plan), "exact", copy_grid)
-    for n, (level, (_, grid), (_, whole)) in enumerate(zip(plan[1], grids, unsplit)):
-        _, _, w, h, _, p, classes = level
-        if d ** 3 <= w * h:
-            assert p == len(classes) == d, n
-            assert set(classes) == {(x // gx % d, y // gy % d) for x, y in levels[n]}, n
-        else:
-            assert (p, classes) == (1, ((0, 0),)), n
+    whole = _sweep(dense(plan), "exact", copy_grid)
+    for n, ((_, grid), (_, dense_grid)) in enumerate(zip(grids, whole)):
+        w, h = grid.shape
         true = np.zeros((w, h), dtype=object)
         for (x, y), v in levels[n].items():
             if x // gx < w and y // gy < h:
                 true[x // gx, y // gy] = v
         assert (grid == true).all(), n
         assert (grid[~live_cells(m, n, w, h)] == 0).all(), n
-        assert (grid == whole).all(), n
+        assert (grid == dense_grid).all(), n
 
     windows = enumeration._quadrant_windows
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(enumeration, "_quadrant_windows", lambda *args, **kw: dense(windows(*args, **kw)))
-        unsplit_totals = count_walks_total(s, n_max).values
+        dense_totals = count_walks_total(s, n_max).values
     totals = count_walks_total(s, n_max).values
-    assert totals == unsplit_totals == tuple(sum(lv.values()) for lv in levels)
+    assert totals == dense_totals == tuple(sum(lv.values()) for lv in levels)
 
 
-def view_length(lo, hi, k, p):
-    """Number of x with lo <= x < hi and x = k (mod p)."""
-    return len(range(lo + (k - lo) % p, hi, p))
+@settings(max_examples=100, deadline=None)
+@given(models, st.integers(0, 60))
+@example(UNIT, 60)
+@example(TandemModel(5, 7, 3), 60)
+@lattice_examples(60)
+def test_phase_step_carries_each_level_to_the_next(m, n_max):
+    # with phase step d > 1, the stride is H = -t (mod d), every cell of
+    # level n's coset sits at a flat index = -c2*n (mod d), and each step's
+    # offset carries that phase to level n + 1's; a sweep takes phase step 1
+    # only when d exceeds its stride; and every level equals the sweep of
+    # the same plan with phase step 1
+    *_, c2, d = lattice(m)
+    t = int(np.flatnonzero(live_cells(m, 0, 2, d)[1])[0])  # (1, t) lies in the lattice
+    plan = steps, levels, H, p, _ = _quadrant_windows(m, n_max, slabs=True)
+    if p > 1:
+        assert p == d and (H + t) % d == 0
+        for n, (_, _, w, h) in enumerate(levels):
+            i, j = np.nonzero(live_cells(m, n, w, h))
+            assert ((i * H + j + c2 * n) % d == 0).all(), n
+        assert all((si * H + sj + c2) % d == 0 for si, sj in steps)
+    else:
+        assert d > H
+    boxes = [grid.tolist() for _, grid in _sweep(plan, "exact", copy_grid)]
+    assert boxes == [grid.tolist() for _, grid in _sweep(dense(plan), "exact", copy_grid)]
 
 
-def test_exact_totals_plan_updates_one_dth_of_its_strips():
-    # (1,1,1) has d = 3.  Built only, not swept: each level of the exact
-    # totals plan at n = 600 (levels 1..599) is its window's box cut to the
-    # corner, split into two strips at half its width.  The views of its
-    # classes hold at most 1/d of the strips' cells plus one row and one
-    # column per view, as a view of a W x H strip has fewer than W/d + 1
-    # columns and H/d + 1 rows
-    *_, d = lattice(UNIT)
-    _, levels, *_ = _quadrant_windows(UNIT, 599, slabs=True)
-    cells = strips = margin = 0
-    for n, (_, _, w, h, rects, p, classes) in enumerate(levels[1:], 1):
-        tx, ty = corner(UNIT, 599, n)
-        assert (w, h) == (min(n + 1, tx), min(n // 2 + 1, ty)), n
-        assert rects[0] == (0, w // 2, 0, h) and rects[1][:3] == (w // 2, w, 0), n
-        for x0, x1, y0, y1 in rects:
-            strips += (x1 - x0) * (y1 - y0)
-            for k, l in classes:
-                cols, rows = view_length(x0, x1, k, p), view_length(y0, y1, l, p)
-                cells += cols * rows
-                margin += cols + rows
-    assert cells <= strips / d + margin < strips / 2
+def test_exact_totals_plan_visits_one_dth_of_its_frames():
+    # (1,1,1) has d = 3 and t = 1.  Built only, not swept: the exact totals
+    # plan at n = 600 pads its tallest box of 200 rows by the largest row
+    # shift, 1, and raises the stride to 203 = -t (mod 3).  Each step of
+    # levels 1..599 is one slice of step 3 over a frame of w*203 cells, so
+    # the steps visit at most 6,110,432 cells each, a third of the frames
+    _, levels, H, p, _ = _quadrant_windows(UNIT, 599, slabs=True)
+    assert (max(h for *_, h in levels), H, p) == (200, 203, 3)
+    frames = sum(w * H for _, _, w, _ in levels[1:])
+    visited = sum(-(-w * H // p) for _, _, w, _ in levels[1:])
+    assert (frames, visited) == (18_330_697, 6_110_432)
 
 
 def test_exact_totals_plan_keeps_the_corner_alone():
-    # built only, not swept: the plan of (1,1,1) at n = 600 held 20,385,150
-    # rectangle cells, in boxes of up to 180,000, while it kept every cell
-    # that could still reach either slab; keeping only those that can reach
-    # both halves the cells and cuts the largest box to a third
+    # built only, not swept: the plan of (1,1,1) at n = 600 held boxes of up
+    # to 180,000 cells while it kept every cell that could still reach
+    # either slab; keeping only those that can reach both cuts the largest
+    # box to a third, and all its boxes to 11,575,100 cells
     _, levels, *_ = _quadrant_windows(UNIT, 599, slabs=True)
-    cells = sum((x1 - x0) * (y1 - y0) for *_, rects, _, _ in levels for x0, x1, y0, y1 in rects)
-    assert cells <= 20_385_150 // 2
-    assert max(w * h for _, _, w, h, *_ in levels) <= 180_000 // 3
+    assert sum(w * h for _, _, w, h in levels) == 11_575_100
+    assert max(w * h for _, _, w, h in levels) <= 180_000 // 3
 
 
 def slab_loss(m, level):
@@ -761,9 +767,9 @@ def test_margins_hold_the_sums_past_the_corner(m, n_max):
 
 
 def test_huge_lattice_index_lists_no_classes():
-    # d is about 2*10^20 for (1, 10^20, 1) and 10^12 for (10^6, 1, 10^6): no
-    # box reaches d^3 cells, and listing the d^2 residue pairs would hang.
-    # The corner bounds Tx = n_max*B/gx and Ty = n_max*C/gy of exact totals
+    # d is about 2*10^20 for (1, 10^20, 1) and 10^12 for (10^6, 1, 10^6): it
+    # exceeds every stride, so these sweeps take phase step 1, as a stride
+    # raised to a residue mod d could be as long as d.  The corner bounds Tx = n_max*B/gx and Ty = n_max*C/gy of exact totals
     # are as large, so their margins must be as long as the box, not as Tx
     # or Ty.  The budget meters the full rectangles, which pass 10^20 cells
     # at n_max = 2, so it is lifted
@@ -782,3 +788,34 @@ def test_huge_lattice_index_lists_no_classes():
         s = tandem_step_set(TandemModel(*triple))
         assert count_walks_total(s, n_max, mode, cell_budget=10**80).values == expected
         assert perf_counter() - start < 0.5, (triple, mode)
+
+
+@pytest.mark.parametrize("triple", [(1, 1, 10**6), (1, 10**6, 1), (2, 1, 50)])
+def test_large_row_shifts_stay_out_of_the_stride(triple):
+    # a step whose row shift is at least the tallest box joins no two box
+    # cells, so the flat plan leaves it out and pads its stride only for the
+    # kept steps: U of (1, 1, 10^6) and (2, 1, 50), D of (1, 10^6, 1).
+    # Padded for all three, the stride of (1, 1, 10^6) would pass 10^6 rows.
+    # The budget meters the full rectangles, which (1, 10^6, 1) passes at
+    # n_max = 50, so it is lifted
+    m = TandemModel(*triple)
+    s = tandem_step_set(m)
+    levels = reference_levels(s.steps, 50)
+    _, boxes, H, _, _ = _quadrant_windows(m, 50, slabs=True)
+    assert H <= 2 * (max(h for *_, h in boxes) + 1)
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration, "DEFAULT_CELL_BUDGET", 10**80)
+        for count in (
+            lambda: count_walks_total(s, 50, cell_budget=10**80),
+            lambda: enumeration.count_grid_excursions(s, 50),
+            lambda: count_walks_total(s, 50, "logfloat", cell_budget=10**80),
+        ):
+            start = perf_counter()
+            runs.append(count().values)
+            assert perf_counter() - start < 0.5
+    exact, grid, logs = runs
+    totals = [sum(lv.values()) for lv in levels]
+    assert list(exact) == totals
+    assert list(grid) == [lv.get((0, 0), 0) for lv in levels]
+    assert all(abs(lf - log(v)) <= 1e-12 * max(1.0, log(v)) for lf, v in zip(logs, totals))
