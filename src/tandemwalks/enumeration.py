@@ -4,54 +4,52 @@ Counting takes the tandem steps R = (A,0), D = (-B,B), U = (0,-C) of a
 coprime triple, in that order.  The workhorse is a dense level-by-level
 dynamic program, in one of two coordinate systems chosen by what it reads.
 
-- Pinned sweeps (excursions, endpoint counts, cone walks) run in ballot
-  coordinates, the 3D cone's own: a walk with n1 R, n2 D and n3 U steps
-  ends at (A*n1 - B*n2, B*n2 - C*n3), so at level n the cell (n1, n2) is
-  one quadrant point, every cell of the quadrant cone is live, and the
-  steps are the shifts (1,0), (0,1), (0,0).  The target is one ballot
-  point (N1, N2, N3), at the last level whose step numbers are nonnegative
-  integers, found by solving one linear congruence in n mod d, the index
-  of the grid's lattice below.  The cells that can still reach it are
-  those with n1 <= N1, n2 <= N2 and n3 <= N3: each level keeps a box of
-  whole columns and zeroes the one cell per column just across each cone
-  line after its update.  The boxes and the ends of those cuts are
-  computed in closed form for all levels at once, before the sweep, so the
-  level loop only slices, cuts and reads the cells of the target's walks,
-  whose step numbers differ by multiples of the ballot triple.
-- Totals run on the quadrant grid: every reachable x is a multiple of
-  gx = gcd(A, B) and every y of gy = gcd(B, C), so the grid indexes those
-  multiples, and a window cut out by linear bounds along the two axes and
-  the normals of R - D and D - U holds the cells reachable in n steps.
-  Log-float totals keep every reachable cell.  Exact totals read only the
-  two boundary slabs from which D or U leaves the quadrant, so they keep
-  the corner of cells that can still reach both slabs, and fold the cells
-  past it that can reach one into two 1-D margins, a column sum and a row
-  sum (`_slab_reader`).  The same corner holds every cell that can still
-  return to the origin, so the grid excursions that the bijection check
-  compares with the pinned ones run that plan too.  Totals stay on this
-  grid: there the slabs are axis-aligned strips, and `np.sum` adds a
-  log-float level in an order that follows the grid's layout.  The cells
-  reachable at level n form one coset of a lattice of index d = E/(gx*gy),
-  E = AB + AC + BC: one residue of the row mod d for each residue of the
-  column (`_grid`).  Exact totals pick their row stride so that the coset
-  is one residue of the flat index mod d, and update only that residue
-  (unless d exceeds the stride).
+- Pinned sweeps (excursions, endpoint counts, cone walks) and log-float
+  totals run in ballot coordinates, the 3D cone's own: a walk with n1 R,
+  n2 D and n3 U steps ends at (A*n1 - B*n2, B*n2 - C*n3), so at level n
+  the cell (n1, n2) is one quadrant point, every cell of the quadrant cone
+  is live, and the steps are the shifts (1,0), (0,1), (0,0).  The target
+  is one ballot point (N1, N2, N3), at the last level whose step numbers
+  are nonnegative integers, found by solving one linear congruence in n
+  mod d, the index of the grid's lattice below.  The cells that can still
+  reach it are those with n1 <= N1, n2 <= N2 and n3 <= N3: each level
+  keeps a box of whole columns and zeroes the one cell per column just
+  across each cone line after its update.  The boxes and the ends of those
+  cuts are computed in closed form for all levels at once, before the
+  sweep, so the level loop only slices, cuts and reads the cells of the
+  target's walks, whose step numbers differ by multiples of the ballot
+  triple.  Log-float totals take the target (n_max, n_max, n_max), which
+  bounds no level up to n_max, so each level keeps the cone's whole
+  cross-section and reads its sum.
+- Exact totals run on the quadrant grid: every reachable x is a multiple
+  of gx = gcd(A, B) and every y of gy = gcd(B, C), so the grid indexes
+  those multiples, and a window cut out by linear bounds along the two
+  axes and the normals of R - D and D - U holds the cells reachable in n
+  steps.  Exact totals read only the two boundary slabs from which D or U
+  leaves the quadrant, so they keep the corner of cells that can still
+  reach both slabs, and fold the cells past it that can reach one into two
+  1-D margins, a column sum and a row sum (`_slab_reader`).  The same
+  corner holds every cell that can still return to the origin, so the
+  grid excursions that the bijection check compares with the pinned ones
+  run that plan too.  Exact totals stay on this grid, where the slabs are
+  axis-aligned strips.  The cells reachable at level n form one coset of a
+  lattice of index d = E/(gx*gy), E = AB + AC + BC: one residue of the row
+  mod d for each residue of the column (`_grid`).  The row stride is
+  picked so that the coset is one residue of the flat index mod d, and
+  only that residue is updated (unless d exceeds the stride).
 
-Each level is held in one of two flat buffers reused across levels.  A
-pinned or exact-totals level is a frame of whole columns, all as tall as
-the sweep's row stride, with zeros outside its box, so each step is one
-slice of the buffer: contiguous, or of step d for exact totals.  A
-log-float totals level is its box alone, covered by two strips split at
-half its width, and each step updates one view of each strip.  The first
-step that reaches a cell copies its shifted source in and the later steps
-add theirs.  With object dtype the arithmetic is exact big-integer
-arithmetic; float64 levels are scaled by powers of two, which round
-nothing, and an integer shift keeps the true magnitude, so a log-float
-term depends on the model and n alone (raw floats would overflow beyond a
-few hundred steps).
+Each level is held in one of two flat buffers reused across levels, as a
+frame of whole columns, all as tall as the sweep's row stride, with zeros
+outside its box, so each step is one slice of the buffer: contiguous, or
+of step d on the quadrant grid.  The first step that reaches a cell copies
+its shifted source in and the later steps add theirs.  With object dtype
+the arithmetic is exact big-integer arithmetic; float64 levels are scaled
+by powers of two, which round nothing, and an integer shift keeps the true
+magnitude, so a log-float term depends on the model and n alone (raw
+floats would overflow beyond a few hundred steps).
 
 The sweep runs the plan it is handed and returns one reading per level
-from a callback on the level's box (the count at the target, the grid sum,
+from a callback on the level's box (the count at the target, the box sum,
 or the walks that would leave the quadrant); in log-float mode it turns each
 reading into a log itself, so no caller sees the scaling.
 
@@ -175,19 +173,19 @@ def _sweep(
     log(mant) + (e + shift) * ln 2, (mant, e) = frexp(reading), or -inf for
     zero.
 
-    The ``plan`` (steps, levels, stride, p, cut) comes from `_ballot_boxes`
-    or `_quadrant_windows`, which describe its coordinates.  Each level
-    starts with (ox, oy, w, h), the origin and shape of its box.  Every cell
-    that the sweep keeps has all its predecessors in the previous level's
-    kept cells, so a kept cell holds its true count and any other cell of
-    the box a value between 0 and its true count.  Each cell adds the steps'
+    The ``plan`` (steps, levels, H, p, cut) comes from `_ballot_boxes` or
+    `_quadrant_windows`, which describe its coordinates.  Each level is
+    (ox, oy, w, h), the origin and shape of its box.  Every cell that the
+    sweep keeps has all its predecessors in the previous level's kept
+    cells, so a kept cell holds its true count and any other cell of the
+    box a value between 0 and its true count.  Each cell adds the steps'
     sources in step order to 0 (0 + v == v for Python integers and for
     nonnegative float64), so every value and every rounding is the same as
     adding all steps, R, D, U in that order, to zeros.
 
-    A flat plan has a row ``stride`` H: level n is the first w*H cells of
-    its buffer, a (w, H) frame with the box in its first h rows and zeros
-    everywhere else.  Each step is then one slice: frame cell k takes cell
+    Level n is the first w*H cells of its buffer, with the row stride H: a
+    (w, H) frame with the box in its first h rows and zeros everywhere
+    else.  Each step is then one slice: frame cell k takes cell
     k - off of the previous frame, off = (si + px - ox)*H + r with the row
     shift r = sj + py - oy, for the step (si, sj) and the previous origin
     (px, py).  H is at least the tallest box plus every |r|, so a box
@@ -205,12 +203,6 @@ def _sweep(
     box that the previous box fed and the guard rows are zeroed again, and
     ``cut`` zeroes cells of the frame.
 
-    A plan with no stride has p = 1 and no cut, and each level also lists
-    disjoint rectangles (x0, x1, y0, y1) of its box, whose origin is
-    (0, 0).  The box is zero-filled before its update, and in each
-    rectangle the first step whose part of it is nonempty assigns its
-    shifted source and only the later steps add theirs.
-
     Log-float levels are multiplied by 2^-k, k = frexp(max)[1], every
     ``_RESCALE`` levels, and k joins the integer shift.  The product is
     exact, so a kept cell holds its unpruned float64 sum times 2^-shift,
@@ -220,19 +212,18 @@ def _sweep(
     Levels share two reused buffers, so ``read`` sees a view that the next
     level overwrites: a reading that keeps the grid must copy it.
     """
-    steps, levels, stride, p, cut = plan
-    size = max(w * (stride or h) for _, _, w, h, *_ in levels)
+    steps, levels, H, p, cut = plan
+    size = max(w * H for _, _, w, _ in levels)
     dtype = object if mode == "exact" else np.float64
     bufs = (np.zeros(size, dtype=dtype), np.zeros(size, dtype=dtype))
     bufs[0][0] = 1  # level 0: the one walk of length 0
     top, bottom = max(sj for _, sj in steps), min(sj for _, sj in steps)
     shift = phase = 0
     readings = []
-    for n, (ox, oy, w, h, *rects) in enumerate(levels):
-        H = stride or h
+    for n, (ox, oy, w, h) in enumerate(levels):
         nxt = bufs[n % 2][: w * H]
         frame = nxt.reshape(w, H)
-        if n and stride:
+        if n:
             first = True
             for si, sj in steps:
                 # the frame cells of the level's phase whose source lies in
@@ -255,28 +246,13 @@ def _sweep(
             # rows whose sources wrapped to the next column's lowest rows
             frame[:, h:h0 + top + py - oy] = 0
             frame[:, H + min(bottom + py - oy, 0):] = 0
-        elif n:
-            frame.fill(0)
-            prev = cur.reshape(w0, h0)
-            for x0, x1, y0, y1 in rects:
-                # per step, the destination cells whose source lies in the
-                # previous box
-                first = True
-                for si, sj in steps:
-                    a, b, c, e = max(x0, si), min(x1, w0 + si), max(y0, sj), min(y1, h0 + sj)
-                    if a < b and c < e:
-                        if first:  # the rectangle is still all zeros: 0 + v is v
-                            frame[a:b, c:e] = prev[a - si:b - si, c - sj:e - sj]
-                            first = False
-                        else:
-                            frame[a:b, c:e] += prev[a - si:b - si, c - sj:e - sj]
         if cut is not None:
             cut(n, frame, ox, oy)
         if mode == "logfloat" and n % _RESCALE == 0 < n:
             k = frexp(nxt.max())[1]  # 0 for an all-zero level
             np.ldexp(nxt, -k, out=nxt)
             shift += k
-        cur, px, py, w0, h0 = nxt, ox, oy, w, h
+        cur, px, py, h0 = nxt, ox, oy, h
         v = read(n, frame[:, :h], (ox, oy))
         if mode == "logfloat":
             mant, e = frexp(float(v))
@@ -285,9 +261,9 @@ def _sweep(
     return readings
 
 
-def _quadrant_windows(m: TandemModel, n_max: int, slabs: bool):
-    """Steps, levels 0..n_max, row stride, phase step and no cut of a sweep
-    over the quadrant grid.
+def _quadrant_windows(m: TandemModel, n_max: int):
+    """Steps, levels 0..n_max, row stride, phase step and no cut of an
+    exact totals sweep over the quadrant grid.
 
     A cell (i, j) of the grid (`_grid`) holds walks ending at
     (i * gx, j * gy), and its origin is always (0, 0).  In grid units the
@@ -296,33 +272,26 @@ def _quadrant_windows(m: TandemModel, n_max: int, slabs: bool):
     (b2 + c2, b1) normal to D - U (R - U has no normal in the closed first
     quadrant) rises by at most up = max phi.s per step s, so a cell c holds
     walks after n steps only if phi.c <= n*up; a multiple of a functional
-    scales its limits alike, so none is reduced.  The level's box is the
-    bounding box of that window.
+    scales its limits alike, so none is reduced.
 
-    For ``slabs``, the boundary slabs i < b1 (D leaves) and j < c2 (U
-    leaves), a cell can still reach the column slab in the remaining
-    r = n_max - n steps only if i < Tx = (r+1)*b1, and the row slab only if
-    j < Ty = (r+1)*c2.  The box is cut to the corner i < Tx, j < Ty, which
-    holds its true counts, as every cell's predecessors lie in the previous
-    level's corner; the reader folds the cells past it (`_slab_reader`).
+    Of the boundary slabs i < b1 (D leaves) and j < c2 (U leaves), a cell
+    can still reach the column slab in the remaining r = n_max - n steps
+    only if i < Tx = (r+1)*b1, and the row slab only if j < Ty = (r+1)*c2.
+    The level's box is the bounding box of the window cut to the corner
+    i < Tx, j < Ty, which holds its true counts, as every cell's
+    predecessors lie in the previous level's corner; the reader folds the
+    cells past it (`_slab_reader`).
 
-    A ``slabs`` sweep runs on flat frames (`_sweep`).  A step whose row
-    shift is at least the tallest box joins no two box cells, so it is left
-    out, and the row stride H is the tallest box plus the largest row shift
-    of the kept steps.  Level n's cells lie in the d classes
-    j = t*i - c2*n (mod d) of `_grid`, so with H = -t (mod d) the cell
-    (i, j) has the flat index i*H + j = -c2*n (mod d).  H is raised to that
-    residue, by less than d, and the sweep takes phase step d: the offsets
-    a1*H, -b1*H + b2 and -c2 of R, D and U are all -c2 (mod d), as R - U
-    and D - U lie in the lattice, so each carries level n's phase to level
-    n + 1's.  When d exceeds H, the stride is left as it is and the phase
+    The sweep runs on flat frames (`_sweep`).  A step whose row shift is at
+    least the tallest box joins no two box cells, so it is left out, and
+    the row stride H is the tallest box plus the largest row shift of the
+    kept steps.  Level n's cells lie in the d classes j = t*i - c2*n
+    (mod d) of `_grid`, so with H = -t (mod d) the cell (i, j) has the flat
+    index i*H + j = -c2*n (mod d).  H is raised to that residue, by less
+    than d, and the sweep takes phase step d: the offsets a1*H, -b1*H + b2
+    and -c2 of R, D and U are all -c2 (mod d), as R - U and D - U lie in
+    the lattice, so each carries level n's phase to level n + 1's.  When d exceeds H, the stride is left as it is and the phase
     step is 1, so a huge d costs nothing.
-
-    Otherwise each level is its box alone, covered by two strips split at
-    half its width: the columns left of the split, as tall as the box, and
-    the rest, as tall as the window at the split.  The split is for speed
-    alone: it skips the empty cells above the window's slope but costs a
-    slice copy or add per step.
     """
     _, _, (a1, b1, b2, c2), d, t = _grid(m)
     steps = ((a1, 0), (-b1, b2), (0, -c2))
@@ -334,18 +303,11 @@ def _quadrant_windows(m: TandemModel, n_max: int, slabs: bool):
     def window(n: int):
         lims = [(a, b, n * up) for a, b, up in ups]
         w = min(lim // a for a, _, lim in lims if a) + 1
-
-        def height(x: int) -> int:
-            return min((lim - a * x) // b for a, b, lim in lims if b) + 1
-
-        h = height(0)
-        if slabs:  # the corner of the cells that can still reach both slabs
-            return 0, 0, min(w, (n_max - n + 1) * b1), min(h, (n_max - n + 1) * c2)
-        return 0, 0, w, h, (0, w // 2, 0, h), (w // 2, w, 0, min(h, height(w // 2)))
+        h = min(lim // b for _, b, lim in lims if b) + 1
+        # the corner of the cells that can still reach both slabs
+        return 0, 0, min(w, (n_max - n + 1) * b1), min(h, (n_max - n + 1) * c2)
 
     levels = [window(n) for n in range(n_max + 1)]
-    if not slabs:
-        return steps, levels, None, 1, None
     tall = max(h for *_, h in levels)
     steps = tuple((si, sj) for si, sj in steps if abs(sj) < tall)
     H = tall + max(abs(sj) for _, sj in steps)
@@ -366,8 +328,8 @@ def _shift_add(size: int, *parts: tuple[int, np.ndarray]) -> np.ndarray:
 
 def _slab_reader(m: TandemModel, levels: list):
     """The reader of an exact totals sweep over ``levels``, from
-    `_quadrant_windows` with ``slabs``, and the list [colm, rowm] of the
-    margins it keeps for the level it reads next.
+    `_quadrant_windows`, and the list [colm, rowm] of the margins it keeps
+    for the level it reads next.
 
     The reading is the level's loss, the sum of its cells in the slabs
     i < b1 and j < c2.  Level n of a sweep to n_max keeps only its corner
@@ -406,9 +368,13 @@ def _slab_reader(m: TandemModel, levels: list):
     return read, margins
 
 
-def _ballot_boxes(m: TandemModel, target: tuple[int, int, int]):
-    """Steps, levels 0..N1+N2+N3, row stride and cut of a sweep pinned to
-    the ballot point ``target`` = (N1, N2, N3).
+def _ballot_boxes(m: TandemModel, target: tuple[int, int, int], n_last: int):
+    """Steps, levels 0..n_last, row stride, phase step 1 and cut of a
+    sweep toward the ballot point ``target`` = (N1, N2, N3).
+
+    A pinned count ends at the target's level, n_last = N1 + N2 + N3.
+    Log-float totals take N1 = N2 = N3 = n_last, which bounds no level up
+    to n_last, so each of their levels keeps the cone's whole cross-section.
 
     A walk with n1 R, n2 D and n3 U steps ends at (A*n1 - B*n2, B*n2 - C*n3),
     so at level n = n1 + n2 + n3 the cell (n1, n2) is one point of the
@@ -441,13 +407,12 @@ def _ballot_boxes(m: TandemModel, target: tuple[int, int, int]):
     triple; the level loop only slices and cuts.  Each level is its box
     (c0, r0, w, h).  The row origin r0 rises by 0 or 1 from one level to the
     next, as each of its bounds does, so one row more than the tallest box
-    is a row stride that `_sweep` can update every level with.  The arrays
-    are dropped as soon as they are consumed.
+    of levels 0..n_last is a row stride that `_sweep` can update every
+    level with.  The arrays are dropped as soon as they are consumed.
     """
     A, B, C = m.A, m.B, m.C
     E = A * B + A * C + B * C
     N1, N2, N3 = target
-    n_last = N1 + N2 + N3
     n = np.arange(n_last + 1, dtype=object)
     # bisection for the first column that the cone meets; it meets the
     # column end, so a settled level (lo == end) keeps its column
@@ -571,7 +536,7 @@ def count_endpoint(
         cell = cells.get(n)
         return grid[cell[0] - origin[0], cell[1] - origin[1]] if cell else 0
 
-    values = _sweep(_ballot_boxes(m, N), mode, at_target)
+    values = _sweep(_ballot_boxes(m, N, n_last), mode, at_target)
     return CountSequence(mode, tuple(values) + (zero,) * (n_max - n_last))
 
 
@@ -594,8 +559,9 @@ def count_walks_total(
     d (`_quadrant_windows`).  The reader keeps the cells past the corner
     that can still reach one slab as two 1-D margins, their column sums and
     their row sums, and adds their part of each slab to the loss
-    (`_slab_reader`).  Log-float mode sums the whole reachable rectangle at
-    every level, swept dense in two strips per level.
+    (`_slab_reader`).  Log-float mode sweeps in ballot coordinates, where
+    every cell of the cone is reachable, and sums each level's cross-section
+    of the cone (`_ballot_boxes`).
     """
     check_integer("n_max", n_max)
     check_integer("cell_budget", cell_budget)
@@ -605,11 +571,11 @@ def count_walks_total(
     # exact totals sweep levels 0..n_max-1, and level 0 alone at n_max = 0
     _check_budget(m, n_max - 1 if exact and n_max else n_max, cell_budget)
     if not exact:
-        plan = _quadrant_windows(m, n_max, slabs=False)
+        plan = _ballot_boxes(m, (n_max,) * 3, n_max)
         return CountSequence(mode, _sweep(plan, mode, lambda n, grid, origin: np.sum(grid)))
     if n_max == 0:
         return CountSequence(mode, (1,))
-    plan = _quadrant_windows(m, n_max - 1, slabs=True)
+    plan = _quadrant_windows(m, n_max - 1)
     read, _ = _slab_reader(m, plan[1])
     q = [1]
     for loss in _sweep(plan, mode, read):
@@ -632,7 +598,7 @@ def count_grid_excursions(s: StepSet, n_max: int) -> CountSequence:
     check_integer("n_max", n_max)
     m = _tandem(s)
     _check_budget(m, n_max, DEFAULT_CELL_BUDGET)
-    plan = _quadrant_windows(m, n_max, slabs=True)
+    plan = _quadrant_windows(m, n_max)
     return CountSequence("exact", _sweep(plan, "exact", lambda n, grid, origin: grid[0, 0]))
 
 

@@ -38,13 +38,13 @@ ROWS = {
     ("exact", "total"): "aa740dbcc2718cf8",
     ("logfloat", "excursions"): "d415ff6297124158",
     ("logfloat", "endpoint"): "d3067f52b78e9522",
-    ("logfloat", "total"): "3b9b53f9aed0fd72",
+    ("logfloat", "total"): "29419b5a5e6c1941",
 }
 
 JSON_ROWS = {
     "excursions": "5161dbc0943c253f",
     "endpoint": "bb4dbcff1782a7a1",
-    "total": "c65e5a6fb4d95e7f",
+    "total": "8e2dc8b436c7ba26",
 }
 
 # exact totals of every coprime triple with entries <= 6, swept to each n_max:

@@ -2,21 +2,21 @@
 
 A pinned sweep runs in ballot coordinates (n1, n2), the numbers of R and D
 steps, and keeps the cells of the quadrant cone from which the target's
-ballot point is still reachable; totals run on the quadrant grid, within the
-reach of the origin, and exact totals keep only the corner of cells that can
-still reach both boundary slabs, fold the cells past it into two 1-D
-margins and update, on flat frames, only the one residue of flat indices
-that holds the cells walks can reach.  All of it is checked here against a
-plain dictionary dynamic program over the whole quadrant, on random coprime
-tandem triples (with examples whose step lattice is coarser than Z^2, and
+ballot point is still reachable; log-float totals run the same plan with
+every cell of the cone kept.  Exact totals run on the quadrant grid, within
+the reach of the origin, keep only the corner of cells that can still reach
+both boundary slabs, fold the cells past it into two 1-D margins and
+update, on flat frames, only the one residue of flat indices that holds the
+cells walks can reach.  All of it is checked here against a plain
+dictionary dynamic program over the whole quadrant, on random coprime tandem
+triples (with examples whose step lattice is coarser than Z^2, and
 one with large steps) and random targets (on and off the step lattice).
 Log-float levels are scaled by powers of two, which round nothing, so a
 log-float term is checked bit for bit: against an unpruned float64 dynamic
-program, and across the sweep lengths and block counts that move the
-window.
+program, and across the sweep lengths that move the window.
 """
 
-from math import frexp, gcd, log
+from math import frexp, gcd, log, ulp
 from time import perf_counter
 from unittest.mock import patch
 
@@ -158,7 +158,7 @@ def test_slab_window_holds_reference_values(m, n_max):
     # corner, and each of its cells holds the true count
     gx, gy = spacings(m)
     levels = reference_levels(tandem_step_set(m).steps, n_max)
-    plan = _quadrant_windows(m, n_max, slabs=True)
+    plan = _quadrant_windows(m, n_max)
     for n, (_, grid) in enumerate(_sweep(plan, "exact", copy_grid)):
         tx, ty = corner(m, n_max, n)
         w, h = grid.shape
@@ -171,56 +171,50 @@ def test_slab_window_holds_reference_values(m, n_max):
 
 
 def assert_levels_hold_reference(m, q, n_max):
-    """In pinned (to ``q``), slab and free sweeps alike, every cell that holds
-    walks after n steps and still matters to the sweep holds its true count,
-    and every other cell of the grid holds a value between 0 and its true
-    count.  To a slab sweep the cells of the corner matter (`corner`), to a
-    free sweep all.  A pinned level's box is the bounding box of the cells
-    it keeps: the ballot cells of the cone with n1 <= N1, n2 <= N2 and
-    n3 <= N3."""
+    """In slab, totals and pinned (to ``q``) sweeps alike, every cell that
+    holds walks after n steps and still matters to the sweep holds its true
+    count, and every other cell of the grid holds a value between 0 and its
+    true count.  To a slab sweep the cells of the corner matter (`corner`).
+    A ballot level's box is the bounding box of the cells it keeps: the
+    ballot cells of the cone with n1 <= N1, n2 <= N2 and n3 <= N3, where the
+    totals plan takes N = (n_max, n_max, n_max), so that each of its levels
+    keeps the cone's whole cross-section."""
     steps = tandem_step_set(m).steps
     gx, gy = spacings(m)
     levels = reference_levels(steps, n_max)
-    # the bounds of the cells that matter to the slab sweep (target True)
-    # and to the free one (False)
-    needed = {
-        True: lambda n: corner(m, n_max, n),
-        False: lambda n: (float("inf"), float("inf")),
-    }
-    for target, bounds in needed.items():
-        plan = _quadrant_windows(m, n_max, slabs=target)
-        for n, (_, grid) in enumerate(_sweep(plan, "exact", copy_grid)):
-            w, h = np.shape(grid)
-            tx, ty = bounds(n)
-            for (x, y), v in levels[n].items():
-                i, j = x // gx, y // gy
-                if i < tx and j < ty:
-                    assert i < w and j < h and grid[i, j] == v, (target, n, x, y)
-            for (i, j), v in np.ndenumerate(grid):
-                assert 0 <= v <= levels[n].get((i * gx, j * gy), 0), (target, n, i, j)
+    plan = _quadrant_windows(m, n_max)
+    for n, (_, grid) in enumerate(_sweep(plan, "exact", copy_grid)):
+        w, h = np.shape(grid)
+        tx, ty = corner(m, n_max, n)
+        for (x, y), v in levels[n].items():
+            i, j = x // gx, y // gy
+            if i < tx and j < ty:
+                assert i < w and j < h and grid[i, j] == v, (n, x, y)
+        for (i, j), v in np.ndenumerate(grid):
+            assert 0 <= v <= levels[n].get((i * gx, j * gy), 0), (n, i, j)
 
     N = ballot_point(m, (q[0] * gx, q[1] * gy), n_max)
-    if N is None:
-        return
-    boxes = _sweep(_ballot_boxes(m, N), "exact", copy_grid)
-    assert len(boxes) == sum(N) + 1
-    for n, ((c0, r0), grid) in enumerate(boxes):
-        kept = [
-            (n1, n2)
-            for n1 in range(N[0] + 1)
-            for n2 in range(N[1] + 1)
-            if 0 <= n - n1 - n2 <= N[2]
-            and m.A * n1 >= m.B * n2 >= m.C * (n - n1 - n2)
-        ]
-        cols, rows = zip(*kept)
-        w, h = np.shape(grid)
-        assert (c0, r0, w, h) == (
-            min(cols), min(rows), max(cols) - min(cols) + 1, max(rows) - min(rows) + 1
-        ), n
-        for n1, n2 in kept:
-            assert grid[n1 - c0, n2 - r0] == ballot_count(m, levels, n, n1, n2), (N, n, n1, n2)
-        for (i, j), v in np.ndenumerate(grid):
-            assert 0 <= v <= ballot_count(m, levels, n, c0 + i, r0 + j), (N, n, i, j)
+    ballot_plans = [((n_max,) * 3, n_max)] + ([(N, sum(N))] if N else [])
+    for N, n_last in ballot_plans:
+        boxes = _sweep(_ballot_boxes(m, N, n_last), "exact", copy_grid)
+        assert len(boxes) == n_last + 1
+        for n, ((c0, r0), grid) in enumerate(boxes):
+            kept = [
+                (n1, n2)
+                for n1 in range(N[0] + 1)
+                for n2 in range(N[1] + 1)
+                if 0 <= n - n1 - n2 <= N[2]
+                and m.A * n1 >= m.B * n2 >= m.C * (n - n1 - n2)
+            ]
+            cols, rows = zip(*kept)
+            w, h = np.shape(grid)
+            assert (c0, r0, w, h) == (
+                min(cols), min(rows), max(cols) - min(cols) + 1, max(rows) - min(rows) + 1
+            ), n
+            for n1, n2 in kept:
+                assert grid[n1 - c0, n2 - r0] == ballot_count(m, levels, n, n1, n2), (N, n, n1, n2)
+            for (i, j), v in np.ndenumerate(grid):
+                assert 0 <= v <= ballot_count(m, levels, n, c0 + i, r0 + j), (N, n, i, j)
 
 
 @settings(max_examples=100, deadline=None)
@@ -230,20 +224,20 @@ def test_every_level_holds_reference_on_its_window(m, q, n_max):
     assert_levels_hold_reference(m, q, n_max)
 
 
-# Each level takes its first step whose slice or rectangle is nonempty by
-# assignment and the later steps by addition.  Pinned and exact-totals
-# levels are flat frames of whole columns, where each step is one slice; a
-# log-float totals level is covered by rectangles (columns, rows) of the
-# lattice-compressed grid, numbered from the left.  A pinned level is one
-# box of ballot cells (n1 columns, n2 rows), whose steps are R = (1,0),
-# D = (0,1) and U = (0,0).
+# Each level takes its first step whose slice is nonempty by assignment
+# and the later steps by addition.  Every level is a flat frame of whole
+# columns, where each step is one slice.  A slab level is a corner of the
+# lattice-compressed grid, numbered from the left; a totals or pinned level
+# is one box of ballot cells (n1 columns, n2 rows), whose steps are
+# R = (1,0), D = (0,1) and U = (0,0).
 
 
 def test_block_copy_falls_to_a_later_step():
     # tandem (2,1,1): the step (2,0) has no source in the columns left of 2,
     # so the level takes the step (-1,1) by assignment.  Slabs: level 5
     # keeps the corner (0..1, 0..1), a frame of 2 columns that R cannot
-    # reach, so D's slice is the first.  Free: level 2, block 0 = (0..1, 0..1).
+    # reach, so D's slice is the first.  Totals: level 2's box is the
+    # columns 1..2, and R copies only column 2, while column 1 is zeroed.
     # Pinned to (0,0) at n_max = 6, the sweep ends at N = (1,2,2), level 5:
     # at level 2 the box is the cell (1, 1), where R has no source and D
     # copies; at level 5 it is (1, 2), where only U has one.
@@ -252,8 +246,8 @@ def test_block_copy_falls_to_a_later_step():
 
 def test_block_copy_covers_part_of_its_block():
     # tandem (3,1,1): the step (3,0) has no source in columns 0..2, nor above
-    # the previous level's top row.  Free sweep, level 4: block 0 =
-    # (0..5, 0..3) and (3,0) copies only (3..5, 0..2); slab sweep, level 4,
+    # the previous level's top row.  Totals, level 4: the box is the columns
+    # 1..4, and R copies only the columns 2..4; slab sweep, level 4,
     # whose corner is (0..4, 0..3) in a frame of 5 columns of 5 rows: (3,0)
     # copies only the columns 3..4, and the first three are zeroed.  Pinned
     # to (0,0) at n_max = 8, the sweep ends at N = (1,3,3), level 7; at
@@ -265,19 +259,21 @@ def test_block_copy_covers_part_of_its_block():
 
 def test_window_shapes_unit_model():
     # (1,1,1) has the steps (1,0), (-1,1), (0,-1): after n steps every walk
-    # has i + 2j <= n.  A grid is the bounding box of its window, and a slab
-    # sweep's grid is that box cut to the corner i, j < 21 - n.
+    # has i + 2j <= n, and a slab sweep's grid is the bounding box of that
+    # window cut to the corner i, j < 21 - n.  The totals plan keeps the
+    # cone n1 >= n2 >= n3 whole: the columns n/3 <= n1 <= n and the rows
+    # 0 <= n2 <= n // 2.
     m = TandemModel(1, 1, 1)
-    full = _sweep(_quadrant_windows(m, 20, slabs=False), "exact", box_shape)
-    assert full == [((0, 0), (n + 1, n // 2 + 1)) for n in range(21)]
-    slabs = _sweep(_quadrant_windows(m, 20, slabs=True), "exact", box_shape)
+    totals = _sweep(_ballot_boxes(m, (20, 20, 20), 20), "exact", box_shape)
+    assert totals == [((c0, 0), (n - c0 + 1, n // 2 + 1)) for n in range(21) for c0 in [-(-n // 3)]]
+    slabs = _sweep(_quadrant_windows(m, 20), "exact", box_shape)
     assert slabs == [((0, 0), (min(n + 1, 21 - n), min(n // 2 + 1, 21 - n))) for n in range(21)]
     # Pinned to the origin at n_max = 20, not a multiple of the period 3:
     # the sweep ends at N = (6,6,6), level 18.  The cone is n1 >= n2 >= n3,
     # so level n keeps the columns n1 >= n/3, n1 >= (n - 6)/2 (as n3 <= 6)
     # and n1 >= n - 12, up to min(n, 6); the rows run from the lowest n2 of
     # the last column to min(n // 2, 6).
-    pinned = _sweep(_ballot_boxes(m, (6, 6, 6)), "exact", box_shape)
+    pinned = _sweep(_ballot_boxes(m, (6, 6, 6), 18), "exact", box_shape)
     expected = []
     for n in range(19):
         c0, c1 = max(-(-n // 3), -(-(n - 6) // 2), n - 12), min(n, 6)
@@ -296,7 +292,7 @@ def test_pinned_sweep_ends_at_the_last_ballot_level():
     levels = reference_levels(s.steps, 20)
     for target, n_max, N in [((0, 0), 20, (6, 6, 6)), ((1, 0), 12, (4, 3, 3))]:
         assert ballot_point(m, target, n_max) == N
-        assert len(_sweep(_ballot_boxes(m, N), "exact", box_shape)) == sum(N) + 1
+        assert len(_sweep(_ballot_boxes(m, N, sum(N)), "exact", box_shape)) == sum(N) + 1
         expected = [lv.get(target, 0) for lv in levels[: n_max + 1]]
         assert list(count_endpoint(s, n_max, target).values) == expected
         logs = count_endpoint(s, n_max, target, "logfloat").values
@@ -354,7 +350,7 @@ def assert_ballot_plan_matches_oracle(m, target, n_max):
     N = last_ballot_point_by_scan(m, target, n_max)
     if N is None:
         return
-    steps, levels, stride, p, cut = _ballot_boxes(m, N)
+    steps, levels, stride, p, cut = _ballot_boxes(m, N, sum(N))
     assert steps == ((1, 0), (0, 1), (0, 0)) and len(levels) == sum(N) + 1
     assert stride == max(h for *_, h in levels) + 1 and p == 1
     # the flat sweep reads a box cell's source between rows -1 and H - 1
@@ -441,7 +437,7 @@ def test_flat_sweep_equals_the_views_sweep(m, target, n_max, mode):
     N = last_ballot_point_by_scan(m, target, n_max)
     if N is None:
         return
-    plan = _ballot_boxes(m, N)
+    plan = _ballot_boxes(m, N, sum(N))
     flat, flat_boxes = box_readings(_sweep, plan, mode)
     views, view_boxes = box_readings(pinned_views_sweep, plan, mode)
     if mode == "exact":
@@ -554,8 +550,7 @@ UNIT = TandemModel(1, 1, 1)
 
 # The (1,1,1) examples fail when each level is divided by its peak instead
 # of scaled by a power of two: 11 of the 61 terms differ from the float sums,
-# 7 of 301 excursion terms move when the sweep runs on to 600 steps, and 14
-# of 601 when it runs in 1 block instead of 2.
+# and 7 of 301 excursion terms move when the sweep runs on to 600 steps.
 
 
 @settings(max_examples=80, deadline=None)
@@ -588,29 +583,20 @@ def test_logfloat_terms_do_not_depend_on_n_max(m, target, n, extra):
         assert a == b[: n + 1]
 
 
-def column_blocks(plan, k):
-    """``plan`` with each level's box covered by k full-height column blocks
-    instead of its own rectangles."""
-    steps, levels, stride, p, cut = plan
-    blocked = []
-    for ox, oy, w, h, *_ in levels:
-        edges = sorted({i * w // k for i in range(k + 1)})
-        blocked.append((ox, oy, w, h, *((x0, x1, 0, h) for x0, x1 in zip(edges, edges[1:]))))
-    return steps, blocked, stride, p, cut
-
-
 @settings(max_examples=60, deadline=None)
-@given(models, st.integers(0, 40))
+@given(models, st.integers(0, 120))
 @example(UNIT, 600)
-@lattice_examples(40)
-def test_logfloat_terms_do_not_depend_on_block_count(m, n_max):
-    # full-height blocks also sweep the empty cells above the window's slope;
-    # any cover of each box by column blocks must give the same terms
-    total = count_walks_total(tandem_step_set(m), n_max, "logfloat").values
-    plan = _quadrant_windows(m, n_max, slabs=False)
-    for k in (1, 3):
-        terms = _sweep(column_blocks(plan, k), "logfloat", lambda n, grid, origin: np.sum(grid))
-        assert tuple(terms) == total
+@lattice_examples(120)
+def test_logfloat_totals_are_within_ulps_of_the_exact_logs(m, n_max):
+    # log-float totals sum each level's box of the cone in ballot
+    # coordinates; q_n >= 1 (n R steps), so every log is finite, and each
+    # term lies within 4 ulps of the log of the exact total
+    s = tandem_step_set(m)
+    exact = count_walks_total(s, n_max).values
+    logs = count_walks_total(s, n_max, "logfloat").values
+    assert len(logs) == len(exact) == n_max + 1
+    for n, (lf, q) in enumerate(zip(logs, exact)):
+        assert abs(lf - log(q)) <= 4 * ulp(log(q)), (n, lf, q)
 
 
 # Exact totals and grid excursions run on flat frames of whole columns whose
@@ -655,7 +641,7 @@ def test_phase_sweep_updates_the_live_coset_only(m, n_max):
     *_, d = lattice(m)
     assert d == (m.A * m.B + m.A * m.C + m.B * m.C) // (gx * gy)
     levels = reference_levels(s.steps, n_max)
-    plan = _quadrant_windows(m, n_max, slabs=True)
+    plan = _quadrant_windows(m, n_max)
     grids = _sweep(plan, "exact", copy_grid)
     whole = _sweep(dense(plan), "exact", copy_grid)
     for n, ((_, grid), (_, dense_grid)) in enumerate(zip(grids, whole)):
@@ -689,7 +675,7 @@ def test_phase_step_carries_each_level_to_the_next(m, n_max):
     # the same plan with phase step 1
     *_, c2, d = lattice(m)
     t = int(np.flatnonzero(live_cells(m, 0, 2, d)[1])[0])  # (1, t) lies in the lattice
-    plan = steps, levels, H, p, _ = _quadrant_windows(m, n_max, slabs=True)
+    plan = steps, levels, H, p, _ = _quadrant_windows(m, n_max)
     if p > 1:
         assert p == d and (H + t) % d == 0
         for n, (_, _, w, h) in enumerate(levels):
@@ -708,7 +694,7 @@ def test_exact_totals_plan_visits_one_dth_of_its_frames():
     # shift, 1, and raises the stride to 203 = -t (mod 3).  Each step of
     # levels 1..599 is one slice of step 3 over a frame of w*203 cells, so
     # the steps visit at most 6,110,432 cells each, a third of the frames
-    _, levels, H, p, _ = _quadrant_windows(UNIT, 599, slabs=True)
+    _, levels, H, p, _ = _quadrant_windows(UNIT, 599)
     assert (max(h for *_, h in levels), H, p) == (200, 203, 3)
     frames = sum(w * H for _, _, w, _ in levels[1:])
     visited = sum(-(-w * H // p) for _, _, w, _ in levels[1:])
@@ -720,7 +706,7 @@ def test_exact_totals_plan_keeps_the_corner_alone():
     # to 180,000 cells while it kept every cell that could still reach
     # either slab; keeping only those that can reach both cuts the largest
     # box to a third, and all its boxes to 11,575,100 cells
-    _, levels, *_ = _quadrant_windows(UNIT, 599, slabs=True)
+    _, levels, *_ = _quadrant_windows(UNIT, 599)
     assert sum(w * h for _, _, w, h in levels) == 11_575_100
     assert max(w * h for _, _, w, h in levels) <= 180_000 // 3
 
@@ -744,7 +730,7 @@ def test_margins_hold_the_sums_past_the_corner(m, n_max):
     # is the level's slab loss
     gx, gy = spacings(m)
     levels = reference_levels(tandem_step_set(m).steps, n_max)
-    plan = _quadrant_windows(m, n_max, slabs=True)
+    plan = _quadrant_windows(m, n_max)
     read, margins = _slab_reader(m, plan[1])
 
     def checked_read(n, grid, origin):
@@ -801,7 +787,7 @@ def test_large_row_shifts_stay_out_of_the_stride(triple):
     m = TandemModel(*triple)
     s = tandem_step_set(m)
     levels = reference_levels(s.steps, 50)
-    _, boxes, H, _, _ = _quadrant_windows(m, 50, slabs=True)
+    _, boxes, H, _, _ = _quadrant_windows(m, 50)
     assert H <= 2 * (max(h for *_, h in boxes) + 1)
     runs = []
     with pytest.MonkeyPatch.context() as patch:

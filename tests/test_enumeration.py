@@ -460,7 +460,7 @@ def test_level_states_well_formed():
     def copy_grid(n, grid, origin):
         return grid.copy()
 
-    plan = _quadrant_windows(TandemModel(3, 2, 2), 9, slabs=False)
+    plan = _quadrant_windows(TandemModel(3, 2, 2), 9)
     for level, grid in enumerate(_sweep(plan, "exact", copy_grid)):
         occ = occupancy(grid, gx, gy)
         assert sum(occ.values()) >= 1 or level > 0
