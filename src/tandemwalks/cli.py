@@ -402,8 +402,8 @@ def _cmd_bijection_check(args) -> list[str]:
     tandem = ballot_to_tandem(ballot)
     p = ballot.period
     # (x, y) excursions on the quadrant plan against cone walks on the pinned
-    # ballot plan; both meter the same rectangles upfront, so a too-large run
-    # aborts at once, before the cone sweep
+    # ballot plan; both meter the same terms before their plans, so too many
+    # rounds abort at once, before either sweep
     seq2 = count_grid_excursions(tandem_step_set(tandem), p * args.rounds)
     seq3 = count_ballot_3d(ballot, args.rounds)
     lines = []

@@ -53,9 +53,10 @@ from a callback on the level's box (the count at the target, the box sum,
 or the walks that would leave the quadrant); in log-float mode it turns each
 reading into a log itself, so no caller sees the scaling.
 
-Each count meters its work once, before anything else, as the cells of the
-full reachable (x, y) rectangles, whatever the coordinates and the window,
-so a mistyped n_max fails fast instead of thrashing.
+Each count meters the plan it sweeps (`_meter`): the cells its slices
+visit, plus a fixed charge per term it returns, which also prices each
+level's fixed cost.  The terms are metered before the plan is built, so a
+mistyped n_max fails fast instead of thrashing.
 """
 
 from __future__ import annotations
@@ -75,6 +76,13 @@ DEFAULT_CELL_BUDGET = 200_000_000
 # log-float levels between two power-of-two rescalings: 3^32 < 2^51, so no
 # level in between nears the float64 range
 _RESCALE = 32
+
+# the cells metered per term a count returns.  A level costs about 20 us
+# past its cells (its box, cut and reading), and a log-float sweep takes
+# that long for about 10^4 frame cells at 1-2 ns each; a count returns at
+# least one term per level, so the charge covers every level and the zero
+# terms past the last one
+_TERM_CELLS = 10_000
 
 
 @dataclass(frozen=True)
@@ -147,18 +155,16 @@ def _grid(m: TandemModel):
     return gx, gy, (a1, b1, b2, c2), d, t
 
 
-def _check_budget(m: TandemModel, n_max: int, cell_budget: int) -> None:
-    """Meter the dense rectangles of levels 0..n_max against the budget: a
-    step moves at most dxm = a1 columns right and dym = b2 rows up
-    (`_grid`), so 1 + sum over k = 1..n of (k*dxm + 1)(k*dym + 1), in
-    closed form."""
-    _, _, (dxm, _, dym, _), _, _ = _grid(m)
-    n = n_max
-    swept = dxm * dym * n * (n + 1) * (2 * n + 1) // 6 + (dxm + dym) * n * (n + 1) // 2 + n + 1
-    if swept > cell_budget:
-        raise BudgetExceededError(
-            f"level sweep needs {swept} cells, budget is {cell_budget}"
-        )
+def _meter(n_max: int, cell_budget: int, plan: tuple = ((), (), 1, 1, None)) -> None:
+    """Abort unless a count's work fits the budget: ``_TERM_CELLS`` for each
+    of its n_max + 1 terms, plus the cells that the slices of its ``plan``
+    visit, ceil(w*H/p) for each level (`_sweep`).  A count meters its terms
+    alone (the default plan has no levels) before it builds the plan, so a
+    huge n_max aborts in O(1), and then the plan."""
+    _, levels, H, p, _ = plan
+    cells = _TERM_CELLS * (n_max + 1) + sum(-(-w * H // p) for _, _, w, _ in levels)
+    if cells > cell_budget:
+        raise BudgetExceededError(f"level sweep needs {cells} cells, budget is {cell_budget}")
 
 
 def _sweep(
@@ -505,12 +511,13 @@ def count_endpoint(
     The sweep is pinned to the target's ballot point at the last level
     n <= n_max that has one, solved for in closed form from one linear
     congruence in n mod d (`_last_ballot_point`); with none, every term is
-    zero.  The budget is checked before that level is found.  The integer
-    step numbers of walks with one endpoint differ by multiples of the
-    ballot triple (a, b, c), so the walks that end at the target are those
-    at level N1 + N2 + N3 - k*(a + b + c) with the step numbers
-    (N1, N2, N3) - k*(a, b, c), for each k that leaves all three
-    nonnegative; the reading only indexes those cells.
+    zero.  The terms are metered before that level is found, and the plan
+    before it is swept; the term charge pays for the zero terms past the
+    target's level.  The integer step numbers of walks with one endpoint
+    differ by multiples of the ballot triple (a, b, c), so the walks that
+    end at the target are those at level N1 + N2 + N3 - k*(a + b + c) with
+    the step numbers (N1, N2, N3) - k*(a, b, c), for each k that leaves all
+    three nonnegative; the reading only indexes those cells.
     """
     check_integer("n_max", n_max)
     check_integer("cell_budget", cell_budget)
@@ -519,8 +526,7 @@ def count_endpoint(
     if len(point) != 2 or not all(is_integer(v) for v in point):
         raise ValidationError(f"target must be a quadrant point, got {target!r}")
     m = _tandem(s)
-    # before the target's level is solved for, and also when no walk gets there
-    _check_budget(m, n_max, cell_budget)
+    _meter(n_max, cell_budget)
     zero = 0 if mode == "exact" else float("-inf")
     N = _last_ballot_point(m, point, n_max)
     if N is None:
@@ -536,8 +542,9 @@ def count_endpoint(
         cell = cells.get(n)
         return grid[cell[0] - origin[0], cell[1] - origin[1]] if cell else 0
 
-    values = _sweep(_ballot_boxes(m, N, n_last), mode, at_target)
-    return CountSequence(mode, tuple(values) + (zero,) * (n_max - n_last))
+    plan = _ballot_boxes(m, N, n_last)
+    _meter(n_max, cell_budget, plan)
+    return CountSequence(mode, tuple(_sweep(plan, mode, at_target)) + (zero,) * (n_max - n_last))
 
 
 def count_walks_total(
@@ -567,15 +574,14 @@ def count_walks_total(
     check_integer("cell_budget", cell_budget)
     _validate_mode(mode)
     m = _tandem(s)
+    _meter(n_max, cell_budget)
     exact = mode == "exact"
-    # exact totals sweep levels 0..n_max-1, and level 0 alone at n_max = 0
-    _check_budget(m, n_max - 1 if exact and n_max else n_max, cell_budget)
-    if not exact:
-        plan = _ballot_boxes(m, (n_max,) * 3, n_max)
-        return CountSequence(mode, _sweep(plan, mode, lambda n, grid, origin: np.sum(grid)))
-    if n_max == 0:
+    if exact and n_max == 0:
         return CountSequence(mode, (1,))
-    plan = _quadrant_windows(m, n_max - 1)
+    plan = _quadrant_windows(m, n_max - 1) if exact else _ballot_boxes(m, (n_max,) * 3, n_max)
+    _meter(n_max, cell_budget, plan)
+    if not exact:
+        return CountSequence(mode, _sweep(plan, mode, lambda n, grid, origin: np.sum(grid)))
     read, _ = _slab_reader(m, plan[1])
     q = [1]
     for loss in _sweep(plan, mode, read):
@@ -597,8 +603,9 @@ def count_grid_excursions(s: StepSet, n_max: int) -> CountSequence:
     """
     check_integer("n_max", n_max)
     m = _tandem(s)
-    _check_budget(m, n_max, DEFAULT_CELL_BUDGET)
+    _meter(n_max, DEFAULT_CELL_BUDGET)
     plan = _quadrant_windows(m, n_max)
+    _meter(n_max, DEFAULT_CELL_BUDGET, plan)
     return CountSequence("exact", _sweep(plan, "exact", lambda n, grid, origin: grid[0, 0]))
 
 

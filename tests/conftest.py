@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import exp, frexp, gcd, hypot, log, sqrt
+from unittest.mock import patch
 
 import numpy as np
 
@@ -119,6 +120,38 @@ def pinned_views_sweep(plan, mode, read):
             v = log(mant) + (e + shift) * log(2.0) if mant else float("-inf")
         readings.append(v)
     return readings
+
+
+def rectangle_cells(m, n_max):
+    """The cells of the full reachable (x, y) rectangles of levels 0..n_max,
+    in closed form: what every count metered before counts metered the
+    plans they sweep, kept as an oracle.  A step moves at most
+    a1 = A/gcd(A, B) grid columns right and b2 = B/gcd(B, C) grid rows up,
+    so level k spans k*a1 + 1 columns and k*b2 + 1 rows, and the sum is
+    1 + sum over k = 1..n_max of (k*a1 + 1)(k*b2 + 1)."""
+    a1, b2 = m.A // gcd(m.A, m.B), m.B // gcd(m.B, m.C)
+    n = n_max
+    return a1 * b2 * n * (n + 1) * (2 * n + 1) // 6 + (a1 + b2) * n * (n + 1) // 2 + n + 1
+
+
+def metered_cells(n_max, count, *args):
+    """(cells, result) of ``count(*args)``, a count of the terms 0..n_max,
+    run with a spy on the sweep: the cells it should meter are the term
+    charge for each term plus, for each plan it hands to the sweep,
+    ceil(w*H/p) for each level, the cells that the plan's slices visit."""
+    plans = []
+    sweep = enumeration._sweep
+
+    def spy(plan, *rest):
+        plans.append(plan)
+        return sweep(plan, *rest)
+
+    with patch.object(enumeration, "_sweep", spy):
+        result = count(*args)
+    cells = enumeration._TERM_CELLS * (n_max + 1)
+    for _, levels, H, p, _ in plans:
+        cells += sum(-(-w * H // p) for _, _, w, _ in levels)
+    return cells, result
 
 
 def occupancy(grid, gx, gy):

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -649,14 +650,39 @@ def test_bijection_check_walk_outside_the_cone_exit_code(capsys, monkeypatch):
 
 
 def test_bijection_check_budget_abort_skips_the_cone_sweep(capsys, monkeypatch):
+    # the 300,001 terms of the (x, y) excursions are metered before their
+    # plan is built, so the abort comes before either sweep
     def no_cone_sweep(*args):
         raise AssertionError("3D counts computed before the 2D budget check")
 
+    def no_sweep(*args):
+        raise AssertionError("swept before the term charge was metered")
+
     monkeypatch.setattr(cli_module, "count_ballot_3d", no_cone_sweep)
-    code, out, err = cli(capsys, "bijection-check", "--ballot", "1,1,1", "--rounds", "400")
+    monkeypatch.setattr(enumeration, "_sweep", no_sweep)
+    code, out, err = cli(capsys, "bijection-check", "--ballot", "1,1,1", "--rounds", "100000")
     assert code == 2
     assert out == ""
-    assert err.startswith("tandemwalks: aborted: level sweep needs ")
+    assert err == "tandemwalks: aborted: level sweep needs 3000010000 cells, budget is 200000000\n"
+
+
+# large-step inputs that the full-rectangle meter refused at the default
+# budget; the digests are of their output with the budget lifted to 10**12
+# before counts metered their plans
+@pytest.mark.parametrize("argv, digest", [
+    ("enumerate --model 5,7,3 --n-max 426", "dec7dcaf73a005ca"),
+    ("enumerate --model 5,7,3 --what total --mode logfloat --n-max 300", "df2c339841a22c3f"),
+    ("fit --model 2,9,4 --m-max 60", "03d94a8cabcc1f9f"),
+    ("bijection-check --ballot 3,4,12 --rounds 20", "848cadf5098931a6"),
+])
+def test_large_steps_run_at_the_default_budget(capsys, argv, digest):
+    code, out, err = cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+    if argv.startswith("bijection-check"):
+        assert [line.split(": count ")[0] for line in out.splitlines()] == \
+            [f"round {n}" for n in range(1, 21)]
+        assert all(line.endswith(" ok") for line in out.splitlines())
 
 
 # the cli names that perfbench/layers.py wraps, with the parameters its

@@ -29,10 +29,13 @@ from tandemwalks import (
     BallotModel,
     BudgetExceededError,
     TandemModel,
+    count_ballot_3d,
     count_endpoint,
     count_excursions,
+    count_grid_excursions,
     count_walks_total,
     tandem_step_set,
+    tandem_to_ballot,
 )
 from tandemwalks import enumeration
 from tandemwalks.enumeration import _ballot_boxes, _quadrant_windows, _slab_reader, _sweep
@@ -41,8 +44,11 @@ from conftest import (
     ballot_level,
     ballot_point_at,
     cone_walks_3d,
+    coprime_triples,
     last_ballot_point_by_scan,
+    metered_cells,
     pinned_views_sweep,
+    rectangle_cells,
 )
 
 
@@ -468,50 +474,111 @@ def test_large_step_excursions_equal_the_cone_walks(mode):
 
 @pytest.mark.parametrize("mode", ["exact", "logfloat"])
 def test_budget_meters_full_rectangle(mode):
-    # pinned sweeps touch fewer cells, but the budget still counts the whole
-    # reachable rectangle, so the same inputs pass and abort as before
-    s = tandem_step_set(TandemModel(1, 1, 1))
-    dense = sum((n + 1) ** 2 for n in range(1, 31)) + 1
+    # the budget once metered the full reachable rectangles; it now meters
+    # the cells that the pinned plan's slices visit, fewer than those, plus
+    # the term charge, and a count runs at exactly that budget
+    m = TandemModel(1, 1, 1)
+    s = tandem_step_set(m)
     for target in [(0, 0), (3, 2)]:
-        count_endpoint(s, 30, target, mode, cell_budget=dense)
+        cells, result = metered_cells(30, count_endpoint, s, 30, target, mode, 10**80)
+        assert cells - enumeration._TERM_CELLS * 31 < rectangle_cells(m, 30)
+        assert count_endpoint(s, 30, target, mode, cell_budget=cells) == result
         with pytest.raises(BudgetExceededError):
-            count_endpoint(s, 30, target, mode, cell_budget=dense - 1)
+            count_endpoint(s, 30, target, mode, cell_budget=cells - 1)
 
 
 @pytest.mark.parametrize("mode", ["exact", "logfloat"])
 def test_total_budget_meters_full_rectangle(mode):
     # exact totals sweep levels 0..n_max-1 (the last term comes from the
-    # slab loss), log-float totals levels 0..n_max; both are metered as the
-    # whole rectangle, so the same inputs pass and abort as an unpruned sweep
-    s = tandem_step_set(TandemModel(1, 1, 1))
+    # slab loss), log-float totals levels 0..n_max; either plan visits fewer
+    # cells than the full rectangles of its levels, and each meters its
+    # plan plus the charge for the n_max + 1 terms it returns
+    m = TandemModel(1, 1, 1)
+    s = tandem_step_set(m)
     n_max = 31 if mode == "exact" else 30
-    dense = sum((n + 1) ** 2 for n in range(1, 31)) + 1
-    count_walks_total(s, n_max, mode, cell_budget=dense)
+    cells, result = metered_cells(n_max, count_walks_total, s, n_max, mode, 10**80)
+    assert cells - enumeration._TERM_CELLS * (n_max + 1) < rectangle_cells(m, 30)
+    assert count_walks_total(s, n_max, mode, cell_budget=cells) == result
     with pytest.raises(BudgetExceededError):
-        count_walks_total(s, n_max, mode, cell_budget=dense - 1)
-
-
-def metered_cells(m, levels):
-    """Cells of the full reachable rectangles of levels 0..``levels``, added
-    level by level: a step moves at most A/gx columns right and B/gy rows
-    up, so level k spans k*A/gx + 1 columns and k*B/gy + 1 rows."""
-    gx, gy = spacings(m)
-    return sum((k * m.A // gx + 1) * (k * m.B // gy + 1) for k in range(levels + 1))
+        count_walks_total(s, n_max, mode, cell_budget=cells - 1)
 
 
 @pytest.mark.parametrize("mode", ["exact", "logfloat"])
 @pytest.mark.parametrize("triple", [(1, 1, 1), (3, 2, 2)])
 def test_total_budget_boundary(triple, mode):
-    # exact totals meter levels 0..n_max-1, log-float totals levels
-    # 0..n_max: each runs at exactly those cells and aborts one cell below
-    m = TandemModel(*triple)
-    s = tandem_step_set(m)
+    # totals run at exactly their metered cells and abort one cell below,
+    # with the cells in the message
+    s = tandem_step_set(TandemModel(*triple))
     for n_max in [1, 2, 9, 25]:
-        cells = metered_cells(m, n_max - 1 if mode == "exact" else n_max)
-        assert count_walks_total(s, n_max, mode, cells) == count_walks_total(s, n_max, mode)
+        cells, result = metered_cells(n_max, count_walks_total, s, n_max, mode, 10**80)
+        assert count_walks_total(s, n_max, mode, cells) == result
         message = f"needs {cells} cells, budget is {cells - 1}$"
         with pytest.raises(BudgetExceededError, match=message):
             count_walks_total(s, n_max, mode, cells - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)).filter(lambda t: gcd(*t) == 1),
+    st.tuples(st.integers(0, 20), st.integers(0, 20)),
+    st.integers(0, 60),
+    st.sampled_from(["exact", "logfloat"]),
+)
+@example((5, 7, 3), (0, 0), 71, "exact")  # large steps, d = 71
+@example((2, 2, 1), (1, 0), 20, "logfloat")  # off the lattice: the terms alone
+@example((1, 1, 1), (0, 0), 0, "exact")  # q_0 = 1 needs no sweep
+def test_meter_is_the_plan_cells_plus_the_term_charge(triple, target, n_max, mode):
+    # every count path meters the cells that the slices of the plans it
+    # sweeps visit plus the term charge for each term, and runs at exactly
+    # that budget and aborts one cell below
+    m = TandemModel(*triple)
+    s = tandem_step_set(m)
+    ballot = tandem_to_ballot(m)
+    rounds = n_max // ballot.period
+
+    def grid_excursions(budget):
+        with patch.object(enumeration, "DEFAULT_CELL_BUDGET", budget):
+            return count_grid_excursions(s, n_max)
+
+    for n_terms, count in [
+        (n_max, lambda budget: count_endpoint(s, n_max, target, mode, budget)),
+        (n_max, lambda budget: count_excursions(s, n_max, mode, budget)),
+        (n_max, lambda budget: count_walks_total(s, n_max, mode, budget)),
+        (n_max, grid_excursions),
+        (ballot.period * rounds, lambda budget: count_ballot_3d(ballot, rounds, budget)),
+    ]:
+        cells, result = metered_cells(n_terms, count, 10**80)
+        assert count(cells) == result
+        with pytest.raises(BudgetExceededError, match=f"needs {cells} cells, budget is {cells - 1}$"):
+            count(cells - 1)
+
+
+def test_the_plan_meter_admits_what_the_rectangle_meter_admitted():
+    # at the largest n_max that the full rectangles admitted at the default
+    # budget, excursions and both totals of every coprime triple <= 6 pass
+    # the plan meter: only the stubbed sweep stops them.  Exact totals
+    # metered the rectangles of levels 0..n_max-1
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    budget = enumeration.DEFAULT_CELL_BUDGET
+    with patch.object(enumeration, "_sweep", admitted):
+        for triple in coprime_triples(6):
+            m = TandemModel(*triple)
+            s = tandem_step_set(m)
+            n = 0
+            while rectangle_cells(m, n + 1) <= budget:
+                n += 1
+            for count in [
+                lambda: count_excursions(s, n),
+                lambda: count_walks_total(s, n, "logfloat"),
+                lambda: count_walks_total(s, n + 1),
+            ]:
+                with pytest.raises(Admitted):
+                    count()
 
 
 def float_levels(steps, n_max):
@@ -757,8 +824,8 @@ def test_huge_lattice_index_lists_no_classes():
     # exceeds every stride, so these sweeps take phase step 1, as a stride
     # raised to a residue mod d could be as long as d.  The corner bounds Tx = n_max*B/gx and Ty = n_max*C/gy of exact totals
     # are as large, so their margins must be as long as the box, not as Tx
-    # or Ty.  The budget meters the full rectangles, which pass 10^20 cells
-    # at n_max = 2, so it is lifted
+    # or Ty.  The budget meters the plans, not the full rectangles, which
+    # pass 10^20 cells at n_max = 2, so these run at the default budget
     for triple, n_max, mode, expected in [
         ((1, 10**20, 1), 0, "exact", (1,)),
         ((1, 10**20, 1), 1, "exact", (1, 1)),
@@ -772,7 +839,7 @@ def test_huge_lattice_index_lists_no_classes():
     ]:
         start = perf_counter()
         s = tandem_step_set(TandemModel(*triple))
-        assert count_walks_total(s, n_max, mode, cell_budget=10**80).values == expected
+        assert count_walks_total(s, n_max, mode).values == expected
         assert perf_counter() - start < 0.5, (triple, mode)
 
 
@@ -782,24 +849,21 @@ def test_large_row_shifts_stay_out_of_the_stride(triple):
     # cells, so the flat plan leaves it out and pads its stride only for the
     # kept steps: U of (1, 1, 10^6) and (2, 1, 50), D of (1, 10^6, 1).
     # Padded for all three, the stride of (1, 1, 10^6) would pass 10^6 rows.
-    # The budget meters the full rectangles, which (1, 10^6, 1) passes at
-    # n_max = 50, so it is lifted
+    # The budget meters the plans, so these run at the default budget
     m = TandemModel(*triple)
     s = tandem_step_set(m)
     levels = reference_levels(s.steps, 50)
     _, boxes, H, _, _ = _quadrant_windows(m, 50)
     assert H <= 2 * (max(h for *_, h in boxes) + 1)
     runs = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(enumeration, "DEFAULT_CELL_BUDGET", 10**80)
-        for count in (
-            lambda: count_walks_total(s, 50, cell_budget=10**80),
-            lambda: enumeration.count_grid_excursions(s, 50),
-            lambda: count_walks_total(s, 50, "logfloat", cell_budget=10**80),
-        ):
-            start = perf_counter()
-            runs.append(count().values)
-            assert perf_counter() - start < 0.5
+    for count in (
+        lambda: count_walks_total(s, 50),
+        lambda: count_grid_excursions(s, 50),
+        lambda: count_walks_total(s, 50, "logfloat"),
+    ):
+        start = perf_counter()
+        runs.append(count().values)
+        assert perf_counter() - start < 0.5
     exact, grid, logs = runs
     totals = [sum(lv.values()) for lv in levels]
     assert list(exact) == totals

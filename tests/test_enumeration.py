@@ -21,7 +21,7 @@ from tandemwalks import (
     count_walks_total,
     tandem_step_set,
 )
-from tandemwalks.enumeration import _last_ballot_point, _quadrant_windows, _sweep
+from tandemwalks.enumeration import _TERM_CELLS, _last_ballot_point, _quadrant_windows, _sweep
 
 from conftest import (
     cone_walks_3d,
@@ -30,6 +30,7 @@ from conftest import (
     generate_excursions,
     generate_quadrant_walks,
     last_ballot_point_by_scan,
+    metered_cells,
     occupancy,
     reachable_from_infinity,
     swapped,
@@ -131,28 +132,37 @@ def test_off_lattice_endpoint_keeps_the_budget_check():
         count_endpoint(steps, 100, (1, 0), cell_budget=100)
     with pytest.raises(BudgetExceededError):
         count_endpoint(steps, 100, (0, 0), cell_budget=100)
-    # the budget that the on-lattice sweep just fits also admits the off-lattice target
-    swept = 1 + sum((n + 1) * (2 * n + 1) for n in range(1, 101))
-    assert count_endpoint(steps, 100, (0, 0), cell_budget=swept).values[0] == 1
-    assert count_endpoint(steps, 100, (1, 0), cell_budget=swept).values == (0,) * 101
+    # no walk reaches the off-lattice target, so it sweeps nothing and
+    # meters its 101 terms alone; the on-lattice target meters its plan too
+    terms = _TERM_CELLS * 101
+    assert count_endpoint(steps, 100, (1, 0), cell_budget=terms).values == (0,) * 101
+    with pytest.raises(BudgetExceededError, match=f"needs {terms} cells, budget is {terms - 1}$"):
+        count_endpoint(steps, 100, (1, 0), cell_budget=terms - 1)
     with pytest.raises(BudgetExceededError):
-        count_endpoint(steps, 100, (1, 0), cell_budget=swept - 1)
+        count_endpoint(steps, 100, (0, 0), cell_budget=terms)
+    swept, e = metered_cells(100, count_endpoint, steps, 100, (0, 0), "exact", 10**80)
+    assert swept > terms and e.values[0] == 1
 
 
 def test_budget_meter_is_closed_form():
-    # (1,1,1) meters 1 + sum over n = 1..N of (n + 1)^2 = (N+1)(N+2)(2N+3)/6
-    # cells; a loop over n would run for hours at N = 10**12
+    # a count meters its N + 1 terms before it builds a plan of N + 1
+    # levels, which would take hours at N = 10**12
     N = 10**12
-    needed = (N + 1) * (N + 2) * (2 * N + 3) // 6
     start = perf_counter()
-    with pytest.raises(BudgetExceededError, match=f"needs {needed} cells,"):
+    with pytest.raises(BudgetExceededError, match=f"needs {_TERM_CELLS * (N + 1)} cells,"):
         count_excursions(steps_of(1, 1, 1), N)
     assert perf_counter() - start < 0.5
-    # (1, 10**20, 1) has a period above 10**20: the target's level is
-    # searched for only after the budget check
+    # (1, 10**20, 1) has a period above 10**20, and its plan to (1, 0) has
+    # two levels: only the term charge stops 10**12 zero terms
     start = perf_counter()
     with pytest.raises(BudgetExceededError):
         count_endpoint(steps_of(1, 10**20, 1), N, (1, 0))
+    assert perf_counter() - start < 0.5
+    # one cell per level: the plan's cells alone would admit 10**8 levels
+    K = 10**8 - 1
+    start = perf_counter()
+    with pytest.raises(BudgetExceededError, match=f"needs {_TERM_CELLS * (K + 1)} cells,"):
+        count_endpoint(steps_of(1, 1, 1), K, (K, 0))
     assert perf_counter() - start < 0.5
 
 
@@ -236,14 +246,16 @@ def test_cell_budget_must_be_a_nonnegative_integer(budget):
 
 
 def test_exact_totals_meter_level_zero():
-    # q_0 = 1 needs no sweep, but it is metered as one cell in both modes,
-    # as the excursions are
+    # q_0 = 1 needs no sweep, but it is metered as one term in both modes,
+    # as the excursions are, before any plan is built
     s = steps_of(1, 1, 1)
     for mode in ["exact", "logfloat"]:
         for count in [count_walks_total, count_excursions]:
-            with pytest.raises(BudgetExceededError, match="needs 1 cells, budget is 0$"):
+            with pytest.raises(BudgetExceededError, match=f"needs {_TERM_CELLS} cells, budget is 0$"):
                 count(s, 0, mode, cell_budget=0)
-    assert count_walks_total(s, 0, cell_budget=1).values == (1,)
+    assert count_walks_total(s, 0, cell_budget=_TERM_CELLS).values == (1,)
+    with pytest.raises(BudgetExceededError, match=f"needs {_TERM_CELLS} cells,"):
+        count_walks_total(s, 0, cell_budget=_TERM_CELLS - 1)
 
 
 def test_ballot_3d_rejects_a_bool_rounds_max_by_name():
@@ -336,13 +348,10 @@ def test_grid_excursions_on_every_small_triple():
                                          ((1, 2, 2), 5)])
 def test_ballot_3d_budget_boundary(abc, rounds):
     # the cone walks are the pinned excursions of length p*rounds, so the
-    # boundary is the cells of their (x, y) rectangles: a step moves at most
-    # a1 = A/gcd(A, B) columns right and b2 = B/gcd(B, C) rows up
+    # boundary is their meter: the cells of their plan and p*rounds + 1 terms
     m = BallotModel(*abc)
-    T = ballot_to_tandem(m)
-    a1, b2 = T.A // gcd(T.A, T.B), T.B // gcd(T.B, T.C)
-    cells = 1 + sum((k * a1 + 1) * (k * b2 + 1) for k in range(1, m.period * rounds + 1))
-    assert count_ballot_3d(m, rounds, cell_budget=cells) == count_ballot_3d(m, rounds)
+    cells, counts = metered_cells(m.period * rounds, count_ballot_3d, m, rounds, 10**80)
+    assert count_ballot_3d(m, rounds, cell_budget=cells) == counts == count_ballot_3d(m, rounds)
     with pytest.raises(BudgetExceededError, match=f"needs {cells} cells, budget is {cells - 1}$"):
         count_ballot_3d(m, rounds, cell_budget=cells - 1)
 
@@ -357,9 +366,10 @@ def test_ballot_3d_budget_abort_is_upfront():
 def test_thin_cone_budget_abort_is_upfront():
     # (1, 10**9, 1) is the cone A*x >= B*y >= C*z of the tandem triple
     # (10**9, 1, 10**9): one round is 10**9 + 2 steps, about one cone point
-    # per step, and its (x, y) rectangles are metered in closed form
+    # per step, and its terms are metered before its plan is built
+    cells = _TERM_CELLS * (10**9 + 3)
     t0 = perf_counter()
-    with pytest.raises(BudgetExceededError, match=r"^level sweep needs \d+ cells, budget is 200000000$"):
+    with pytest.raises(BudgetExceededError, match=f"^level sweep needs {cells} cells, budget is 200000000$"):
         count_ballot_3d(BallotModel(1, 10**9, 1), 1)
     assert perf_counter() - t0 < 0.5
 
